@@ -31,13 +31,12 @@ artifact — per design × engine: verdict, sliced/unsliced seconds, slicing
 speedup, and the portfolio's per-conjunct winners — that the benchmark CI
 lane uploads on every run.
 
-The quick mode then replays the learned-scheduling story end to end: the
-per-conjunct solo timings label each query with its fastest decisive engine,
-a decision-list model is trained on those labels (``repro.sched``), and the
-``auto`` engine runs the same designs with that model.  Each design gains an
-``auto`` cell (wall/CPU seconds, solo/race/fallback mode counts, prediction
-hits) and two budgets are asserted: auto wall ≤ 1.3× the per-query-best
-oracle schedule, and auto CPU ≤ 0.5× the racing portfolio's process time.
+The quick mode then times the ``auto`` engine on the same designs.  The
+per-conjunct solo timings give the per-query-best oracle schedule (each
+conjunct on its fastest decisive engine).  Each design gains an ``auto`` cell
+(wall/CPU seconds, solo/fallback mode counts, queries decided by the rule's
+pick) and two budgets are asserted: auto wall ≤ 1.3× the oracle schedule,
+and auto CPU ≤ 0.5× the racing portfolio's process time.
 """
 
 from __future__ import annotations
@@ -158,8 +157,8 @@ def _timed_pass(engine, problem):
 
     Returns ``(per_conjunct, complete, winners, seconds, cpu, details)`` where
     ``details`` carries one record per conjunct (its own wall time, feature
-    vector, verdict and sched record) — the raw material for training the
-    scheduler and for the per-query-best oracle below.
+    vector, verdict and winner) — the raw material for the per-query-best
+    oracle below.
     """
     winners = []
     per_conjunct = []
@@ -176,7 +175,7 @@ def _timed_pass(engine, problem):
                 "features": verdict.features,
                 "covered": bool(verdict.covered),
                 "complete": bool(verdict.complete),
-                "sched": verdict.sched,
+                "winner": verdict.winner,
             }
         )
         per_conjunct.append(bool(verdict.covered))
@@ -224,9 +223,9 @@ def run_engine_trajectory(designs=None, *, bound: int = _BMC_BOUND) -> dict:
             # first absorbs the warm-up cost, and on full-cone designs —
             # where "auto" and "off" do identical work — that one-time cost
             # masquerades as a slicing regression.  Its per-conjunct records
-            # still count as a third observation for the scheduler's training
-            # set (labels take the minimum across passes, so its cold
-            # timings never skew them).
+            # still count as a third observation for the oracle schedule
+            # (which takes the minimum across passes, so its cold timings
+            # never skew it).
             warm = get_engine(engine_name, max_bound=bound, slicing="auto")
             _, _, _, _, _, warm_details = _timed_pass(warm, problem)
             solo_details[name][engine_name] = {"warmup": warm_details}
@@ -374,21 +373,13 @@ _SOLO_MEMBERS = ("explicit", "bmc", "symbolic")
 
 
 def _run_auto_trajectory(payload, design_list, problems, solo_details, *, bound):
-    """Train a scheduler from the solo passes, then benchmark ``--engine auto``.
+    """Benchmark ``--engine auto`` against the per-query-best oracle schedule.
 
-    The per-conjunct solo timings from the engine matrix double as the
-    training set and the oracle: each conjunct's label is its fastest
-    *decisive* member (bmc is excluded wherever its verdict was bounded — the
-    auto engine cannot accept an incomplete answer either, it would have to
-    fall back and pay more), every pass — warm-up included — contributes one
-    row (three agreeing measurements give the decision-list trainer honest
-    support, enough to clear the solo-confidence gate), and
-    conflicting labels on *identical* feature vectors — which no
-    feature-driven scheduler can tell apart — are resolved toward a complete
-    engine, because a mispredicted complete engine still decides while a
-    mispredicted bounded one forces a fallback race.  A model is trained on
-    those rows in-process, written to a temporary file, and the auto engine
-    is then timed exactly like the other cells.
+    The per-conjunct solo timings from the engine matrix give the oracle:
+    each conjunct runs on its fastest *decisive* member (bmc is excluded
+    wherever its verdict was bounded — the auto engine cannot accept an
+    incomplete answer either, it would have to fall back and pay more).  The
+    auto engine is then timed exactly like the other cells.
 
     Two budgets are asserted over the catalog designs collectively (the
     per-design records still land in the payload), with the same noise floors
@@ -396,23 +387,14 @@ def _run_auto_trajectory(payload, design_list, problems, solo_details, *, bound)
 
     * wall clock: auto <= 1.3x the per-query-best oracle schedule (each
       conjunct on its fastest decisive member back to back), plus a 0.25s
-      absolute allowance — on sub-second catalogs the fixed stagger/insurance
-      overhead of the occasional race dominates any ratio;
+      absolute allowance — on sub-second catalogs the fixed overhead of the
+      occasional fallback race dominates any ratio;
     * CPU: auto <= 0.5x the racing portfolio's process time — the entire
-      point of prediction is not paying every member's CPU on every query.
+      point of picking one engine is not paying every member's CPU on every
+      query.
     """
-    import os
-    import tempfile
+    from repro.engines.auto import pick_engine
 
-    from repro.sched import (
-        TrainingRow,
-        evaluate,
-        featurize,
-        save_model,
-        train_predictor,
-    )
-
-    labelled = []
     oracle = {}
     for name in design_list:
         details = solo_details[name]
@@ -431,187 +413,113 @@ def _run_auto_trajectory(payload, design_list, problems, solo_details, *, bound)
             winner = min(eligible, key=lambda member: eligible[member])
             winners.append(winner)
             best_wall += eligible[winner]
-            features = details[winner]["sliced"][index]["features"]
-            labelled.append(
-                {
-                    "key": tuple(featurize(features)),
-                    "features": features,
-                    "winner": winner,
-                    "design": name,
-                    "passes": len(details[winner]),
-                }
-            )
         oracle[name] = {"wall": best_wall, "engines": winners}
 
-    # Identical feature vectors with conflicting labels are unlearnable;
-    # relabel such a group to its most frequent complete winner (tie-broken
-    # by name) so the model goes confidently solo on a safe engine instead of
-    # racing every ambiguous query.
-    groups = {}
-    for item in labelled:
-        groups.setdefault(item["key"], []).append(item)
-    for group in groups.values():
-        group_winners = {item["winner"] for item in group}
-        if len(group_winners) <= 1:
-            continue
-        complete_counts = {}
-        for item in group:
-            if item["winner"] != "bmc":
-                complete_counts[item["winner"]] = (
-                    complete_counts.get(item["winner"], 0) + 1
-                )
-        pool = complete_counts or {w: 1 for w in group_winners}
-        relabel = sorted(pool, key=lambda w: (-pool[w], w))[0]
-        for item in group:
-            item["winner"] = relabel
+    def run_auto(name, slicing):
+        engine = get_engine("auto", max_bound=bound, slicing=slicing)
+        return _timed_pass(engine, problems[name])
 
-    rows = [
-        TrainingRow(
-            features=item["features"],
-            winner=item["winner"],
-            source="bench",
-            design=item["design"],
+    def run_oracle(name):
+        problem = problems[name]
+        total = 0.0
+        for target, member in zip(problem.architectural, oracle[name]["engines"]):
+            engine = get_engine(member, max_bound=bound, slicing="auto")
+            start = time.perf_counter()
+            engine.check_primary(problem, architectural=target)
+            total += time.perf_counter() - start
+        return total
+
+    for name in design_list:
+        problem = problems[name]
+        row = payload["designs"][name]
+        # Warm-up pass, as above, so the timed modes start from the same
+        # process-global caches as the other cells did.
+        for target in problem.architectural:
+            get_engine("auto", max_bound=bound, slicing="auto").check_primary(
+                problem, architectural=target
+            )
+
+        cell = {}
+        per_conjunct, complete, winners, seconds, cpu, details = run_auto(name, "auto")
+        per_unsliced, _, _, seconds_unsliced, _, _ = run_auto(name, False)
+        assert per_conjunct == per_unsliced, f"slicing changed an auto verdict on {name}"
+        expected = [d["covered"] for d in solo_details[name]["explicit"]["sliced"]]
+        assert per_conjunct == expected, (
+            f"auto disagreed with explicit on {name}: {per_conjunct} vs {expected}"
         )
-        for item in labelled
-        for _ in range(item["passes"])
-    ]
-    model = train_predictor(rows)
-    payload["sched"] = {
-        "trained_rows": model.trained_rows,
-        "rules": len(model.rules),
-        "eval": evaluate(model, rows),
-        "model": model.to_payload(),
-    }
+        # A query is "solo" when the rule's pick decided it, "fallback" when
+        # bmc found no witness and the complete engines raced to finish it.
+        solo = sum(1 for d in details if d["winner"] == pick_engine(d["features"]))
+        modes = {"solo": solo, "fallback": len(details) - solo}
+        cell["covered"] = all(per_conjunct)
+        cell["complete"] = complete
+        cell["seconds_sliced"] = round(seconds, 4)
+        cell["seconds_unsliced"] = round(seconds_unsliced, 4)
+        cell["cpu_seconds"] = round(cpu, 4)
+        cell["modes"] = {mode: count for mode, count in modes.items() if count}
+        cell["predicted_hits"] = solo
+        cell["oracle_seconds"] = round(oracle[name]["wall"], 4)
+        if winners:
+            cell["winners"] = winners
+        cell["seconds"] = cell["seconds_sliced"]
+        cell["slicing_speedup"] = round(
+            cell["seconds_unsliced"] / max(cell["seconds_sliced"], 1e-9), 2
+        )
+        row["auto"] = cell
 
-    handle, model_path = tempfile.mkstemp(prefix="bench-sched-", suffix=".json")
-    os.close(handle)
-    try:
-        save_model(model, model_path)
+    def totals():
+        auto_wall = sum(payload["designs"][n]["auto"]["seconds_sliced"] for n in design_list)
+        auto_cpu = sum(payload["designs"][n]["auto"]["cpu_seconds"] for n in design_list)
+        oracle_wall = sum(oracle[n]["wall"] for n in design_list)
+        portfolio_cpu = sum(
+            payload["designs"][n]["portfolio"]["cpu_seconds"] for n in design_list
+        )
+        return auto_wall, auto_cpu, oracle_wall, portfolio_cpu
 
-        def run_auto(name, slicing):
-            engine = get_engine(
-                "auto", max_bound=bound, slicing=slicing, model_path=model_path
-            )
-            return _timed_pass(engine, problems[name])
+    def wall_budget(oracle_wall):
+        return max(1.3 * oracle_wall, oracle_wall + 0.25)
 
-        def run_oracle(name):
-            problem = problems[name]
-            total = 0.0
-            for target, member in zip(
-                problem.architectural, oracle[name]["engines"]
-            ):
-                engine = get_engine(member, max_bound=bound, slicing="auto")
-                start = time.perf_counter()
-                engine.check_primary(problem, architectural=target)
-                total += time.perf_counter() - start
-            return total
+    def cpu_budget(portfolio_cpu):
+        return max(0.5 * portfolio_cpu, 0.1)
 
-        for name in design_list:
-            problem = problems[name]
-            row = payload["designs"][name]
-            # Warm-up pass, as above, so the timed modes start from the same
-            # process-global caches as the other cells did.
-            for target in problem.architectural:
-                get_engine(
-                    "auto", max_bound=bound, slicing="auto", model_path=model_path
-                ).check_primary(problem, architectural=target)
-
-            cell = {}
-            per_conjunct, complete, winners, seconds, cpu, details = run_auto(
-                name, "auto"
-            )
-            per_unsliced, _, _, seconds_unsliced, _, _ = run_auto(name, False)
-            assert per_conjunct == per_unsliced, (
-                f"slicing changed an auto verdict on {name}"
-            )
-            expected = [
-                d["covered"] for d in solo_details[name]["explicit"]["sliced"]
-            ]
-            assert per_conjunct == expected, (
-                f"auto disagreed with explicit on {name}: {per_conjunct} vs {expected}"
-            )
-            modes = [d["sched"]["mode"] for d in details]
-            cell["covered"] = all(per_conjunct)
-            cell["complete"] = complete
-            cell["seconds_sliced"] = round(seconds, 4)
-            cell["seconds_unsliced"] = round(seconds_unsliced, 4)
-            cell["cpu_seconds"] = round(cpu, 4)
-            cell["modes"] = {mode: modes.count(mode) for mode in sorted(set(modes))}
-            cell["predicted_hits"] = sum(
-                1 for d in details if d["sched"].get("hit")
-            )
-            cell["oracle_seconds"] = round(oracle[name]["wall"], 4)
-            if winners:
-                cell["winners"] = winners
-            cell["seconds"] = cell["seconds_sliced"]
-            cell["slicing_speedup"] = round(
-                cell["seconds_unsliced"] / max(cell["seconds_sliced"], 1e-9), 2
-            )
-            row["auto"] = cell
-
-        def totals():
-            auto_wall = sum(
-                payload["designs"][n]["auto"]["seconds_sliced"]
-                for n in design_list
-            )
-            auto_cpu = sum(
-                payload["designs"][n]["auto"]["cpu_seconds"] for n in design_list
-            )
-            oracle_wall = sum(oracle[n]["wall"] for n in design_list)
-            portfolio_cpu = sum(
-                payload["designs"][n]["portfolio"]["cpu_seconds"]
-                for n in design_list
-            )
-            return auto_wall, auto_cpu, oracle_wall, portfolio_cpu
-
-        def wall_budget(oracle_wall):
-            return max(1.3 * oracle_wall, oracle_wall + 0.25)
-
-        def cpu_budget(portfolio_cpu):
-            return max(0.5 * portfolio_cpu, 0.1)
-
-        retries = 2
-        while retries > 0:
-            auto_wall, auto_cpu, oracle_wall, portfolio_cpu = totals()
-            wall_ok = oracle_wall < 0.05 or auto_wall <= wall_budget(oracle_wall)
-            cpu_ok = portfolio_cpu < 0.2 or auto_cpu <= cpu_budget(portfolio_cpu)
-            if wall_ok and cpu_ok:
-                break
-            retries -= 1
-            # Same best-of protocol as the slicing retries: re-time the auto
-            # pass and the oracle schedule, keep each side's minimum.
-            for name in design_list:
-                cell = payload["designs"][name]["auto"]
-                oracle[name]["wall"] = min(
-                    oracle[name]["wall"], run_oracle(name)
-                )
-                cell["oracle_seconds"] = round(oracle[name]["wall"], 4)
-                _, _, _, again, again_cpu, _ = run_auto(name, "auto")
-                cell["seconds_sliced"] = round(
-                    min(cell["seconds_sliced"], again), 4
-                )
-                cell["cpu_seconds"] = round(min(cell["cpu_seconds"], again_cpu), 4)
-                cell["seconds"] = cell["seconds_sliced"]
-
+    retries = 2
+    while retries > 0:
         auto_wall, auto_cpu, oracle_wall, portfolio_cpu = totals()
-        payload["sched"]["catalog"] = {
+        wall_ok = oracle_wall < 0.05 or auto_wall <= wall_budget(oracle_wall)
+        cpu_ok = portfolio_cpu < 0.2 or auto_cpu <= cpu_budget(portfolio_cpu)
+        if wall_ok and cpu_ok:
+            break
+        retries -= 1
+        # Same best-of protocol as the slicing retries: re-time the auto
+        # pass and the oracle schedule, keep each side's minimum.
+        for name in design_list:
+            cell = payload["designs"][name]["auto"]
+            oracle[name]["wall"] = min(oracle[name]["wall"], run_oracle(name))
+            cell["oracle_seconds"] = round(oracle[name]["wall"], 4)
+            _, _, _, again, again_cpu, _ = run_auto(name, "auto")
+            cell["seconds_sliced"] = round(min(cell["seconds_sliced"], again), 4)
+            cell["cpu_seconds"] = round(min(cell["cpu_seconds"], again_cpu), 4)
+            cell["seconds"] = cell["seconds_sliced"]
+
+    auto_wall, auto_cpu, oracle_wall, portfolio_cpu = totals()
+    payload["sched"] = {
+        "catalog": {
             "auto_wall_seconds": round(auto_wall, 4),
             "oracle_wall_seconds": round(oracle_wall, 4),
             "auto_cpu_seconds": round(auto_cpu, 4),
             "portfolio_cpu_seconds": round(portfolio_cpu, 4),
         }
-        if oracle_wall >= 0.05:
-            assert auto_wall <= wall_budget(oracle_wall), (
-                f"auto engine overshot the catalog wall budget: {auto_wall:.3f}s "
-                f"vs per-query best {oracle_wall:.3f}s"
-            )
-        if portfolio_cpu >= 0.2:
-            assert auto_cpu <= cpu_budget(portfolio_cpu), (
-                f"auto engine burned too much CPU: {auto_cpu:.3f}s vs "
-                f"portfolio {portfolio_cpu:.3f}s"
-            )
-    finally:
-        os.unlink(model_path)
+    }
+    if oracle_wall >= 0.05:
+        assert auto_wall <= wall_budget(oracle_wall), (
+            f"auto engine overshot the catalog wall budget: {auto_wall:.3f}s "
+            f"vs per-query best {oracle_wall:.3f}s"
+        )
+    if portfolio_cpu >= 0.2:
+        assert auto_cpu <= cpu_budget(portfolio_cpu), (
+            f"auto engine burned too much CPU: {auto_cpu:.3f}s vs "
+            f"portfolio {portfolio_cpu:.3f}s"
+        )
     return payload
 
 
@@ -658,12 +566,6 @@ def main(argv=None) -> int:
                 f"cpu {auto['cpu_seconds']:.3f}s vs portfolio "
                 f"{row['portfolio']['cpu_seconds']:.3f}s) {modes}"
             )
-    sched = payload.get("sched")
-    if sched:
-        print(
-            f"  scheduler: {sched['rules']} rule(s) from {sched['trained_rows']} "
-            f"rows, misprediction rate {sched['eval']['rate']:.2f}"
-        )
     return 0
 
 

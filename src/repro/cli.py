@@ -21,13 +21,10 @@ Sub-commands
     regression gate (exit 1 on regression).
 ``specmatcher cache``
     Inspect (``stats``) or wipe (``clear``) the persistent result cache.
-``specmatcher sched``
-    Train (``train``), inspect (``show``) or evaluate (``eval``) the learned
-    engine-scheduler model consumed by ``--engine auto``.
 ``specmatcher serve``
     Run the long-lived coverage service: an HTTP/JSON daemon that keeps the
-    compiled-problem and result caches (and the scheduler model) warm across
-    requests, with per-client quotas and a graceful SIGTERM drain.
+    compiled-problem and result caches warm across requests, with per-client
+    quotas and a graceful SIGTERM drain.
 ``specmatcher submit``
     Send one ``check`` / ``analyze`` / ``suite`` job to a running daemon;
     exit codes mirror the one-shot subcommands.
@@ -43,7 +40,7 @@ import sys
 from typing import List, Optional
 
 from .core import CoverageOptions, analyze_problem, format_report, format_table1
-from .engines import engine_choices, get_engine, prop_backend_names, using_prop_backend
+from .engines import engine_names, get_engine, prop_backend_names, using_prop_backend
 from .designs import (
     build_full_mal_fig2,
     get_design,
@@ -100,23 +97,14 @@ def build_parser() -> argparse.ArgumentParser:
     def add_backend_flags(sub_parser: argparse.ArgumentParser) -> None:
         sub_parser.add_argument(
             "--engine",
-            choices=engine_choices(),
+            choices=engine_names(),
             default="explicit",
             help=(
                 "primary-coverage engine: explicit-state nested DFS, bounded SAT, "
-                "symbolic BDD fixpoint, portfolio (alias race: all three "
-                "concurrently, first decisive verdict wins), or auto (alias "
-                "learned: a trained scheduler picks the engine per query, "
-                "racing only when unsure; see --sched-model)"
-            ),
-        )
-        sub_parser.add_argument(
-            "--sched-model",
-            metavar="FILE",
-            default=None,
-            help=(
-                "trained scheduler model for the auto engine (written by "
-                "`specmatcher sched train`); without one, auto always races"
+                "symbolic BDD fixpoint, portfolio (all three concurrently, first "
+                "decisive verdict wins), or auto (explicit when the query's "
+                "automata have more than 28 states, else bmc with a complete "
+                "fallback)"
             ),
         )
         sub_parser.add_argument(
@@ -287,88 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="result-cache directory (default: %(default)s, the suite's default)",
     )
 
-    sched_parser = sub.add_parser(
-        "sched",
-        parents=[common],
-        help="train / inspect / evaluate the learned engine-scheduler model",
-    )
-    sched_parser.add_argument(
-        "action",
-        choices=("train", "show", "eval"),
-        help=(
-            "train: fit a model from recorded feature/winner rows; "
-            "show: describe a model; eval: misprediction rate on rows"
-        ),
-    )
-    sched_parser.add_argument(
-        "--from-report",
-        action="append",
-        default=[],
-        metavar="FILE",
-        help="suite JSON report to read training rows from (repeatable)",
-    )
-    sched_parser.add_argument(
-        "--from-cache",
-        action="append",
-        default=[],
-        metavar="DIR",
-        help="result-cache directory to read training rows from (repeatable)",
-    )
-    sched_parser.add_argument(
-        "--from-trace",
-        action="append",
-        default=[],
-        metavar="FILE",
-        help="JSONL trace to read training rows from (repeatable)",
-    )
-    sched_parser.add_argument(
-        "--include-solo",
-        action="store_true",
-        help=(
-            "also train/evaluate on solo auto rows (no counterfactual: the "
-            "recorded winner is whatever the model predicted; default skips them)"
-        ),
-    )
-    sched_parser.add_argument(
-        "--model",
-        metavar="FILE",
-        default="sched-model.json",
-        help="model file to read (show/eval) or write (train); default: %(default)s",
-    )
-    sched_parser.add_argument(
-        "--output",
-        metavar="FILE",
-        default=None,
-        help="train: write the model here instead of --model",
-    )
-    sched_parser.add_argument(
-        "--max-rules", type=_non_negative_int, default=16,
-        help="train: decision-list size cap (default: %(default)s)",
-    )
-    sched_parser.add_argument(
-        "--min-support", type=_non_negative_int, default=1,
-        help="train: minimum rows a rule must cover (default: %(default)s)",
-    )
-    sched_parser.add_argument(
-        "--max-rate",
-        type=float,
-        default=None,
-        metavar="FRACTION",
-        help="eval: fail (exit 1) when the misprediction rate exceeds this",
-    )
-    sched_parser.add_argument(
-        "--confidence",
-        type=float,
-        default=None,
-        metavar="THRESHOLD",
-        help="eval: also report the rate restricted to confident predictions",
-    )
-    sched_parser.add_argument(
-        "--json",
-        action="store_true",
-        help="emit machine-readable JSON instead of text",
-    )
-
     serve_parser = sub.add_parser(
         "serve",
         parents=[common],
@@ -395,12 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
             "persistent result-cache directory shared across restarts and "
             "suite workers (default: warm in-memory cache only)"
         ),
-    )
-    serve_parser.add_argument(
-        "--sched-model",
-        metavar="FILE",
-        default=None,
-        help="scheduler model to keep warm for --engine auto requests",
     )
     serve_parser.add_argument(
         "--quota-rate",
@@ -494,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     submit_parser.add_argument(
         "--engine",
-        choices=engine_choices(),
+        choices=engine_names(),
         default=None,
         help="coverage engine (default: the server's default, explicit)",
     )
@@ -520,7 +420,6 @@ def _options_from_args(args: argparse.Namespace, **overrides) -> CoverageOptions
         prop_backend=args.prop_backend,
         bmc_max_bound=args.bound,
         slicing=_slicing_from_args(args),
-        sched_model=getattr(args, "sched_model", None),
         bdd_reorder=getattr(args, "bdd_reorder", False),
         **overrides,
     )
@@ -553,7 +452,6 @@ def _cmd_check(design: str, args: argparse.Namespace) -> int:
 
         from .service import (
             RequestValidationError,
-            ServiceDefaults,
             execute_job,
             exit_code_for,
             validate_request,
@@ -570,9 +468,7 @@ def _cmd_check(design: str, args: argparse.Namespace) -> int:
             body["index"] = args.index
         try:
             request = validate_request("check", body)
-            payload = execute_job(
-                request, ServiceDefaults(sched_model=args.sched_model)
-            )
+            payload = execute_job(request)
         except RequestValidationError as exc:
             print(f"check: invalid request: {exc}", file=sys.stderr)
             return 2
@@ -584,7 +480,6 @@ def _cmd_check(design: str, args: argparse.Namespace) -> int:
         args.engine,
         max_bound=args.bound,
         slicing=_slicing_from_args(args),
-        model_path=args.sched_model,
         bdd_reorder=getattr(args, "bdd_reorder", False),
     )
     with using_prop_backend(args.prop_backend):
@@ -593,16 +488,6 @@ def _cmd_check(design: str, args: argparse.Namespace) -> int:
     print(f"engine   : {verdict.engine}")
     if verdict.winner:
         print(f"winner   : {verdict.winner}")
-    if verdict.sched:
-        sched = verdict.sched
-        line = f"sched    : mode={sched.get('mode')}"
-        if sched.get("predicted"):
-            line += (
-                f" predicted={'>'.join(sched['predicted'])}"
-                f" confidence={sched.get('confidence')}"
-                f" hit={sched.get('hit')}"
-            )
-        print(line)
     if verdict.covered and not verdict.complete:
         print(f"covered  : {verdict.covered} (up to bound {verdict.bound})")
     else:
@@ -651,7 +536,6 @@ def _cmd_suite(args: argparse.Namespace) -> int:
         include_signals=not args.no_signals,
         random_count=args.random,
         random_seed=args.seed,
-        sched_model=args.sched_model,
     )
     result = run_suite(
         jobs,
@@ -773,98 +657,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     raise AssertionError(f"unhandled cache action {args.action!r}")  # pragma: no cover
 
 
-def _cmd_sched(args: argparse.Namespace) -> int:
-    import json as _json
-
-    from .sched import (
-        SchedModelError,
-        collect_rows,
-        evaluate,
-        load_model,
-        save_model,
-        train_predictor,
-    )
-
-    def rows():
-        collected = collect_rows(
-            reports=args.from_report,
-            cache_dirs=args.from_cache,
-            traces=args.from_trace,
-            include_solo=args.include_solo,
-        )
-        if not collected:
-            print(
-                "sched: no usable training rows — point --from-report / "
-                "--from-cache / --from-trace at artifacts of a portfolio or "
-                "auto run (rows need both a winner and a feature record)",
-                file=sys.stderr,
-            )
-        return collected
-
-    try:
-        if args.action == "train":
-            training = rows()
-            if not training:
-                return 1
-            model = train_predictor(
-                training, max_rules=args.max_rules, min_support=args.min_support
-            )
-            path = args.output or args.model
-            save_model(model, path)
-            if args.json:
-                print(_json.dumps({"model": path, **model.to_payload()}, sort_keys=True))
-            else:
-                print(f"wrote {path}")
-                print(model.describe())
-            return 0
-        if args.action == "show":
-            model = load_model(args.model)
-            if args.json:
-                print(_json.dumps(model.to_payload(), sort_keys=True))
-            else:
-                print(model.describe())
-            return 0
-        if args.action == "eval":
-            model = load_model(args.model)
-            sample = rows()
-            if not sample:
-                return 1
-            report = evaluate(model, sample, confidence_threshold=args.confidence)
-            if args.json:
-                print(_json.dumps(report, sort_keys=True))
-            else:
-                print(
-                    f"rows          : {report['rows']}\n"
-                    f"mispredictions: {report['mispredictions']}\n"
-                    f"rate          : {100.0 * report['rate']:.1f}%"
-                )
-                if args.confidence is not None:
-                    print(
-                        f"confident     : {report['confident_rows']} rows, "
-                        f"{report['confident_mispredictions']} misses "
-                        f"({100.0 * report['confident_rate']:.1f}%)"
-                    )
-                for name, stats in sorted(report["per_engine"].items()):
-                    print(
-                        f"  {name:<10} {stats['hits']}/{stats['rows']} predicted"
-                    )
-            if args.max_rate is not None and report["rate"] > args.max_rate:
-                print(
-                    f"sched: misprediction rate {report['rate']:.3f} exceeds "
-                    f"--max-rate {args.max_rate}",
-                    file=sys.stderr,
-                )
-                return 1
-            return 0
-        raise AssertionError(f"unhandled sched action {args.action!r}")  # pragma: no cover
-    except SchedModelError as exc:
-        print(f"sched: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError) as exc:
-        print(f"sched: {exc}", file=sys.stderr)
-        return 1
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     import json as _json
     import os
@@ -894,7 +686,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             port=args.port,
             workers=max(1, args.workers),
             cache_dir=args.cache_dir,
-            sched_model=args.sched_model,
             quota_rate=args.quota_rate,
             quota_burst=max(1, args.quota_burst),
             request_timeout=args.request_timeout,
@@ -1035,8 +826,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             return _cmd_bench(args)
         if args.command == "cache":
             return _cmd_cache(args)
-        if args.command == "sched":
-            return _cmd_sched(args)
         if args.command == "serve":
             return _cmd_serve(args)
         if args.command == "submit":

@@ -54,10 +54,10 @@ class CoverageOptions:
     :mod:`repro.engines` registry: ``"explicit"`` (complete nested-DFS),
     ``"bmc"`` (bounded SAT up to ``bmc_max_bound``), ``"symbolic"``
     (complete BDD fixpoint — prefer it when the product state space is too
-    wide for explicit enumeration), ``"portfolio"`` (alias ``"race"``:
-    all three concurrently, first decisive verdict wins) or ``"auto"``
-    (alias ``"learned"``: a trained scheduler picks the engine per query —
-    see ``sched_model`` — racing only when unsure).  ``slicing``
+    wide for explicit enumeration), ``"portfolio"`` (all three
+    concurrently, first decisive verdict wins) or ``"auto"`` (explicit when
+    the query's automata have more than 28 states, bmc otherwise, with a
+    complete fallback when bmc finds no witness).  ``slicing``
     controls the cone-of-influence reduction of the compiled problem IR
     (:mod:`repro.problem`): every query is restricted to the fan-in of its
     formulas' atoms (plus the observed ``APR`` signals); disable it only for
@@ -94,10 +94,6 @@ class CoverageOptions:
     slicing: object = "auto"
     cache_dir: Optional[str] = None
     use_cache: bool = True
-    #: Path of a trained scheduler model (``specmatcher sched train``) for
-    #: the ``auto`` engine; ``None`` makes ``auto`` race without a model.
-    #: Other engines ignore it.
-    sched_model: Optional[str] = None
     #: Dynamic BDD variable reordering (greedy sifting) in the symbolic
     #: engine, triggered on node-table growth during the fixpoints.  Off by
     #: default: the interleaved current/next order is already good for most

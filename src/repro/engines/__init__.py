@@ -13,9 +13,9 @@ Every decision query of the pipeline funnels through one of two registries:
   (:mod:`repro.bmc`), the fully symbolic BDD fixpoint engine
   (:mod:`repro.mc.symbolic`), the racing portfolio
   (:mod:`repro.engines.portfolio`: all three concurrently with cooperative
-  cancellation, first decisive verdict wins), or the learned scheduler
-  (:mod:`repro.engines.auto`: a trained predictor picks the engine per
-  query, racing only when unsure) — behind one
+  cancellation, first decisive verdict wins), or the rule-scheduled
+  engine (:mod:`repro.engines.auto`: explicit on large automata, bmc on
+  small ones) — behind one
   ``check_primary(problem)`` interface.  Every engine consumes the compiled
   problem IR (:mod:`repro.problem`), so each query is cone-of-influence
   sliced and its automata are compiled once.
@@ -44,7 +44,6 @@ from .coverage import (
     CoverageEngine,
     EngineVerdict,
     ExplicitEngine,
-    engine_choices,
     engine_from_options,
     engine_names,
     get_engine,
@@ -76,7 +75,6 @@ __all__ = [
     "AutoEngine",
     "get_engine",
     "engine_names",
-    "engine_choices",
     "register_engine",
     "unregister_engine",
     "engine_from_options",

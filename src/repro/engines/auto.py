@@ -1,302 +1,85 @@
-"""The learned scheduling engine (``--engine auto`` / ``learned``).
+"""The rule-scheduled coverage engine (``--engine auto``).
 
-The racing portfolio buys robustness with ~3× CPU: every query runs every
-member.  The ``auto`` engine spends that CPU only when it has to.  Per query
-it extracts the compiled problem's feature record, asks a trained
-:class:`~repro.sched.SchedModel` (see ``specmatcher sched train``) for a
-ranked engine list, and then:
-
-* **solo** — when the prediction clears the confidence threshold, the
-  top-ranked engine runs alone (portfolio-quality verdicts at single-engine
-  cost when the model is right);
-* **race** — when confidence is low, or no model is configured, the top two
-  candidates race through the normal portfolio machinery with a *staggered*
-  start: the favourite launches first and the runner-up joins
-  ``stagger_seconds`` later, purely as insurance against a misprediction;
-* **fallback** — when a confident solo run of the bounded engine comes back
-  *non-decisive* (unsat only up to the bound), the complete members race to
-  finish the job, so ``auto`` keeps the portfolio's completeness guarantee.
-
-A malformed, stale-schema or unreadable model never breaks a run: loading
-problems are counted (``sched.model_errors``) and the engine degrades to the
-racing path.  Every verdict carries a ``sched`` record — mode, predicted
-ranking, confidence, and whether the prediction *hit* — which flows into
-suite shard rows, cached payloads and ``sched_decision`` trace spans, so a
-model's real misprediction rate is measurable from any run's artifacts
-(``specmatcher sched eval``).
+Theorem 1 has the same answer whichever engine decides it, so ``auto`` only
+chooses who pays for the query.  One fixed rule on the compiled problem picks
+a single engine: large property automata go to the complete ``explicit``
+engine, small ones to ``bmc``, whose witness is definitive.  When ``bmc``
+finds no witness, which only holds up to the bound, the complete members
+race to finish the job, so an ``auto`` verdict is always complete.
 """
 
 from __future__ import annotations
 
-import os
-import threading
+import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Optional
 
 from ..ltl.traces import LassoTrace
-from ..obs import metrics, span
 from .coverage import CoverageEngine, get_engine, register_engine
-from .portfolio import DEFAULT_MEMBERS, PortfolioEngine
+from .portfolio import PortfolioEngine
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..problem import CompiledProblem
-    from ..sched import Prediction, SchedModel
 
-__all__ = [
-    "AutoEngine",
-    "AutoResult",
-    "DEFAULT_CONFIDENCE_THRESHOLD",
-    "DEFAULT_STAGGER_SECONDS",
-]
+__all__ = ["AutoEngine", "AutoResult", "EXPLICIT_ABOVE_STATES", "pick_engine"]
 
-#: Minimum prediction confidence for a solo (single-engine) run.
-DEFAULT_CONFIDENCE_THRESHOLD = 0.7
-
-#: Head start the predicted winner gets in the low-confidence race.
-DEFAULT_STAGGER_SECONDS = 0.05
-
-#: Racing pair used when no model is available at all: the complete explicit
-#: engine anchors decisiveness, the bounded engine sprints for shallow
-#: witnesses.
-_NO_MODEL_PAIR: Tuple[str, ...] = ("explicit", "bmc")
-
-# Process-wide model cache: abspath -> ((mtime_ns, size), SchedModel).
-# Suite shards instantiate one engine per query; re-parsing the model JSON
-# every time would dominate small queries.  Invalidation is by stat.
-_MODEL_CACHE: Dict[str, Tuple[Tuple[int, int], "SchedModel"]] = {}
-_MODEL_CACHE_LOCK = threading.Lock()
+#: Queries whose automata have more states than this in total run on
+#: ``explicit``; the rest run on ``bmc``.  This is the one rule of the
+#: scheduler model committed in ``BENCH_engines.json``
+#: (``automaton_states > 28.5``, trained on the 18 catalog rows).
+EXPLICIT_ABOVE_STATES = 28
 
 
-def _load_cached_model(path: str) -> "SchedModel":
-    """Load (or reuse) a validated model; raises ``SchedModelError``."""
-    from ..sched import load_model
-
-    abspath = os.path.abspath(path)
-    try:
-        stat = os.stat(abspath)
-        token = (stat.st_mtime_ns, stat.st_size)
-    except OSError:
-        token = None
-    if token is not None:
-        with _MODEL_CACHE_LOCK:
-            entry = _MODEL_CACHE.get(abspath)
-            if entry is not None and entry[0] == token:
-                return entry[1]
-    model = load_model(abspath)
-    if token is not None:
-        with _MODEL_CACHE_LOCK:
-            _MODEL_CACHE[abspath] = (token, model)
-    return model
+def pick_engine(features) -> str:
+    """The engine ``auto`` runs first on a query with this feature record."""
+    return "explicit" if features["automaton_states"] > EXPLICIT_ABOVE_STATES else "bmc"
 
 
 @dataclass
 class AutoResult:
-    """Outcome of one scheduled query (duck-typed like the other results)."""
+    """Outcome of one ``auto`` query: the deciding engine's result and name."""
 
     satisfiable: bool
     winner: str
-    complete: bool
     witness: Optional[LassoTrace] = None
     bound: Optional[int] = None
     statistics: object = None
     elapsed_seconds: float = 0.0
-    #: member name → outcome, present only when a race ran.
-    outcomes: Optional[dict] = None
-    #: The scheduling record: ``{"mode": "solo"|"race"|"fallback",
-    #: "predicted": [...], "confidence": c, "hit": bool}`` (``predicted`` /
-    #: ``hit`` are ``None`` when no model contributed).
-    sched: Optional[dict] = None
-
-    def __bool__(self) -> bool:  # pragma: no cover - convenience
-        return self.satisfiable
 
 
 class AutoEngine(CoverageEngine):
-    """Predict the winning engine per query; race only when unsure.
-
-    ``model_path`` points at a model written by ``specmatcher sched train``
-    (``None`` = always race the no-model pair).  ``confidence_threshold``
-    gates solo runs; ``members`` bounds the engines the scheduler may pick.
-    """
+    """Run ``explicit`` on large automata, ``bmc`` on small ones."""
 
     name = "auto"
-    # Solo bounded runs that stay non-decisive trigger the fallback race of
-    # complete members, so auto verdicts are as strong as the portfolio's.
     complete = True
 
-    def __init__(
-        self,
-        *,
-        max_bound: int = 12,
-        slicing="auto",
-        model_path: Optional[str] = None,
-        confidence_threshold: float = DEFAULT_CONFIDENCE_THRESHOLD,
-        members: Sequence[str] = DEFAULT_MEMBERS,
-        stagger_seconds: float = DEFAULT_STAGGER_SECONDS,
-    ):
-        super().__init__(slicing=slicing, max_bound=max_bound)
-        if not members:
-            raise ValueError("auto needs at least one member engine")
-        if any(name in ("portfolio", "race", "auto", "learned") for name in members):
-            raise ValueError("auto members must be base engines")
-        self.model_path = model_path
-        self.confidence_threshold = confidence_threshold
-        self.members = tuple(members)
-        self.stagger_seconds = stagger_seconds
-
     def _cache_bound(self) -> Optional[int]:
-        # The bounded member's reach shapes which witnesses a scheduled run
-        # can find first, exactly as for the portfolio.
+        # The bounded engine's reach shapes which witness an auto run finds.
         return self.max_bound
 
-    def _cache_backend(self) -> str:
-        # Member set is identity; the model is deliberately NOT part of the
-        # key — verdicts are engine-independent, so cached answers stay valid
-        # across retrains (only the recorded winner/sched provenance ages).
-        return super()._cache_backend() + "|members=" + ",".join(self.members)
-
-    # -- model / prediction ---------------------------------------------------
-    def _model(self) -> Optional["SchedModel"]:
-        from ..sched import SchedModelError
-
-        if not self.model_path:
-            return None
-        try:
-            return _load_cached_model(self.model_path)
-        except SchedModelError as exc:
-            # Degrade, never fail: a bad model file must not break coverage.
-            metrics().inc("sched.model_errors")
-            with span("sched_model_error", path=str(self.model_path)) as sp:
-                sp.set(error=str(exc))
-            return None
-
-    def _predict(self, features) -> Optional["Prediction"]:
-        model = self._model()
-        if model is None:
-            return None
-        prediction = model.predict(features)
-        # Clamp the ranking to the configured member set; a model trained on
-        # engines this instance may not use must not schedule them.
-        ranking = tuple(name for name in prediction.ranking if name in self.members)
-        if not ranking:
-            return None
-        if ranking != prediction.ranking:
-            from ..sched import Prediction as P
-
-            prediction = P(
-                ranking=ranking,
-                confidence=prediction.confidence,
-                rule_index=prediction.rule_index,
-            )
-        return prediction
-
-    # -- scheduling -----------------------------------------------------------
-    def _race_pair(self, prediction: Optional["Prediction"]) -> Tuple[str, ...]:
-        if prediction is None:
-            pair = tuple(n for n in _NO_MODEL_PAIR if n in self.members) or self.members
-            return pair[:2] if len(pair) > 1 else pair
-        if len(prediction.ranking) >= 2:
-            return prediction.ranking[:2]
-        # Single-engine ranking under low confidence: add the best insurance
-        # engine available (a complete one if possible).
-        rest = [n for n in self.members if n != prediction.ranking[0]]
-        complete = [n for n in rest if n != "bmc"]
-        extra = (complete or rest)[:1]
-        return prediction.ranking + tuple(extra)
-
-    def _complete_members(self) -> Tuple[str, ...]:
-        return tuple(n for n in self.members if n != "bmc")
-
-    def _run_race(self, problem: "CompiledProblem", members: Sequence[str],
-                  stagger: float):
-        if len(members) == 1:
-            engine = get_engine(members[0], max_bound=self.max_bound, slicing=self.slicing)
-            result = engine.find_run(problem)
-            return result, members[0], {members[0]: "won"}
-        # _find_run (not find_run): the auto engine's own find_run already
-        # owns the cache layer for this query; the race's members still cache
-        # under their own keys inside.
-        portfolio = PortfolioEngine(
-            max_bound=self.max_bound,
-            slicing=self.slicing,
-            members=members,
-            stagger_seconds=stagger,
-        )
-        result = portfolio._find_run(problem)
-        return result, result.winner, result.outcomes
-
     def _find_run(self, problem: "CompiledProblem"):
-        import time
-
         start = time.perf_counter()
-        features = problem.features(bound=self.max_bound)
-        prediction = self._predict(features)
-        metrics().inc("sched.queries")
-
-        mode: str
-        outcomes: Optional[dict] = None
-        if prediction is not None and prediction.confidence >= self.confidence_threshold:
-            engine = get_engine(
-                prediction.engine, max_bound=self.max_bound, slicing=self.slicing
+        winner = pick_engine(problem.features())
+        engine = get_engine(winner, max_bound=self.max_bound, slicing=self.slicing)
+        result = engine.find_run(problem)
+        if winner == "bmc" and not result.satisfiable:
+            # _find_run, not find_run: this engine's own find_run already owns
+            # the cache entry for the query.
+            race = PortfolioEngine(
+                max_bound=self.max_bound,
+                slicing=self.slicing,
+                members=("explicit", "symbolic"),
             )
-            result = engine.find_run(problem)
-            decisive = bool(result.satisfiable) or engine.complete
-            if decisive:
-                mode = "solo"
-                winner = prediction.engine
-                metrics().inc("sched.solo")
-            else:
-                # Confident bounded run stayed inconclusive: complete members
-                # finish the job so the verdict keeps portfolio strength.
-                mode = "fallback"
-                fallback = self._complete_members() or self.members
-                result, winner, outcomes = self._run_race(problem, fallback, 0.0)
-                metrics().inc("sched.fallbacks")
-        else:
-            mode = "race"
-            pair = self._race_pair(prediction)
-            result, winner, outcomes = self._run_race(
-                problem, pair, self.stagger_seconds
-            )
-            metrics().inc("sched.races")
-
-        predicted = list(prediction.ranking) if prediction is not None else None
-        confidence = prediction.confidence if prediction is not None else None
-        hit = (winner == prediction.engine) if prediction is not None else None
-        if hit is True:
-            metrics().inc("sched.hits")
-        elif hit is False:
-            metrics().inc("sched.misses")
-        sched = {
-            "mode": mode,
-            "predicted": predicted,
-            "confidence": confidence,
-            "hit": hit,
-        }
-        with span("sched_decision", design=problem.source_name) as sp:
-            sp.set(winner=winner, mode=mode, features=features,
-                   predicted=predicted, confidence=confidence, hit=hit)
-        elapsed = time.perf_counter() - start
+            result = race._find_run(problem)
+            winner = result.winner
         return AutoResult(
             satisfiable=bool(result.satisfiable),
             winner=winner,
-            complete=self._auto_complete(result, winner),
             witness=result.witness,
             bound=getattr(result, "bound", None),
             statistics=getattr(result, "statistics", None),
-            elapsed_seconds=elapsed,
-            outcomes=outcomes,
-            sched=sched,
+            elapsed_seconds=time.perf_counter() - start,
         )
-
-    def _auto_complete(self, result, winner: str) -> bool:
-        if bool(result.satisfiable):
-            # A concrete witness is definitive no matter who found it.
-            return True
-        inner = getattr(result, "complete", None)
-        if inner is not None:
-            return bool(inner)
-        return winner != "bmc"
 
 
 register_engine("auto", AutoEngine)

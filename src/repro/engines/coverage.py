@@ -45,7 +45,6 @@ __all__ = [
     "unregister_engine",
     "get_engine",
     "engine_names",
-    "engine_choices",
     "engine_from_options",
 ]
 
@@ -71,11 +70,8 @@ class EngineVerdict:
     #: The member engine that produced the verdict (portfolio/auto runs only).
     winner: Optional[str] = None
     #: Per-query feature record of the compiled problem (coi_size, registers,
-    #: automaton_states, bound, ...) — the learned-scheduler substrate.
+    #: automaton_states, bound, ...).
     features: Optional[Dict[str, object]] = None
-    #: Scheduler record (portfolio/auto runs only): race mode, predicted
-    #: ranking, confidence, and whether the prediction hit.
-    sched: Optional[Dict[str, object]] = None
 
     def __bool__(self) -> bool:  # pragma: no cover - convenience
         return self.covered
@@ -117,8 +113,8 @@ class CoverageEngine:
         self.slicing = slicing
         #: The bound a bounded search would run to.  Complete engines never
         #: use it to decide, but it is part of every engine's *feature
-        #: record* (suite shard rows, cached payloads): the scheduler wants
-        #: the configured bound on every training row, never ``None``.
+        #: record* (suite shard rows, cached payloads), so every row carries
+        #: the configured bound, never ``None``.
         self.max_bound = max_bound
 
     def compile(
@@ -197,8 +193,7 @@ class CoverageEngine:
         if payload is not None:
             return CachedRunResult.from_payload(payload)
         # Freshly decided queries are stored with their feature record and
-        # per-phase timing breakdown: the cache doubles as the training log
-        # the learned portfolio scheduler reads.
+        # per-phase timing breakdown.
         with PhaseAggregator() as phases:
             result = self._instrumented_run(problem)
         payload = encode_run_result(result)
@@ -274,7 +269,6 @@ class CoverageEngine:
             statistics=getattr(result, "statistics", None),
             winner=getattr(result, "winner", None),
             features=compiled.features(bound=self.max_bound),
-            sched=getattr(result, "sched", None),
         )
 
     def is_covered_with(
@@ -385,26 +379,14 @@ class BmcEngine(CoverageEngine):
 
 # -- registry -----------------------------------------------------------------
 
+# The symbolic, portfolio and auto engines register themselves from their
+# own modules once the package __init__ has imported them.
 _ENGINES: Dict[str, Callable[..., CoverageEngine]] = {}
-_ALIASES = {
-    "explicit": "explicit",
-    "mc": "explicit",
-    "nested-dfs": "explicit",
-    "bmc": "bmc",
-    # The symbolic and portfolio engines register themselves from
-    # repro.engines.symbolic / repro.engines.portfolio; these aliases resolve
-    # once the package __init__ has imported them.
-    "sym": "symbolic",
-    "bdd-fixpoint": "symbolic",
-    "race": "portfolio",
-    "learned": "auto",
-}
 
 
 def register_engine(name: str, factory: Callable[..., CoverageEngine]) -> None:
     """Register an engine factory; keyword arguments pass through lookups."""
     _ENGINES[name] = factory
-    _ALIASES[name] = name
 
 
 def unregister_engine(name: str) -> None:
@@ -415,8 +397,6 @@ def unregister_engine(name: str) -> None:
     are ignored.
     """
     _ENGINES.pop(name, None)
-    if _ALIASES.get(name) == name:
-        _ALIASES.pop(name, None)
 
 
 register_engine("explicit", ExplicitEngine)
@@ -428,24 +408,18 @@ def engine_names() -> tuple:
     return tuple(sorted(_ENGINES))
 
 
-def engine_choices() -> tuple:
-    """Every accepted engine spelling: canonical names plus aliases."""
-    return tuple(sorted(set(_ALIASES) | set(_ENGINES)))
-
-
 def get_engine(name: str, **kwargs) -> CoverageEngine:
-    """Instantiate an engine by name (``explicit`` / ``bmc``, aliases accepted).
+    """Instantiate an engine by its registered name.
 
     Keyword arguments are forwarded to the factory *filtered by its
     signature*, so generic call sites can pass the whole tuning set
     (``get_engine(options.engine, max_bound=options.bmc_max_bound)``) and each
     engine picks up only the knobs it understands.
     """
-    canonical = _ALIASES.get(name.lower()) if isinstance(name, str) else None
-    if canonical is None:
+    factory = _ENGINES.get(name) if isinstance(name, str) else None
+    if factory is None:
         known = ", ".join(engine_names())
         raise KeyError(f"unknown coverage engine {name!r} (known: {known})")
-    factory = _ENGINES[canonical]
     if kwargs:
         import inspect
 
@@ -462,8 +436,8 @@ def engine_from_options(options) -> CoverageEngine:
     Reads the ``engine``, ``bmc_max_bound`` and ``slicing`` attributes
     (duck-typed so the core layer never has to import this module at
     class-definition time) — any registered engine name (``explicit`` /
-    ``bmc`` / ``symbolic`` / ``portfolio``) is accepted; ``None`` selects the
-    default explicit engine.
+    ``bmc`` / ``symbolic`` / ``portfolio`` / ``auto``) is accepted; ``None``
+    selects the default explicit engine.
     """
     if options is None:
         return get_engine("explicit")
@@ -471,6 +445,5 @@ def engine_from_options(options) -> CoverageEngine:
         getattr(options, "engine", "explicit"),
         max_bound=getattr(options, "bmc_max_bound", 12),
         slicing=getattr(options, "slicing", "auto"),
-        model_path=getattr(options, "sched_model", None),
         bdd_reorder=getattr(options, "bdd_reorder", False),
     )

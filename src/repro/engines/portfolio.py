@@ -1,4 +1,4 @@
-"""The racing portfolio coverage engine (``--engine portfolio`` / ``race``).
+"""The racing portfolio coverage engine (``--engine portfolio``).
 
 No single engine dominates: the bounded SAT engine finds shallow witnesses
 fastest, the explicit engine wins on narrow products, the symbolic engine on
@@ -77,10 +77,8 @@ class PortfolioResult:
     #: search loop polled the cancel token, and how long past cancellation it
     #: kept polling.  The observable evidence that losers stopped promptly.
     progress: Optional[dict] = None
-    #: scheduler record: at least {"mode": "race" | "ladder"} so downstream
-    #: consumers (suite rows, cache payloads, the sched trainer) can tell a
-    #: true concurrent race from the serial fallback.
-    sched: Optional[dict] = None
+    #: "race" for a true concurrent race, "ladder" for the serial fallback.
+    mode: str = "race"
 
     def __bool__(self) -> bool:  # pragma: no cover - convenience
         return self.satisfiable
@@ -107,22 +105,14 @@ class PortfolioEngine(CoverageEngine):
         slicing="auto",
         members: Sequence[str] = DEFAULT_MEMBERS,
         parallel: bool = True,
-        stagger_seconds: float = 0.0,
     ):
         super().__init__(slicing=slicing, max_bound=max_bound)
         if not members:
             raise ValueError("portfolio needs at least one member engine")
-        if any(name in ("portfolio", "race", "auto", "learned") for name in members):
+        if any(name in ("portfolio", "auto") for name in members):
             raise ValueError("portfolio members must be base engines")
-        if stagger_seconds < 0:
-            raise ValueError("stagger_seconds must be >= 0")
         self.members = tuple(members)
         self.parallel = parallel
-        #: Delay between member thread starts.  0 = classic simultaneous race;
-        #: the auto engine staggers its fallback race so the predicted winner
-        #: gets a head start and the runner-up mostly just insures against a
-        #: misprediction.
-        self.stagger_seconds = stagger_seconds
 
     def _cache_bound(self) -> Optional[int]:
         # The bounded member's reach is part of the race's identity: its
@@ -203,11 +193,6 @@ class PortfolioEngine(CoverageEngine):
                 for thread in threads:
                     thread.start()
                     started.append(thread)
-                    # Stagger: give already-running members a head start; stop
-                    # launching once one of them has already decided the race.
-                    if self.stagger_seconds and thread is not threads[-1]:
-                        if decided.wait(timeout=self.stagger_seconds):
-                            break
             except RuntimeError as exc:  # pragma: no cover - thread creation failed
                 # Only start() failures select the serial ladder; everything
                 # else (including _settle's "every member failed") propagates.
@@ -217,9 +202,7 @@ class PortfolioEngine(CoverageEngine):
                 for thread in started:
                     thread.join(timeout=5.0)
                 raise _ThreadsUnavailable(str(exc)) from exc
-            # Interruptible wait (a suite shard watchdog may fire here).  When
-            # a stagger skipped some members, `decided` is already set and the
-            # skipped members never contribute an outcome.
+            # Interruptible wait (a suite shard watchdog may fire here).
             while not decided.wait(timeout=0.05):
                 pass
         finally:
@@ -285,7 +268,7 @@ class PortfolioEngine(CoverageEngine):
             elapsed_seconds=elapsed,
             outcomes=outcomes,
             progress=progress,
-            sched={"mode": mode},
+            mode=mode,
         )
 
 

@@ -104,11 +104,11 @@ class CompiledProblem:
     def features(self, bound: Optional[int] = None) -> Dict[str, object]:
         """The per-query feature record of this compiled problem.
 
-        This is the substrate the learned portfolio scheduler needs: the
-        structural size of the (sliced) query — cone size, register count,
-        automaton states — plus the bound the bounded engine would search
-        to.  Recorded in suite shard rows, cached result payloads and trace
-        span attributes.
+        The structural size of the (sliced) query — cone size, register
+        count, automaton states — plus the bound the bounded engine would
+        search to.  The ``auto`` engine picks its engine from
+        ``automaton_states``.  Recorded in suite shard rows, cached result
+        payloads and trace span attributes.
         """
         return {
             "coi_size": len(self.module.assigns) + len(self.module.registers),

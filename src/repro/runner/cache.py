@@ -270,7 +270,6 @@ def encode_run_result(result) -> dict:
         "elapsed_seconds": float(getattr(result, "elapsed_seconds", 0.0)),
         "complete": getattr(result, "complete", None),
         "winner": getattr(result, "winner", None),
-        "sched": getattr(result, "sched", None),
     }
 
 
@@ -293,12 +292,8 @@ class CachedRunResult:
     #: ``None`` means "the replaying engine's own completeness applies".
     complete: Optional[bool] = None
     winner: Optional[str] = None
-    #: Scheduler record of the deciding run (portfolio/auto entries only):
-    #: race mode, predicted ranking, confidence, hit.
-    sched: Optional[dict] = None
     #: Feature / per-phase timing records captured when the query was first
-    #: decided (the learned-scheduler training data); ``None`` on entries
-    #: written before the records existed.
+    #: decided; ``None`` on entries written before the records existed.
     features: Optional[dict] = None
     timings: Optional[dict] = None
 
@@ -315,7 +310,6 @@ class CachedRunResult:
             elapsed_seconds=float(payload.get("elapsed_seconds", 0.0)),
             complete=payload.get("complete"),
             winner=payload.get("winner"),
-            sched=payload.get("sched"),
             features=payload.get("features"),
             timings=payload.get("timings"),
         )

@@ -78,9 +78,6 @@ class CoverageJob:
     #: ``True`` / ``False`` / ``"auto"`` (see :mod:`repro.problem`).
     slicing: object = "auto"
     random_spec: Optional[RandomDesignSpec] = None
-    #: Path of a trained scheduler model (the ``auto`` engine; other engines
-    #: ignore it).
-    sched_model: Optional[str] = None
 
     @property
     def job_id(self) -> str:
@@ -126,13 +123,10 @@ class ShardResult:
     #: The member engine that produced the verdict (portfolio/auto shards).
     winner: Optional[str] = None
     #: Feature record of this shard's compiled query (coi_size, registers,
-    #: automaton_states, bound, ...) — the learned-scheduler substrate.
+    #: automaton_states, bound, ...).
     features: Optional[Dict[str, object]] = None
     #: Span name → wall seconds spent per phase while deciding this shard.
     timings: Optional[Dict[str, float]] = None
-    #: Scheduler record (portfolio/auto shards): race mode, predicted
-    #: ranking, confidence, hit.
-    sched: Optional[Dict[str, object]] = None
 
     @property
     def ok(self) -> bool:
@@ -157,7 +151,6 @@ class ShardResult:
             "winner": self.winner,
             "features": self.features,
             "timings": self.timings,
-            "sched": self.sched,
         }
 
 
@@ -218,7 +211,6 @@ def expand_jobs(
     random_count: int = 0,
     random_seed: int = 0,
     random_sizes: Optional[dict] = None,
-    sched_model: Optional[str] = None,
 ) -> List[CoverageJob]:
     """Expand the catalog (plus random designs) into independent shards.
 
@@ -239,7 +231,6 @@ def expand_jobs(
             bound=bound,
             slicing=slicing,
             random_spec=spec,
-            sched_model=sched_model,
         )
         for index in range(len(problem.architectural)):
             jobs.append(CoverageJob(kind="primary", target=str(index), index=index, **common))
@@ -270,18 +261,13 @@ def _alarm_handler(signum, frame):  # pragma: no cover - exercised via timeouts
 
 def _answer(
     job: CoverageJob,
-) -> Tuple[bool, bool, str, Optional[str], Optional[dict], Optional[dict]]:
+) -> Tuple[bool, bool, str, Optional[str], Optional[dict]]:
     """Decide one shard.
 
-    Returns ``(verdict, complete, detail, winner, features, sched)``.
+    Returns ``(verdict, complete, detail, winner, features)``.
     """
     problem = job.problem()
-    engine = get_engine(
-        job.engine,
-        max_bound=job.bound,
-        slicing=job.slicing,
-        model_path=job.sched_model,
-    )
+    engine = get_engine(job.engine, max_bound=job.bound, slicing=job.slicing)
     with using_prop_backend(job.prop_backend):
         if job.kind == "primary":
             verdict = engine.check_primary(
@@ -294,7 +280,6 @@ def _answer(
                 "",
                 verdict.winner,
                 features,
-                verdict.sched,
             )
         if job.kind == "signal":
             module = problem.composed_module()
@@ -315,7 +300,6 @@ def _answer(
                 "",
                 getattr(result, "winner", None),
                 features,
-                getattr(result, "sched", None),
             )
     raise ValueError(f"unknown shard kind {job.kind!r}")
 
@@ -324,8 +308,8 @@ def _shard_features(features: Optional[dict], job: CoverageJob) -> Optional[dict
     """Fill the job's bound into a feature record when the engine has none.
 
     Complete engines key their caches without a bound, so their feature
-    records carry ``bound=None``; the scheduler substrate still wants the
-    configured suite bound for every row.
+    records carry ``bound=None``; every row still carries the configured
+    suite bound.
     """
     if features is None:
         return None
@@ -348,7 +332,6 @@ def execute_shard(job: CoverageJob, timeout: Optional[float] = None) -> ShardRes
     status, verdict, complete, detail, winner = "ok", None, True, "", None
     features: Optional[dict] = None
     timings: Optional[dict] = None
-    sched: Optional[dict] = None
     import threading
 
     use_alarm = (
@@ -377,7 +360,7 @@ def execute_shard(job: CoverageJob, timeout: Optional[float] = None) -> ShardRes
             # decides — engine phases, compile, SAT — into the per-query
             # ``timings`` record, with or without a --trace exporter.
             with PhaseAggregator() as phases:
-                verdict, complete, detail, winner, features, sched = _answer(job)
+                verdict, complete, detail, winner, features = _answer(job)
             timings = phases.timings()
         finally:
             if use_alarm:
@@ -406,7 +389,6 @@ def execute_shard(job: CoverageJob, timeout: Optional[float] = None) -> ShardRes
         winner=winner if status == "ok" else None,
         features=features if status == "ok" else None,
         timings=timings if status == "ok" else None,
-        sched=sched if status == "ok" else None,
     )
 
 

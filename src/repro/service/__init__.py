@@ -11,7 +11,7 @@ requests.  The pieces:
 * :mod:`repro.service.jobs` — executes a validated :class:`JobRequest`
   (``check`` / ``analyze`` / ``suite``) on the existing engine registry and
   :mod:`repro.runner` shard machinery, returning the same
-  ``features`` / ``timings`` / ``sched`` records the suite runner emits.
+  ``features`` / ``timings`` records the suite runner emits.
   Shared by the HTTP server *and* the one-shot ``specmatcher check --json``
   path, so a served verdict byte-matches the CLI's;
 * :mod:`repro.service.quota` — per-client token-bucket quotas (429 with a

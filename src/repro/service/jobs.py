@@ -82,13 +82,11 @@ class JobRequest:
 class ServiceDefaults:
     """Server-side knobs the execution layer needs (all optional).
 
-    ``sched_model`` is the warm scheduler model path handed to ``auto``
-    engines; ``cache_dir`` is forwarded to suite jobs so process-pool workers
-    share the daemon's persistent cache directory; ``max_suite_workers`` caps
-    what a request may ask for.
+    ``cache_dir`` is forwarded to suite jobs so process-pool workers share
+    the daemon's persistent cache directory; ``max_suite_workers`` caps what
+    a request may ask for.
     """
 
-    sched_model: Optional[str] = None
     cache_dir: Optional[str] = None
     max_suite_workers: int = 4
 
@@ -160,17 +158,6 @@ def exit_code_for(payload: Dict[str, object]) -> int:
 # -- job runners ---------------------------------------------------------------
 
 
-def _engine_for(request: JobRequest, defaults: ServiceDefaults):
-    from ..engines import get_engine
-
-    return get_engine(
-        request.engine,
-        max_bound=request.bound,
-        slicing=request.slicing,
-        model_path=defaults.sched_model,
-    )
-
-
 def _cache_delta_scope():
     """Snapshot the active result cache's counters around one job."""
     from ..runner.cache import CacheStats, active_result_cache
@@ -191,6 +178,7 @@ def _cache_delta_scope():
 
 def _run_check(request: JobRequest, defaults: ServiceDefaults) -> Dict[str, object]:
     from ..designs import get_design
+    from ..engines import get_engine
     from ..obs import PhaseAggregator
     from ..runner.cache import encode_trace
 
@@ -212,7 +200,7 @@ def _run_check(request: JobRequest, defaults: ServiceDefaults) -> Dict[str, obje
     architectural = (
         problem.architectural[request.index] if request.index is not None else None
     )
-    engine = _engine_for(request, defaults)
+    engine = get_engine(request.engine, max_bound=request.bound, slicing=request.slicing)
     delta = _cache_delta_scope()
     with _backend_scope(request.prop_backend):
         with PhaseAggregator() as phases:
@@ -231,7 +219,6 @@ def _run_check(request: JobRequest, defaults: ServiceDefaults) -> Dict[str, obje
         "expected_covered": entry.expected_covered,
         "winner": verdict.winner,
         "features": verdict.features,
-        "sched": verdict.sched,
         "cache": delta(),
         "timings": phases.timings(),
         "elapsed_seconds": round(verdict.elapsed_seconds, 6),
@@ -251,7 +238,6 @@ def _run_analyze(request: JobRequest, defaults: ServiceDefaults) -> Dict[str, ob
         slicing=request.slicing,
         max_witnesses=request.max_witnesses,
         unfold_depth=request.depth,
-        sched_model=defaults.sched_model,
     )
     delta = _cache_delta_scope()
     with _backend_scope(request.prop_backend):
@@ -287,7 +273,6 @@ def _run_suite(request: JobRequest, defaults: ServiceDefaults) -> Dict[str, obje
         include_signals=request.include_signals,
         random_count=request.random,
         random_seed=request.seed,
-        sched_model=defaults.sched_model,
     )
     workers = min(request.workers, defaults.max_suite_workers)
     result = run_suite(

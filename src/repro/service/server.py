@@ -2,8 +2,8 @@
 
 One long-lived process keeps everything a one-shot invocation pays for over
 and over *warm*: the interned ``BoolExpr`` kernel, the memoized
-``CompiledProblem`` IR, the result-cache LRU (optionally directory-backed)
-and the loaded scheduler model.  Requests are plain JSON over HTTP/1.0 (one
+``CompiledProblem`` IR and the result-cache LRU (optionally
+directory-backed).  Requests are plain JSON over HTTP/1.0 (one
 connection per request — which keeps the graceful drain story simple: no
 idle keep-alive sockets to wait out):
 
@@ -61,8 +61,6 @@ class ServiceConfig:
     workers: int = 8
     #: Persistent result-cache directory (``None`` = warm in-memory only).
     cache_dir: Optional[str] = None
-    #: Trained scheduler model served to ``--engine auto`` requests.
-    sched_model: Optional[str] = None
     #: Token-bucket refill rate per client (tokens/second); ``<= 0`` disables
     #: quota enforcement.
     quota_rate: float = 20.0
@@ -214,7 +212,9 @@ class _Handler(BaseHTTPRequestHandler):
                          "detail": f"{type(exc).__name__}: {exc}"},
                     )
                     return
-        self._send(200, payload)
+            # Still in flight, so a drain waits for the whole body; the
+            # worker slot is already free for the next job.
+            self._send(200, payload)
 
 
 class _Server(ThreadingHTTPServer):
@@ -231,7 +231,6 @@ class CoverageService:
     def __init__(self, config: ServiceConfig):
         self.config = config
         self.defaults = ServiceDefaults(
-            sched_model=config.sched_model,
             cache_dir=config.cache_dir,
             max_suite_workers=config.max_suite_workers,
         )
@@ -267,17 +266,6 @@ class CoverageService:
         if self._server is not None:
             raise RuntimeError("service already started")
         self.install_cache()
-        if self.config.sched_model:
-            # Load (and so cache) the scheduler model before the first
-            # request instead of on it.
-            from ..sched import load_model
-
-            try:
-                load_model(self.config.sched_model)
-            except Exception:
-                # The auto engine treats a broken model as "race instead";
-                # the daemon must come up either way.
-                metrics().inc("service.sched_model_errors")
         server = _Server((self.config.host, self.config.port), _Handler)
         server.service = self
         self._server = server
@@ -394,5 +382,4 @@ class CoverageService:
             "version": __version__,
             "endpoints": [f"/v1/{kind}" for kind in JOB_KINDS] + ["/healthz", "/metrics"],
             "cache_dir": self.config.cache_dir,
-            "sched_model": self.config.sched_model,
         }

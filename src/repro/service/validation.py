@@ -149,11 +149,11 @@ def _design_list(value, field: str) -> Tuple[str, ...]:
 
 
 def _engine(value, field: str) -> str:
-    from ..engines import engine_choices
+    from ..engines import engine_names
 
     name = _str(value, field)
-    if name not in engine_choices():
-        known = ", ".join(engine_choices())
+    if name not in engine_names():
+        known = ", ".join(engine_names())
         raise ValidationError(field, f"unknown engine {name!r} (known: {known})")
     return name
 

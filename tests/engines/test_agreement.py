@@ -7,6 +7,8 @@ engines — under every propositional backend — must return the catalogued
 coverage verdict.
 """
 
+import re
+
 import pytest
 
 from repro.core import CoverageOptions, primary_coverage_check
@@ -36,13 +38,29 @@ class TestEngineRegistry:
     def test_known_names(self):
         assert set(engine_names()) == {"explicit", "bmc", "symbolic", "portfolio", "auto"}
 
-    def test_lookup_and_aliases(self):
+    def test_lookup(self):
         assert isinstance(get_engine("explicit"), ExplicitEngine)
-        assert isinstance(get_engine("mc"), ExplicitEngine)
         assert isinstance(get_engine("bmc"), BmcEngine)
         assert isinstance(get_engine("symbolic"), SymbolicEngine)
-        assert isinstance(get_engine("sym"), SymbolicEngine)
-        assert isinstance(get_engine("bdd-fixpoint"), SymbolicEngine)
+
+    @pytest.mark.parametrize("name", ["explicit", "bmc", "symbolic", "portfolio", "auto"])
+    def test_engine_reports_its_registered_name(self, name):
+        engine = get_engine(name, max_bound=6)
+        assert engine.name == name
+        verdict = engine.check_primary(get_design("mal_fig4").builder())
+        assert verdict.engine == name
+
+    @pytest.mark.parametrize("alias", ["mc", "nested-dfs", "sym", "bdd-fixpoint", "race", "learned"])
+    def test_removed_alias_rejected_with_known_names(self, alias, capsys):
+        from repro.cli import main
+
+        message = f"unknown coverage engine {alias!r} (known: {', '.join(engine_names())})"
+        with pytest.raises(KeyError, match=re.escape(message)):
+            get_engine(alias)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["check", "mal_fig4", "--engine", alias])
+        assert excinfo.value.code == 2
+        assert f"invalid choice: {alias!r}" in capsys.readouterr().err
 
     def test_bmc_bound_forwarding(self):
         assert get_engine("bmc", max_bound=4).max_bound == 4

@@ -1,233 +1,175 @@
-"""The learned scheduling engine: solo/race/fallback paths, degradation,
-differential agreement with the explicit engine and the portfolio."""
+"""The rule-scheduled ``auto`` engine: its threshold and its choice on every
+catalog conjunct, the complete fallback behind ``bmc``, agreement with the
+explicit engine, slicing and cache identity."""
 
-import json
+import inspect
 
 import pytest
 
-from repro.designs import get_design, random_design_entries
+from repro.designs import CATALOG, get_design, random_design_entries
 from repro.engines import AutoEngine, get_engine
-from repro.obs import Metrics, set_metrics
+from repro.engines.auto import EXPLICIT_ABOVE_STATES, pick_engine
 from repro.runner.cache import ResultCache, using_result_cache
-from repro.sched import SchedModel, TrainingRow, save_model, train_predictor
 
 _BMC_BOUND = 6
-_DESIGNS = ["mal_fig2", "mal_fig4", "paper_example", "telemetry_bank"]
+_RANDOM_SEED = 20260808
+
+#: Design → (engine the rule runs, summed automaton states per conjunct,
+#: number of architectural conjuncts).
+_CATALOG_CHOICES = {
+    "amba_ahb": ("explicit", 169, 2),
+    "intel_like": ("explicit", 54, 1),
+    "mal_fig2": ("explicit", 32, 1),
+    "mal_fig4": ("explicit", 32, 1),
+    "mal_table1": ("explicit", 146, 1),
+    "telemetry_bank": ("explicit", 29, 3),
+    "paper_example": ("bmc", 28, 1),
+}
+
+_CATALOG_CONJUNCTS = [
+    (name, index)
+    for name, (_, _, conjuncts) in sorted(_CATALOG_CHOICES.items())
+    for index in range(conjuncts)
+]
 
 
-def _features(coi, *, bound=_BMC_BOUND):
-    return {
-        "coi_size": coi,
-        "registers": max(1, coi // 4),
-        "automaton_states": coi * 3,
-        "bound": bound,
-        "formulas": 3,
-        "free_signals": 2,
-        "sliced": False,
-        "slice_ratio": 1.0,
-    }
+def test_registered():
+    assert isinstance(get_engine("auto"), AutoEngine)
+    assert EXPLICIT_ABOVE_STATES == 28
 
 
-def _trained_model_path(tmp_path, winner="explicit"):
-    """A high-confidence model that always predicts ``winner``."""
-    rows = [TrainingRow(features=_features(c), winner=winner) for c in range(2, 12)]
-    model = train_predictor(rows)
-    path = str(tmp_path / "model.json")
-    save_model(model, path)
-    return path
+def test_constructor_takes_only_bound_and_slicing():
+    parameters = inspect.signature(AutoEngine).parameters
+    assert sorted(parameters) == ["max_bound", "slicing"]
+    engine = AutoEngine(max_bound=4, slicing=False)
+    assert (engine.max_bound, engine.slicing) == (4, False)
 
 
-class TestConstruction:
-    def test_registered_with_aliases(self):
-        assert isinstance(get_engine("auto"), AutoEngine)
-        assert isinstance(get_engine("learned"), AutoEngine)
-
-    def test_rejects_meta_members(self):
-        with pytest.raises(ValueError):
-            AutoEngine(members=("portfolio",))
-        with pytest.raises(ValueError):
-            AutoEngine(members=("auto", "explicit"))
-
-    def test_rejects_empty_members(self):
-        with pytest.raises(ValueError):
-            AutoEngine(members=())
-
-
-class TestNoModel:
-    def test_races_without_a_model(self):
-        engine = AutoEngine(max_bound=_BMC_BOUND)
-        verdict = engine.check_primary(get_design("mal_fig2").builder())
-        assert verdict.covered is True
-        assert verdict.sched["mode"] == "race"
-        assert verdict.sched["predicted"] is None
-        assert verdict.sched["confidence"] is None
-        assert verdict.sched["hit"] is None
-        assert verdict.winner in ("explicit", "bmc")
-
-    def test_verdict_is_complete_on_covered_designs(self):
-        engine = AutoEngine(max_bound=_BMC_BOUND)
-        verdict = engine.check_primary(get_design("mal_fig2").builder())
-        assert verdict.complete is True
+@pytest.mark.parametrize(
+    "states,engine_name",
+    [
+        (0, "bmc"),
+        (1, "bmc"),
+        (27, "bmc"),
+        (28, "bmc"),
+        (29, "explicit"),
+        (30, "explicit"),
+        (169, "explicit"),
+    ],
+)
+def test_pick_engine_threshold(states, engine_name):
+    assert pick_engine({"automaton_states": states}) == engine_name
 
 
-class TestWithModel:
-    def test_confident_prediction_runs_solo(self, tmp_path):
-        path = _trained_model_path(tmp_path, winner="explicit")
-        engine = AutoEngine(max_bound=_BMC_BOUND, model_path=path)
-        verdict = engine.check_primary(get_design("mal_fig2").builder())
-        assert verdict.covered is True
-        assert verdict.sched["mode"] == "solo"
-        assert verdict.sched["predicted"][0] == "explicit"
-        assert verdict.winner == "explicit"
-        assert verdict.sched["hit"] is True
-
-    def test_confident_bmc_on_covered_query_falls_back_complete(self, tmp_path):
-        """A confident bounded run that stays inconclusive must not weaken
-        the verdict: the complete members finish the job."""
-        path = _trained_model_path(tmp_path, winner="bmc")
-        engine = AutoEngine(max_bound=_BMC_BOUND, model_path=path)
-        verdict = engine.check_primary(get_design("mal_fig2").builder())
-        assert verdict.covered is True
-        assert verdict.complete is True
-        assert verdict.sched["mode"] == "fallback"
-        assert verdict.winner != "bmc"
-        assert verdict.sched["hit"] is False
-
-    def test_confident_bmc_on_gap_query_stays_solo(self, tmp_path):
-        """On a refutable query the bounded engine's witness is decisive."""
-        path = _trained_model_path(tmp_path, winner="bmc")
-        engine = AutoEngine(max_bound=_BMC_BOUND, model_path=path)
-        verdict = engine.check_primary(get_design("mal_fig4").builder())
-        assert verdict.covered is False
-        assert verdict.complete is True
-        assert verdict.sched["mode"] == "solo"
-        assert verdict.winner == "bmc"
-
-    def test_low_confidence_races_top_two(self, tmp_path):
-        model = SchedModel(
-            rules=[],
-            default_ranking=("explicit", "bmc", "symbolic"),
-            default_purity=0.4,  # confidence 0.4 * s/(s+1) < threshold
-            default_support=10,
-            trained_rows=10,
-            engine_wins={"explicit": 4, "bmc": 3, "symbolic": 3},
-        )
-        path = str(tmp_path / "weak.json")
-        save_model(model, path)
-        engine = AutoEngine(max_bound=_BMC_BOUND, model_path=path)
-        verdict = engine.check_primary(get_design("mal_fig2").builder())
-        assert verdict.sched["mode"] == "race"
-        assert verdict.sched["predicted"] == ["explicit", "bmc", "symbolic"]
-        assert verdict.winner in ("explicit", "bmc")
+def test_catalog_table_covers_every_conjunct():
+    assert sorted(CATALOG) == sorted(_CATALOG_CHOICES)
+    for name, (_, _, conjuncts) in _CATALOG_CHOICES.items():
+        assert len(CATALOG[name].builder().architectural) == conjuncts, name
+    assert len(_CATALOG_CONJUNCTS) == 10
 
 
-class TestDegradation:
-    def _assert_degrades(self, path):
-        registry = Metrics()
-        previous = set_metrics(registry)
-        try:
-            engine = AutoEngine(max_bound=_BMC_BOUND, model_path=str(path))
-            verdict = engine.check_primary(get_design("mal_fig2").builder())
-        finally:
-            set_metrics(previous)
-        assert verdict.covered is True
-        assert verdict.sched["mode"] == "race"
-        assert verdict.sched["predicted"] is None
-        assert registry.snapshot()["counters"].get("sched.model_errors", 0) >= 1
+@pytest.mark.parametrize("design,index", _CATALOG_CONJUNCTS)
+def test_catalog_conjunct_runs_the_ruled_engine_alone(design, index):
+    engine_name, states, _ = _CATALOG_CHOICES[design]
+    problem = get_design(design).builder()
+    target = problem.architectural[index]
+    expected = get_engine("explicit").check_primary(problem, architectural=target)
+    verdict = get_engine("auto", max_bound=_BMC_BOUND).check_primary(
+        problem, architectural=target
+    )
+    assert verdict.features["automaton_states"] == states
+    assert verdict.winner == engine_name
+    assert verdict.covered == expected.covered
+    assert verdict.complete is True
 
-    def test_degrades_on_invalid_json(self, tmp_path):
-        path = tmp_path / "broken.json"
-        path.write_text("{not json", encoding="utf-8")
-        self._assert_degrades(path)
 
-    def test_degrades_on_missing_file(self, tmp_path):
-        self._assert_degrades(tmp_path / "absent.json")
+def test_covered_small_query_falls_back_to_a_complete_verdict():
+    """bmc finding no witness only holds up to the bound: the complete
+    engines must finish the job."""
+    problem = random_design_entries(4, _RANDOM_SEED)[3].builder()
+    verdict = AutoEngine(max_bound=_BMC_BOUND).check_primary(problem)
+    assert verdict.features["automaton_states"] <= EXPLICIT_ABOVE_STATES
+    assert verdict.covered is True
+    assert verdict.complete is True
+    assert verdict.winner in ("explicit", "symbolic")
 
-    def test_degrades_on_stale_schema(self, tmp_path):
-        rows = [TrainingRow(features=_features(c), winner="explicit") for c in (2, 3)]
-        payload = train_predictor(rows).to_payload()
-        payload["feature_schema"]["fingerprint"] = "deadbeefdeadbeef"
-        path = tmp_path / "stale.json"
-        path.write_text(json.dumps(payload), encoding="utf-8")
-        self._assert_degrades(path)
 
-    def test_model_reload_after_rewrite(self, tmp_path):
-        """The process-wide model cache must notice a replaced file."""
-        import os
+def test_gap_query_stays_on_bmc():
+    """On a refutable query the bounded engine's witness is decisive."""
+    verdict = AutoEngine(max_bound=_BMC_BOUND).check_primary(
+        get_design("paper_example").builder()
+    )
+    assert verdict.covered is False
+    assert verdict.complete is True
+    assert verdict.winner == "bmc"
+    assert verdict.witness is not None
 
-        path = _trained_model_path(tmp_path, winner="explicit")
-        engine = AutoEngine(max_bound=_BMC_BOUND, model_path=path)
-        problem = get_design("mal_fig2").builder()
+
+@pytest.mark.parametrize("index", range(8))
+def test_agrees_with_explicit_on_random_designs(index):
+    entry = random_design_entries(8, _RANDOM_SEED)[index]
+    problem = entry.builder()
+    expected = get_engine("explicit").check_primary(problem)
+    actual = AutoEngine(max_bound=_BMC_BOUND).check_primary(problem)
+    assert actual.covered == expected.covered, entry.name
+    assert actual.complete is True, entry.name
+    assert actual.winner == pick_engine(actual.features) or (
+        pick_engine(actual.features) == "bmc" and actual.winner in ("explicit", "symbolic")
+    ), entry.name
+
+
+def test_cache_replay_keeps_winner():
+    problem = get_design("mal_fig2").builder()
+    engine = AutoEngine(max_bound=_BMC_BOUND)
+    cache = ResultCache()
+    with using_result_cache(cache):
         first = engine.check_primary(problem)
-        assert first.sched["predicted"][0] == "explicit"
-        # Rewrite with a model predicting symbolic; force a distinct mtime.
-        rows = [TrainingRow(features=_features(c), winner="symbolic") for c in range(2, 12)]
-        save_model(train_predictor(rows), path)
-        stat = os.stat(path)
-        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns + 1_000_000))
+        hits_before = cache.stats.hits
         second = engine.check_primary(problem)
-        assert second.sched["predicted"][0] == "symbolic"
+    assert cache.stats.hits > hits_before
+    assert second.covered == first.covered
+    assert second.complete is True
+    assert second.winner == first.winner == "explicit"
 
 
-class TestDifferential:
-    @pytest.mark.parametrize("design", _DESIGNS)
-    def test_auto_agrees_with_explicit_without_model(self, design):
-        problem = get_design(design).builder()
-        expected = get_engine("explicit").check_primary(problem)
-        actual = AutoEngine(max_bound=_BMC_BOUND).check_primary(problem)
-        assert actual.covered == expected.covered
-
-    @pytest.mark.parametrize("design", _DESIGNS)
-    def test_auto_agrees_with_portfolio_with_model(self, design, tmp_path):
-        path = _trained_model_path(tmp_path, winner="explicit")
-        problem = get_design(design).builder()
-        expected = get_engine("portfolio", max_bound=_BMC_BOUND).check_primary(problem)
-        actual = AutoEngine(max_bound=_BMC_BOUND, model_path=path).check_primary(problem)
-        assert actual.covered == expected.covered
-        assert actual.complete == expected.complete
-
-    @pytest.mark.slow
-    def test_auto_agrees_on_random_designs(self, tmp_path):
-        path = _trained_model_path(tmp_path, winner="explicit")
-        for entry in random_design_entries(3, 20260808):
-            problem = entry.builder()
-            expected = get_engine("explicit").check_primary(problem)
-            for engine in (
-                AutoEngine(max_bound=_BMC_BOUND),
-                AutoEngine(max_bound=_BMC_BOUND, model_path=path),
-            ):
-                actual = engine.check_primary(problem)
-                assert actual.covered == expected.covered, entry.name
+def test_fallback_winner_survives_cache_replay():
+    problem = random_design_entries(4, _RANDOM_SEED)[3].builder()
+    engine = AutoEngine(max_bound=_BMC_BOUND)
+    cache = ResultCache()
+    with using_result_cache(cache):
+        first = engine.check_primary(problem)
+        hits_before = cache.stats.hits
+        second = engine.check_primary(problem)
+    assert cache.stats.hits > hits_before
+    assert first.winner in ("explicit", "symbolic")
+    assert second.winner == first.winner
+    assert second.covered is first.covered is True
+    assert second.complete is True
 
 
-class TestCaching:
-    def test_cache_payload_carries_sched_record(self, tmp_path):
-        path = _trained_model_path(tmp_path, winner="explicit")
-        engine = AutoEngine(max_bound=_BMC_BOUND, model_path=path)
-        problem = get_design("mal_fig2").builder()
-        cache = ResultCache()
-        with using_result_cache(cache):
-            first = engine.check_primary(problem)
-            second = engine.check_primary(problem)
-        assert first.covered == second.covered
-        assert second.winner == first.winner
-        assert second.sched == first.sched
-        assert cache.stats.hits >= 1
-        payloads = list(cache._memory.values())
-        auto_payloads = [p for p in payloads if p.get("sched")]
-        assert auto_payloads, "auto run must store its sched record"
-        for payload in auto_payloads:
-            assert payload["sched"]["mode"] in ("solo", "race", "fallback")
+@pytest.mark.parametrize("index", range(3))
+def test_unsliced_run_agrees_with_sliced(index):
+    """``slicing`` reaches the engine the rule picks: the unsliced query has
+    the same automata, so the same engine and verdict."""
+    problem = get_design("telemetry_bank").builder()
+    target = problem.architectural[index]
+    sliced = AutoEngine(max_bound=_BMC_BOUND).check_primary(problem, architectural=target)
+    unsliced = AutoEngine(max_bound=_BMC_BOUND, slicing=False).check_primary(
+        problem, architectural=target
+    )
+    assert sliced.features["sliced"] is True
+    assert unsliced.features["sliced"] is False
+    assert unsliced.features["automaton_states"] == sliced.features["automaton_states"]
+    assert unsliced.winner == sliced.winner
+    assert unsliced.covered == sliced.covered
 
-    def test_auto_and_portfolio_cache_keys_do_not_collide(self):
-        problem = get_design("mal_fig2").builder()
-        cache = ResultCache()
-        with using_result_cache(cache):
-            auto = AutoEngine(max_bound=_BMC_BOUND)
-            portfolio = get_engine("portfolio", max_bound=_BMC_BOUND)
-            auto.check_primary(problem)
-            hits_before = cache.stats.hits
-            portfolio.check_primary(problem)
-        # The portfolio's top-level query must not replay the auto engine's
-        # (their member sets and semantics differ); member-level queries may.
-        assert cache.stats.hits >= hits_before
+
+def test_auto_and_portfolio_cache_keys_do_not_collide():
+    problem = get_design("mal_fig2").builder()
+    cache = ResultCache()
+    with using_result_cache(cache):
+        AutoEngine(max_bound=_BMC_BOUND).check_primary(problem)
+        stores = cache.stats.stores
+        get_engine("portfolio", max_bound=_BMC_BOUND).check_primary(problem)
+    # A colliding key would replay auto's entry and store nothing new.
+    assert cache.stats.stores > stores

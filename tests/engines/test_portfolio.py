@@ -17,6 +17,16 @@ _BMC_BOUND = 6
 _DESIGNS = ["mal_fig2", "mal_fig4", "paper_example", "telemetry_bank"]
 
 
+def _primary_run(engine, problem):
+    """The engine's raw result on a design's primary coverage query."""
+    from repro.ltl.ast import Not
+
+    return engine.find_run(
+        problem.composed_module(),
+        [Not(problem.architectural_conjunction())] + problem.all_rtl_formulas(),
+    )
+
+
 class TestCancellation:
     def test_token_starts_clear(self):
         token = CancelToken()
@@ -90,9 +100,8 @@ class TestPollCounters:
 
 
 class TestRegistry:
-    def test_aliases(self):
+    def test_registered(self):
         assert isinstance(get_engine("portfolio"), PortfolioEngine)
-        assert isinstance(get_engine("race"), PortfolioEngine)
 
     def test_member_validation(self):
         with pytest.raises(ValueError):
@@ -185,18 +194,44 @@ class TestCaching:
         assert cache.stats.hits > before
 
 
-class TestSchedRecord:
+class TestMode:
     def test_race_records_mode(self):
-        verdict = get_engine("portfolio", max_bound=_BMC_BOUND).check_primary(
-            get_design("mal_fig2").builder()
+        result = _primary_run(
+            get_engine("portfolio", max_bound=_BMC_BOUND), get_design("mal_fig2").builder()
         )
-        assert verdict.sched == {"mode": "race"}
+        assert result.mode == "race"
 
     def test_ladder_records_mode(self):
-        verdict = PortfolioEngine(max_bound=_BMC_BOUND, parallel=False).check_primary(
-            get_design("mal_fig2").builder()
+        result = _primary_run(
+            PortfolioEngine(max_bound=_BMC_BOUND, parallel=False),
+            get_design("mal_fig2").builder(),
         )
-        assert verdict.sched == {"mode": "ladder"}
+        assert result.mode == "ladder"
+
+    @pytest.mark.parametrize("parallel,mode", [(True, "race"), (False, "ladder")])
+    def test_race_span_records_mode(self, parallel, mode):
+        from repro.obs import add_sink, remove_sink
+
+        class Sink:
+            def __init__(self):
+                self.records = []
+
+            def record(self, record):
+                self.records.append(record)
+
+        sink = Sink()
+        add_sink(sink)
+        try:
+            result = _primary_run(
+                PortfolioEngine(max_bound=_BMC_BOUND, parallel=parallel),
+                get_design("mal_fig2").builder(),
+            )
+        finally:
+            remove_sink(sink)
+        [race] = [r for r in sink.records if r.name == "portfolio_race"]
+        assert race.attrs["mode"] == mode == result.mode
+        assert race.attrs["winner"] == result.winner
+        assert "sched" not in race.attrs
 
 
 class TestLadderWinner:
@@ -207,37 +242,32 @@ class TestLadderWinner:
     def test_ladder_winner_on_verdict(self):
         for design in _DESIGNS:
             entry = get_design(design)
-            verdict = PortfolioEngine(max_bound=_BMC_BOUND, parallel=False).check_primary(
-                entry.builder()
-            )
+            engine = PortfolioEngine(max_bound=_BMC_BOUND, parallel=False)
+            verdict = engine.check_primary(entry.builder())
             assert verdict.winner in ("explicit", "bmc", "symbolic"), design
-            assert verdict.sched == {"mode": "ladder"}, design
+            assert _primary_run(engine, entry.builder()).mode == "ladder", design
 
     def test_ladder_bounded_fallback_still_names_winner(self):
-        from repro.ltl.ast import Not
-
         problem = get_design("mal_fig2").builder()
         engine = PortfolioEngine(max_bound=_BMC_BOUND, members=("bmc",), parallel=False)
         # The primary coverage query of a covered design: unsatisfiable, so
         # the bounded member can only answer "unsat up to the bound".
-        result = engine.find_run(
-            problem.composed_module(),
-            [Not(problem.architectural_conjunction())] + problem.all_rtl_formulas(),
-        )
+        result = _primary_run(engine, problem)
         assert result.winner == "bmc"
         assert result.complete is False
-        assert result.sched == {"mode": "ladder"}
+        assert result.mode == "ladder"
         assert result.outcomes["bmc"] == "won"
 
     def test_ladder_winner_survives_cache_replay(self):
         problem = get_design("mal_fig2").builder()
         engine = PortfolioEngine(max_bound=_BMC_BOUND, parallel=False)
         with using_result_cache(ResultCache()):
-            first = engine.check_primary(problem)
-            second = engine.check_primary(problem)
+            first = _primary_run(engine, problem)
+            second = _primary_run(engine, problem)
+        assert first.mode == "ladder"
         assert first.winner is not None
+        assert second.cached is True
         assert second.winner == first.winner
-        assert second.sched == {"mode": "ladder"}
 
     def test_ladder_winner_in_suite_rows(self):
         from repro.runner import expand_jobs, run_suite
@@ -254,7 +284,6 @@ class TestLadderWinner:
         for shard in result.shards:
             row = shard.row()
             assert row["winner"] in ("explicit", "bmc", "symbolic")
-            assert row["sched"]["mode"] in ("race", "ladder")
 
     def test_thread_start_failure_falls_back_with_winner(self, monkeypatch):
         """Mid-start thread failures must stop started members, ladder, and
@@ -273,42 +302,10 @@ class TestLadderWinner:
 
         monkeypatch.setattr(threading.Thread, "start", flaky_start)
         entry = get_design("mal_fig2")
-        verdict = get_engine("portfolio", max_bound=_BMC_BOUND).check_primary(
-            entry.builder()
+        result = _primary_run(
+            get_engine("portfolio", max_bound=_BMC_BOUND), entry.builder()
         )
-        assert verdict.covered == entry.expected_covered
-        assert verdict.winner in ("explicit", "bmc", "symbolic")
-        assert verdict.sched == {"mode": "ladder"}
+        assert (not result.satisfiable) == entry.expected_covered
+        assert result.winner in ("explicit", "bmc", "symbolic")
+        assert result.mode == "ladder"
         assert calls["n"] >= 2
-
-
-class TestStagger:
-    def test_staggered_race_agrees_and_records_race_mode(self):
-        for design in _DESIGNS:
-            entry = get_design(design)
-            engine = PortfolioEngine(max_bound=_BMC_BOUND, stagger_seconds=0.02)
-            verdict = engine.check_primary(entry.builder())
-            assert verdict.covered == entry.expected_covered, design
-            assert verdict.sched == {"mode": "race"}, design
-            assert verdict.winner in ("explicit", "bmc", "symbolic")
-
-    def test_negative_stagger_rejected(self):
-        with pytest.raises(ValueError):
-            PortfolioEngine(stagger_seconds=-0.1)
-
-    def test_large_stagger_lets_first_member_win_alone(self):
-        # With a huge stagger, the first member decides before the second
-        # ever starts; the race must settle without waiting out the stagger.
-        import time
-
-        engine = PortfolioEngine(
-            max_bound=_BMC_BOUND,
-            members=("explicit", "symbolic"),
-            stagger_seconds=60.0,
-        )
-        start = time.perf_counter()
-        verdict = engine.check_primary(get_design("mal_fig2").builder())
-        elapsed = time.perf_counter() - start
-        assert verdict.covered is True
-        assert verdict.winner == "explicit"
-        assert elapsed < 30.0  # decided the moment the favourite finished

@@ -1,6 +1,7 @@
-"""Feature-record completeness: every shard row and cache payload must carry
-a fully-populated ``features`` dict for every engine — the learned scheduler
-trains on these records and must never need imputation."""
+"""Feature-record completeness: every verdict, cache payload and shard row
+must carry a fully-populated ``features`` dict for every engine.  The ``auto``
+engine picks its engine from ``automaton_states``, and CI reads these records
+from suite reports, so none of them may be missing or ``None``."""
 
 import pytest
 
@@ -8,10 +9,28 @@ from repro.designs import get_design
 from repro.engines import get_engine
 from repro.runner import expand_jobs, run_suite, suite_to_dict
 from repro.runner.cache import ResultCache, using_result_cache
-from repro.sched import FEATURE_NAMES, feature_complete
 
 _BMC_BOUND = 6
 _ENGINES = ["explicit", "bmc", "symbolic", "portfolio", "auto"]
+
+#: The keys of :meth:`repro.problem.ir.CompiledProblem.features`.
+FEATURE_NAMES = (
+    "coi_size",
+    "registers",
+    "automaton_states",
+    "bound",
+    "formulas",
+    "free_signals",
+    "sliced",
+    "slice_ratio",
+)
+
+
+def _assert_complete(features, context):
+    assert features is not None, context
+    assert set(features) == set(FEATURE_NAMES), context
+    for name in FEATURE_NAMES:
+        assert features[name] is not None, (context, name)
 
 
 @pytest.mark.parametrize("engine_name", _ENGINES)
@@ -19,8 +38,7 @@ class TestVerdictFeatures:
     def test_check_primary_features_complete(self, engine_name):
         engine = get_engine(engine_name, max_bound=_BMC_BOUND)
         verdict = engine.check_primary(get_design("mal_fig2").builder())
-        assert feature_complete(verdict.features), verdict.features
-        assert set(FEATURE_NAMES) <= set(verdict.features)
+        _assert_complete(verdict.features, engine_name)
         assert verdict.features["bound"] == _BMC_BOUND
 
 
@@ -28,7 +46,7 @@ class TestVerdictFeatures:
 class TestCachePayloadFeatures:
     def test_stored_payloads_carry_complete_features(self, engine_name):
         """No ``bound: None`` (or any other None) may leak into stored
-        feature records — complete engines key their caches without a bound
+        feature records: complete engines key their caches without a bound
         but must still record the configured one."""
         engine = get_engine(engine_name, max_bound=_BMC_BOUND)
         cache = ResultCache()
@@ -37,9 +55,8 @@ class TestCachePayloadFeatures:
         payloads = [p for p in cache._memory.values() if "features" in p]
         assert payloads, "engine runs must store feature records"
         for payload in payloads:
-            assert feature_complete(payload["features"]), payload["features"]
-            for name in FEATURE_NAMES:
-                assert payload["features"][name] is not None
+            _assert_complete(payload["features"], engine_name)
+            assert "sched" not in payload
 
 
 @pytest.mark.parametrize("engine_name", _ENGINES)
@@ -51,8 +68,7 @@ class TestSuiteRowFeatures:
         report = suite_to_dict(result)
         assert report["shards"], "suite must produce shard rows"
         for row in report["shards"]:
-            assert feature_complete(row["features"]), row
-            for name in FEATURE_NAMES:
-                assert row["features"][name] is not None, (row["job"], name)
+            _assert_complete(row["features"], row["job"])
             # bound must be the configured suite bound, never a placeholder
             assert row["features"]["bound"] == _BMC_BOUND
+            assert "sched" not in row

@@ -6,6 +6,8 @@ import json
 
 import pytest
 
+from repro.designs import CATALOG
+from repro.engines.auto import pick_engine
 from repro.runner import (
     CoverageJob,
     expand_jobs,
@@ -110,6 +112,27 @@ class TestExecution:
         )
         assert other_backend.verdicts() == cold.verdicts()
         assert other_backend.cache_misses == 0
+
+    @pytest.mark.parametrize("design", sorted(CATALOG))
+    def test_auto_primary_shards_agree_with_explicit(self, design):
+        """Every ``auto`` shard is complete, agrees with explicit and was
+        decided by the engine the rule picks (or by the complete race behind
+        a witness-less ``bmc`` run)."""
+        auto = run_suite(
+            expand_jobs([design], engine="auto", bound=6, include_signals=False),
+            workers=1,
+            use_cache=False,
+        )
+        explicit = run_suite(
+            expand_jobs([design], include_signals=False), workers=1, use_cache=False
+        )
+        assert auto.succeeded
+        assert auto.verdicts() == explicit.verdicts()
+        for shard in auto.shards:
+            assert shard.complete is True, shard.job.job_id
+            picked = pick_engine(shard.features)
+            fallback = picked == "bmc" and shard.winner in ("explicit", "symbolic")
+            assert shard.winner == picked or fallback, shard.job.job_id
 
     def test_no_cache_records_no_lookups(self):
         jobs = expand_jobs(designs=[], random_count=1, random_seed=11)

@@ -124,6 +124,18 @@ def test_concurrent_submits_agree_with_direct_engines(client):
             assert payload["verdict"]["bound"] == direct.bound, key
 
 
+@pytest.mark.parametrize("engine", ["explicit", "bmc", "symbolic", "portfolio", "auto"])
+def test_served_check_payload_per_engine(client, engine):
+    payload = client.check("mal_fig4", engine=engine, bound=6)
+    direct = get_engine(engine, max_bound=6).check_primary(get_design("mal_fig4").builder())
+    assert payload["engine"] == engine
+    assert payload["verdict"]["covered"] is False
+    assert payload["verdict"]["covered"] == direct.covered
+    assert payload["features"] == direct.features
+    assert payload["winner"] == direct.winner
+    assert "sched" not in payload
+
+
 def test_second_identical_check_hits_warm_cache(client):
     first = client.check("mal_table1", engine="explicit")
     second = client.check("mal_table1", engine="explicit")
@@ -258,6 +270,58 @@ def test_drain_finishes_inflight_slow_job(monkeypatch):
     # The port is closed afterwards.
     with pytest.raises(ServiceUnavailable):
         ServiceClient(port=port, timeout=2.0).health()
+
+
+def test_drain_waits_for_the_response_body(monkeypatch):
+    """Regression: writing a finished job's 200 response counts as in flight.
+
+    The handler's 200 write is held until ``drain()`` has begun and is either
+    blocked on the in-flight count or has already returned.  ``drain()`` must
+    not return before the whole body was written, or a SIGTERM'd daemon exits
+    under a client still reading its response.
+    """
+    from repro.service.server import _Handler
+
+    holding = threading.Event()
+    drain_settled = threading.Event()
+    written = threading.Event()
+    real_send = _Handler._send
+
+    def held_send(self, status, payload, headers=None):
+        if status == 200 and self.path.startswith("/v1/"):
+            holding.set()
+            drain_settled.wait(timeout=30)
+            real_send(self, status, payload, headers)
+            written.set()
+        else:
+            real_send(self, status, payload, headers)
+
+    class WatchedCondition(threading.Condition):
+        def wait(self, timeout=None):
+            drain_settled.set()  # drain() is blocked on an in-flight job
+            return super().wait(timeout)
+
+    monkeypatch.setattr(_Handler, "_send", held_send)
+    svc = CoverageService(ServiceConfig(port=0, quota_rate=0))
+    svc._inflight_cv = WatchedCondition()
+    port = svc.start()
+    result = {}
+
+    def check():
+        result["payload"] = ServiceClient(port=port).check("mal_fig2")
+
+    thread = threading.Thread(target=check)
+    thread.start()
+    try:
+        assert holding.wait(timeout=60), "the job never reached its 200 write"
+        drained = svc.drain(timeout=30.0)
+        written_before_drain_returned = written.is_set()
+    finally:
+        drain_settled.set()
+        thread.join(timeout=30)
+    assert drained
+    assert written_before_drain_returned, "drain() returned before the 200 body was written"
+    assert result["payload"]["verdict"]["covered"] is True
 
 
 def test_drain_rejects_new_requests_with_503():

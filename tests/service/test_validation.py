@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.engines import engine_names
 from repro.service import RequestValidationError, validate_request
-from repro.service.validation import MAX_BOUND, MAX_TIMEOUT_SECONDS
+from repro.service.validation import _SCHEMAS, MAX_BOUND, MAX_TIMEOUT_SECONDS
 
 
 def fields_of(excinfo) -> list:
@@ -141,6 +142,49 @@ def test_unknown_engine_and_backend():
             {"design": "mal_fig2", "engine": "warp9", "prop_backend": "quantum"},
         )
     assert fields_of(excinfo) == ["engine", "prop_backend"]
+
+
+@pytest.mark.parametrize("engine", ["explicit", "bmc", "symbolic", "portfolio", "auto"])
+def test_registered_engines_accepted(engine):
+    for kind in ("check", "analyze", "suite"):
+        body = {"engine": engine} if kind == "suite" else {"design": "mal_fig2", "engine": engine}
+        assert validate_request(kind, body).engine == engine, kind
+
+
+@pytest.mark.parametrize("alias", ["mc", "nested-dfs", "sym", "bdd-fixpoint", "race", "learned"])
+def test_removed_engine_alias_rejected_with_known_names(alias):
+    with pytest.raises(RequestValidationError) as excinfo:
+        validate_request("check", {"design": "mal_fig2", "engine": alias})
+    [entry] = excinfo.value.entries()
+    assert entry == {
+        "field": "engine",
+        "message": f"unknown engine {alias!r} (known: {', '.join(engine_names())})",
+    }
+
+
+_COMMON_FIELDS = {"engine", "prop_backend", "bound", "slicing", "timeout"}
+
+
+@pytest.mark.parametrize(
+    "kind,fields",
+    [
+        ("check", _COMMON_FIELDS | {"design", "index"}),
+        ("analyze", _COMMON_FIELDS | {"design", "max_witnesses", "depth", "witnesses"}),
+        (
+            "suite",
+            _COMMON_FIELDS
+            | {"designs", "random", "seed", "include_signals", "workers", "shard_timeout"},
+        ),
+    ],
+)
+def test_request_fields_are_pinned(kind, fields):
+    """Request fields may only be removed: a new one must be added here on
+    purpose.  Every listed field fills the request; nothing else validates."""
+    body = {} if kind == "suite" else {"design": "mal_fig2"}
+    request = validate_request(kind, body)
+    for field in fields:
+        assert hasattr(request, field), field
+    assert set(_SCHEMAS[kind]) == fields
 
 
 def test_negative_index_rejected():

@@ -1,11 +1,59 @@
 """CLI smoke tests and end-to-end integration tests."""
 
+import argparse
+
 import pytest
 
 from repro.cli import build_parser, main
 from repro.core import CoverageOptions, SpecMatcher
 from repro.designs import build_cache_logic, build_masking_glue_fig4
 from repro.ltl import implies
+
+
+#: Subcommand invocations that take ``--engine``.
+_ENGINE_ARGV = [
+    ["check", "mal_fig2"],
+    ["analyze", "mal_fig2"],
+    ["table1"],
+    ["suite"],
+    ["submit", "check", "mal_fig2", "--port", "1"],
+]
+
+_BACKEND_FLAGS = ["--bdd-reorder", "--bound", "--engine", "--no-slice", "--prop-backend"]
+
+#: Every flag of the subcommands that run coverage queries or serve them.
+#: Options may only be removed: a new one must be added here on purpose.
+_SUBCOMMAND_FLAGS = {
+    "check": _BACKEND_FLAGS + ["--index", "--json"],
+    "analyze": _BACKEND_FLAGS + ["--depth", "--max-witnesses", "--no-witnesses"],
+    "table1": _BACKEND_FLAGS + ["--max-witnesses"],
+    "suite": _BACKEND_FLAGS
+    + [
+        "--cache-dir",
+        "--designs",
+        "--jobs",
+        "--no-cache",
+        "--no-signals",
+        "--output",
+        "--profile",
+        "--random",
+        "--report",
+        "--seed",
+        "--timeout",
+    ],
+    "serve": [
+        "--cache-dir",
+        "--host",
+        "--port",
+        "--preload",
+        "--quota-burst",
+        "--quota-rate",
+        "--ready-file",
+        "--request-timeout",
+        "--suite-workers",
+        "--workers",
+    ],
+}
 
 
 class TestCLI:
@@ -53,10 +101,43 @@ class TestCLI:
         assert "engine   : portfolio" in out
         assert "winner   :" in out
 
-    def test_check_race_alias(self, capsys):
-        assert main(["check", "mal_fig4", "--engine", "race"]) == 0
+    @pytest.mark.parametrize(
+        "design,winner",
+        [("mal_fig2", "explicit"), ("mal_fig4", "explicit"), ("paper_example", "bmc")],
+    )
+    def test_check_auto_reports_ruled_winner(self, design, winner, capsys):
+        assert main(["check", design, "--engine", "auto", "--bound", "6"]) == 0
         out = capsys.readouterr().out
-        assert "engine   : portfolio" in out
+        assert "engine   : auto" in out
+        assert f"winner   : {winner}" in out
+
+    @pytest.mark.parametrize("argv", _ENGINE_ARGV, ids=lambda argv: argv[0])
+    def test_engine_flag_takes_registered_names_only(self, argv, capsys):
+        parser = build_parser()
+        for name in ("explicit", "bmc", "symbolic", "portfolio", "auto"):
+            assert parser.parse_args(argv + ["--engine", name]).engine == name
+        with pytest.raises(SystemExit) as excinfo:
+            parser.parse_args(argv + ["--engine", "race"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'race'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", sorted(_SUBCOMMAND_FLAGS))
+    def test_subcommand_flags_are_pinned(self, command):
+        parser = build_parser()
+        [subparsers] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        flags = {
+            option
+            for action in subparsers.choices[command]._actions
+            for option in action.option_strings
+        }
+        expected = set(_SUBCOMMAND_FLAGS[command]) | {"-h", "--help", "--trace"}
+        assert flags == expected
+
+    def test_sched_subcommand_rejected(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["sched", "show"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'sched'" in capsys.readouterr().err
 
     def test_check_no_slice_agrees(self, capsys):
         assert main(["check", "telemetry_bank"]) == 0
