@@ -1,22 +1,21 @@
-"""Ablation: the engine × prop-backend matrix for the primary coverage question.
+"""Ablation: the engine × design matrix for the primary coverage question.
 
 Theorem 1 reduces the coverage question to one model-checking query on the
 concrete modules.  The tool ships three coverage engines for that query — the
 explicit-state product/nested-DFS engine (:mod:`repro.mc`), the bounded
 SAT-based engine (:mod:`repro.bmc`) and the fully symbolic BDD fixpoint
-engine (:mod:`repro.mc.symbolic`) — and three propositional decision
-backends (truth table / BDD / CDCL SAT) behind the :mod:`repro.engines`
-registries.  This benchmark runs the *full matrix* on every catalogued design
-and checks all combinations agree; the per-cell timings show the trade-offs
-(the explicit engine is complete; BMC pays per-bound SAT calls but touches
-only the behaviour up to the bound; the symbolic engine is complete and
-scales with BDD width rather than state count; the prop backend governs
-every boolean validity/equivalence query underneath — the symbolic engine
-bypasses it entirely, so it is benchmarked once per design).
+engine (:mod:`repro.mc.symbolic`).  This benchmark runs every engine on every
+catalogued design and checks them against the catalogue; the per-cell
+timings show the trade-offs (the explicit engine is complete; BMC pays
+per-bound SAT calls but touches only the behaviour up to the bound; the
+symbolic engine is complete and scales with BDD width rather than state
+count).  None of the engines queries the propositional backends of
+:mod:`repro.engines.prop`; in the pipeline those only decide the constant
+folds of ``T_M`` construction.
 
-A separate micro-benchmark certifies the point of the backend layer: on a
-wide (≥ 12-variable) equivalence query the BDD or SAT backend beats the
-exhaustive truth-table sweep outright.
+Separate micro-benchmarks certify the point of the ``auto`` policy's
+delegates: on a wide (≥ 12-variable) equivalence query the BDD or SAT
+backend beats the exhaustive truth-table sweep outright.
 
 CI quick mode
 -------------
@@ -45,14 +44,13 @@ import time
 
 import pytest
 
-from repro.engines import get_engine, get_prop_backend, using_prop_backend
+from repro.engines import AutoBackend, BddBackend, SatBackend, TruthTableBackend, get_engine
 from repro.logic.boolexpr import and_, not_, or_, var
 
 _DESIGNS = ["mal_fig2", "mal_fig4", "paper_example", "intel_like", "telemetry_bank"]
 _QUICK_DESIGNS = ["mal_fig2", "mal_fig4", "paper_example", "telemetry_bank"]
 _ENGINES = ["explicit", "bmc"]
 _ALL_ENGINES = ["explicit", "bmc", "symbolic", "portfolio"]
-_PROP_BACKENDS = ["table", "bdd", "sat", "auto"]
 _BMC_BOUND = 6
 
 
@@ -69,24 +67,20 @@ def _available_designs():
     return names
 
 
-@pytest.mark.parametrize("prop_backend", _PROP_BACKENDS)
 @pytest.mark.parametrize("engine", _ENGINES)
 @pytest.mark.parametrize("name", _available_designs())
-def test_primary_coverage_backend_matrix(benchmark, engine, prop_backend, name):
+def test_primary_coverage_backend_matrix(benchmark, engine, name):
     from repro.designs import get_design
 
     entry = get_design(name)
     problem = entry.builder()
     engine_instance = get_engine(engine, max_bound=_BMC_BOUND)
 
-    def run():
-        with using_prop_backend(prop_backend):
-            return engine_instance.check_primary(problem)
+    verdict = benchmark.pedantic(
+        lambda: engine_instance.check_primary(problem), rounds=1, iterations=1
+    )
 
-    verdict = benchmark.pedantic(run, rounds=1, iterations=1)
-
-    # Every engine × prop-backend combination must agree with the catalogued
-    # verdict.  (For BMC a "covered" verdict is bounded; on these
+    # Every engine must agree with the catalogued verdict.  (For BMC a "covered" verdict is bounded; on these
     # glue-logic-sized designs the bound exceeds the diameter, so the
     # verdicts coincide.)
     assert verdict.covered == entry.expected_covered
@@ -95,7 +89,7 @@ def test_primary_coverage_backend_matrix(benchmark, engine, prop_backend, name):
 
 @pytest.mark.parametrize("name", _available_designs())
 def test_primary_coverage_symbolic_engine(benchmark, name):
-    """The symbolic engine, once per design (it never consults prop backends)."""
+    """The symbolic engine, once per design."""
     from repro.designs import get_design
 
     entry = get_design(name)
@@ -129,19 +123,16 @@ def test_wide_equivalence_beats_truth_table():
     assert len(left.variables() | right.variables()) >= 12
 
     timings = {}
-    for name in ("table", "bdd", "sat"):
-        backend = get_prop_backend(name)
+    for backend in (TruthTableBackend(), BddBackend(), SatBackend()):
         start = time.perf_counter()
         assert backend.equivalent(left, right)
-        timings[name] = time.perf_counter() - start
+        timings[backend.name] = time.perf_counter() - start
 
     assert min(timings["bdd"], timings["sat"]) < timings["table"], timings
 
 
 def test_auto_policy_skips_enumeration_above_cutoff():
     """The auto policy must not route wide queries to the truth-table backend."""
-    from repro.engines.prop import AutoBackend, TruthTableBackend
-
     auto = AutoBackend()
     left, right = _wide_equivalent_pair(8)
     joint = len(left.variables() | right.variables())

@@ -46,12 +46,7 @@ from .ltl import parse, Formula, LassoTrace
 from .rtl import Module, parse_module, compose, simulate, Stimulus
 from .mc import check, find_run
 from .problem import CompiledProblem, compile_problem
-from .engines import (
-    get_engine,
-    get_prop_backend,
-    set_prop_backend,
-    using_prop_backend,
-)
+from .engines import get_engine
 from .core import (
     CoverageProblem,
     CoverageOptions,
@@ -84,9 +79,6 @@ __all__ = [
     "CompiledProblem",
     "compile_problem",
     "get_engine",
-    "get_prop_backend",
-    "set_prop_backend",
-    "using_prop_backend",
     "CoverageProblem",
     "CoverageOptions",
     "CoverageReport",

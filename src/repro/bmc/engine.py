@@ -170,7 +170,6 @@ def find_run_bmc(
             module,
             formulas,
             engine="bmc",
-            backend="-",
             bound=max_bound,
             extra=(f"min_bound={min_bound}", "free=" + ",".join(free_atoms)),
         )

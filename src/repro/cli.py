@@ -40,7 +40,7 @@ import sys
 from typing import List, Optional
 
 from .core import CoverageOptions, analyze_problem, format_report, format_table1
-from .engines import engine_names, get_engine, prop_backend_names, using_prop_backend
+from .engines import engine_names
 from .designs import (
     build_full_mal_fig2,
     get_design,
@@ -57,7 +57,14 @@ __all__ = ["main", "build_parser"]
 def _non_negative_int(text: str) -> int:
     value = int(text)
     if value < 0:
-        raise argparse.ArgumentTypeError(f"bound must be >= 0, got {value}")
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
 
 
@@ -108,12 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
             ),
         )
         sub_parser.add_argument(
-            "--prop-backend",
-            choices=sorted(prop_backend_names()),
-            default="auto",
-            help="propositional decision backend (truth table / BDD / SAT / auto)",
-        )
-        sub_parser.add_argument(
             "--bound",
             type=_non_negative_int,
             default=12,
@@ -125,14 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
             help=(
                 "disable cone-of-influence slicing of the compiled problem IR "
                 "(every query then runs on the full module)"
-            ),
-        )
-        sub_parser.add_argument(
-            "--bdd-reorder",
-            action="store_true",
-            help=(
-                "enable dynamic BDD variable reordering (greedy sifting) in "
-                "the symbolic engine; ignored by the other engines"
             ),
         )
 
@@ -154,19 +147,19 @@ def build_parser() -> argparse.ArgumentParser:
         type=_non_negative_int,
         default=None,
         metavar="N",
-        help="with --json: check only architectural conjunct N",
+        help="check only architectural conjunct N",
     )
     add_backend_flags(check_parser)
 
     analyze_parser = sub.add_parser("analyze", parents=[common], help="full coverage-gap analysis for a design")
     analyze_parser.add_argument("design", choices=design_names())
-    analyze_parser.add_argument("--max-witnesses", type=int, default=3)
-    analyze_parser.add_argument("--depth", type=int, default=5)
+    analyze_parser.add_argument("--max-witnesses", type=_non_negative_int, default=3)
+    analyze_parser.add_argument("--depth", type=_positive_int, default=5)
     analyze_parser.add_argument("--no-witnesses", action="store_true", help="omit witness waveforms")
     add_backend_flags(analyze_parser)
 
     table_parser = sub.add_parser("table1", parents=[common], help="regenerate the paper's Table 1")
-    table_parser.add_argument("--max-witnesses", type=int, default=2)
+    table_parser.add_argument("--max-witnesses", type=_non_negative_int, default=2)
     add_backend_flags(table_parser)
 
     sub.add_parser("timing", parents=[common], help="print the Figure 3 timing diagrams (MAL simulation)")
@@ -399,12 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="coverage engine (default: the server's default, explicit)",
     )
     submit_parser.add_argument(
-        "--prop-backend",
-        choices=sorted(prop_backend_names()),
-        default=None,
-        help="propositional backend",
-    )
-    submit_parser.add_argument(
         "--bound", type=_non_negative_int, default=None, help="bmc unrolling bound"
     )
     submit_parser.add_argument(
@@ -417,10 +404,8 @@ def _options_from_args(args: argparse.Namespace, **overrides) -> CoverageOptions
     """Build CoverageOptions from the shared backend flags plus per-command overrides."""
     return CoverageOptions(
         engine=args.engine,
-        prop_backend=args.prop_backend,
         bmc_max_bound=args.bound,
         slicing=_slicing_from_args(args),
-        bdd_reorder=getattr(args, "bdd_reorder", False),
         **overrides,
     )
 
@@ -444,64 +429,44 @@ def _cmd_list() -> int:
 
 
 def _cmd_check(design: str, args: argparse.Namespace) -> int:
+    # Both modes run the service's execution layer, so they answer the same
+    # query; the --json payload byte-matches what `specmatcher submit check`
+    # reports from a daemon (modulo timing fields).
+    import json as _json
+
+    from .service import JobRequest, RequestValidationError, execute_job, exit_code_for, validate_request
+
+    body = {"design": design, "engine": args.engine, "bound": args.bound, "slicing": _slicing_from_args(args)}
+    if args.index is not None:
+        body["index"] = args.index
+    try:
+        # Only --json goes through the daemon's validation: its request
+        # ceilings exist to protect the daemon, not one-shot text runs.
+        request = validate_request("check", body) if args.json else JobRequest(kind="check", **body)
+        payload = execute_job(request)
+    except RequestValidationError as exc:
+        print(f"check: invalid request: {exc}", file=sys.stderr)
+        return 2
     if args.json:
-        # Route through the service's validation + execution layer so the
-        # printed payload is byte-identical to what `specmatcher submit
-        # check` reports from a daemon (modulo timing fields).
-        import json as _json
-
-        from .service import (
-            RequestValidationError,
-            execute_job,
-            exit_code_for,
-            validate_request,
-        )
-
-        body = {
-            "design": design,
-            "engine": args.engine,
-            "prop_backend": args.prop_backend,
-            "bound": args.bound,
-            "slicing": _slicing_from_args(args),
-        }
-        if args.index is not None:
-            body["index"] = args.index
-        try:
-            request = validate_request("check", body)
-            payload = execute_job(request)
-        except RequestValidationError as exc:
-            print(f"check: invalid request: {exc}", file=sys.stderr)
-            return 2
         print(_json.dumps(payload, indent=2, sort_keys=True))
         return exit_code_for(payload)
-    entry = get_design(design)
-    problem = entry.builder()
-    engine = get_engine(
-        args.engine,
-        max_bound=args.bound,
-        slicing=_slicing_from_args(args),
-        bdd_reorder=getattr(args, "bdd_reorder", False),
-    )
-    with using_prop_backend(args.prop_backend):
-        verdict = engine.check_primary(problem)
-    print(f"design   : {problem.name}")
-    print(f"engine   : {verdict.engine}")
-    if verdict.winner:
-        print(f"winner   : {verdict.winner}")
-    if verdict.covered and not verdict.complete:
-        print(f"covered  : {verdict.covered} (up to bound {verdict.bound})")
+    verdict = payload["verdict"]
+    print(f"design   : {get_design(design).builder().name}")
+    print(f"engine   : {payload['engine']}")
+    if payload["winner"]:
+        print(f"winner   : {payload['winner']}")
+    if verdict["covered"] and not verdict["complete"]:
+        print(f"covered  : {verdict['covered']} (up to bound {verdict['bound']})")
     else:
-        print(f"covered  : {verdict.covered}")
-    print(f"time     : {verdict.elapsed_seconds:.3f} s")
-    if not verdict.covered and verdict.witness is not None:
-        print("witness run (first cycles):")
-        table = verdict.witness.to_table(8)
+        print(f"covered  : {verdict['covered']}")
+    print(f"time     : {payload['elapsed_seconds']:.3f} s")
+    if not verdict["covered"] and verdict["witness"] is not None:
         from .rtl import render_table
+        from .runner.cache import decode_trace
 
-        print(render_table(table))
-    if entry.expected_covered is None:
-        return 0
-    return 0 if verdict.covered == entry.expected_covered else 1
+        print("witness run (first cycles):")
+        print(render_table(decode_trace(verdict["witness"]).to_table(8)))
+    return exit_code_for(payload)
 
 
 def _cmd_analyze(design: str, args: argparse.Namespace) -> int:
@@ -530,7 +495,6 @@ def _cmd_suite(args: argparse.Namespace) -> int:
     jobs = expand_jobs(
         args.designs,
         engine=args.engine,
-        prop_backend=args.prop_backend,
         bound=args.bound,
         slicing=_slicing_from_args(args),
         include_signals=not args.no_signals,
@@ -753,7 +717,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         print("submit: suite takes no positional design (use --designs)", file=sys.stderr)
         return 2
     put("engine", args.engine)
-    put("prop_backend", args.prop_backend)
     put("bound", args.bound)
     if args.no_slice:
         body["slicing"] = False

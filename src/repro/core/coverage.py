@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..engines.coverage import engine_from_options
-from ..engines.prop import using_prop_backend
 from ..ltl.ast import Formula
 from ..obs import span
 from ..ltl.printer import to_str
@@ -61,12 +60,7 @@ class CoverageOptions:
     controls the cone-of-influence reduction of the compiled problem IR
     (:mod:`repro.problem`): every query is restricted to the fan-in of its
     formulas' atoms (plus the observed ``APR`` signals); disable it only for
-    differential testing.  ``prop_backend``
-    selects the propositional decision backend (``"auto"``, ``"table"``,
-    ``"bdd"``, ``"sat"``) installed for the duration of an analysis; the
-    default ``None`` keeps the process-wide active backend (``auto`` unless
-    changed via :func:`repro.engines.set_prop_backend`), so a globally
-    installed backend is respected.
+    differential testing.
 
     ``cache_dir`` installs a persistent decision-result cache
     (:mod:`repro.runner.cache`) for the duration of the analysis, so repeated
@@ -86,7 +80,6 @@ class CoverageOptions:
     minimize_tm_guards: bool = True
     restrict_to_free_signals: bool = True
     engine: str = "explicit"
-    prop_backend: Optional[str] = None
     bmc_max_bound: int = 12
     #: ``True`` always slices, ``False`` never; the default ``"auto"`` slices
     #: only when the cone of influence drops a meaningful share of the design
@@ -94,11 +87,6 @@ class CoverageOptions:
     slicing: object = "auto"
     cache_dir: Optional[str] = None
     use_cache: bool = True
-    #: Dynamic BDD variable reordering (greedy sifting) in the symbolic
-    #: engine, triggered on node-table growth during the fixpoints.  Off by
-    #: default: the interleaved current/next order is already good for most
-    #: designs.  Other engines ignore it.
-    bdd_reorder: bool = False
 
 
 @dataclass
@@ -196,12 +184,12 @@ def find_coverage_gap(
 ) -> GapAnalysis:
     """Run Algorithm 1 for a single architectural property.
 
-    Every decision query of the run — the primary coverage question, witness
-    enumeration, closure checks and ``T_M`` construction — goes through the
-    engine and propositional backend selected by ``options``.
+    Every model-checking query of the run — the primary coverage question,
+    witness enumeration and closure checks — goes through the engine
+    selected by ``options``.
     """
     options = options or CoverageOptions()
-    with using_prop_backend(options.prop_backend), result_cache_context(options):
+    with result_cache_context(options):
         return _find_coverage_gap(problem, architectural, options)
 
 

@@ -67,18 +67,15 @@ def coverage_hole(
 ) -> CoverageHole:
     """Compute the exact coverage hole of Theorem 2 for the problem.
 
-    ``options`` (when given) supplies ``minimize_tm_guards`` and the
-    propositional backend used while building ``T_M``; an explicitly passed
-    ``minimize_guards`` wins over ``options``.
+    ``options`` (when given) supplies ``minimize_tm_guards``; an explicitly
+    passed ``minimize_guards`` wins over ``options``.
     """
     problem.validate()
     if minimize_guards is None:
         minimize_guards = options.minimize_tm_guards if options else True
     target = architectural if architectural is not None else problem.architectural_conjunction()
     tm_formula, tm_results, tm_seconds = build_tm_for_modules(
-        problem.concrete_modules,
-        minimize_guards=minimize_guards,
-        prop_backend=None if options is None else options.prop_backend,
+        problem.concrete_modules, minimize_guards=minimize_guards
     )
     return CoverageHole(
         problem_name=problem.name,

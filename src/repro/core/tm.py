@@ -28,8 +28,8 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..engines.prop import active_prop_backend, using_prop_backend
 from ..logic.boolexpr import FALSE as BOOL_FALSE, TRUE as BOOL_TRUE, AndExpr, BoolExpr, Const, NotExpr, OrExpr, Var, XorExpr
+from ..logic.boolexpr import is_contradiction, is_tautology
 from ..logic.cube import Cover, Cube
 from ..ltl.ast import FALSE, TRUE, Always, Atom, Formula, Iff, Next, Not, conj, disj
 from ..rtl.fsm import FSM, extract_fsm
@@ -85,20 +85,19 @@ def cover_to_formula(cover: Cover) -> Formula:
 
 
 def _fold_constant(expr: BoolExpr) -> BoolExpr:
-    """Collapse semantically constant net functions via the active prop backend.
+    """Collapse semantically constant net functions.
 
     A driven net whose function is a tautology (or contradiction) in disguise
     yields ``G(net <-> 1)`` / ``G(net <-> 0)`` instead of dragging the whole
-    syntactic expression into ``T_M``; the decision is delegated to the
-    active :class:`~repro.engines.prop.PropBackend`, so it stays cheap for
-    wide supports (BDD/SAT instead of a truth-table sweep).
+    syntactic expression into ``T_M``; the decision goes through the
+    :mod:`repro.engines.prop` ``auto`` policy, so it stays cheap for wide
+    supports (BDD/SAT instead of a truth-table sweep).
     """
     if not expr.variables():
         return expr
-    backend = active_prop_backend()
-    if backend.is_tautology(expr):
+    if is_tautology(expr):
         return BOOL_TRUE
-    if not backend.is_sat(expr):
+    if is_contradiction(expr):
         return BOOL_FALSE
     return expr
 
@@ -114,17 +113,8 @@ def _output_constraints(module: Module) -> List[Formula]:
     return constraints
 
 
-def build_tm(module: Module, *, minimize_guards: bool = True, prop_backend: Optional[str] = None) -> TMResult:
-    """Build the characteristic formula ``T_M`` of one concrete module.
-
-    ``prop_backend`` (a :mod:`repro.engines.prop` backend name) is installed
-    for the duration of the build; ``None`` keeps the process-wide default.
-    """
-    with using_prop_backend(prop_backend):
-        return _build_tm(module, minimize_guards=minimize_guards)
-
-
-def _build_tm(module: Module, *, minimize_guards: bool) -> TMResult:
+def build_tm(module: Module, *, minimize_guards: bool = True) -> TMResult:
+    """Build the characteristic formula ``T_M`` of one concrete module."""
     start = time.perf_counter()
     module.validate(allow_undriven=True)
 
@@ -172,9 +162,8 @@ def _build_tm(module: Module, *, minimize_guards: bool) -> TMResult:
 
 
 # T_M is a function of the modules' structure and the guard-minimisation
-# flag alone (every propositional backend decides the same constant folds),
-# so builds are memoized structurally: a gap analysis over N architectural
-# properties builds T_M once, not N times.
+# flag alone, so builds are memoized structurally: a gap analysis over N
+# architectural properties builds T_M once, not N times.
 _TM_CACHE: Dict[Tuple, Tuple[Formula, Tuple[TMResult, ...], float]] = {}
 _TM_CACHE_LIMIT = 128
 
@@ -183,13 +172,10 @@ def build_tm_for_modules(
     modules: Sequence[Module],
     *,
     minimize_guards: bool = True,
-    prop_backend: Optional[str] = None,
 ) -> Tuple[Formula, List[TMResult], float]:
     """``T_M`` for a set of concurrent modules: the conjunction of each ``T_Mi``.
 
     Returns ``(conjunction, per-module results, total build time in seconds)``.
-    ``prop_backend`` selects the propositional backend used while building
-    (constant folding of net functions); ``None`` keeps the active default.
     Results are memoized on the modules' structural fingerprints; a cache hit
     reports the original build time (the cost the paper's Table 1 charges).
     """
@@ -208,9 +194,8 @@ def build_tm_for_modules(
 
     results: List[TMResult] = []
     start = time.perf_counter()
-    with using_prop_backend(prop_backend):
-        for module in modules:
-            results.append(_build_tm(module, minimize_guards=minimize_guards))
+    for module in modules:
+        results.append(build_tm(module, minimize_guards=minimize_guards))
     total = time.perf_counter() - start
     formula = conj(*(result.formula for result in results)) if results else TRUE
     if len(_TM_CACHE) >= _TM_CACHE_LIMIT:

@@ -1,12 +1,13 @@
 """Unified decision-backend layer.
 
-Every decision query of the pipeline funnels through one of two registries:
+Every decision query of the pipeline funnels through one of two layers:
 
 * **propositional backends** (:mod:`repro.engines.prop`) answer boolean
   validity / satisfiability / equivalence queries over
-  :class:`~repro.logic.boolexpr.BoolExpr` — via truth-table enumeration,
-  BDDs (:mod:`repro.logic.bdd`) or CDCL SAT (:mod:`repro.sat`), with an
-  ``auto`` policy that picks by support size;
+  :class:`~repro.logic.boolexpr.BoolExpr` — the ``auto`` policy picks
+  truth-table enumeration, BDDs (:mod:`repro.logic.bdd`) or CDCL SAT
+  (:mod:`repro.sat`) by support size; its one use in the pipeline is the
+  constant folding of ``T_M`` construction;
 * **coverage engines** (:mod:`repro.engines.coverage`) answer the paper's
   primary coverage question (Theorem 1) — via the explicit-state
   product/nested-DFS engine (:mod:`repro.mc`), the bounded SAT engine
@@ -20,9 +21,9 @@ Every decision query of the pipeline funnels through one of two registries:
   problem IR (:mod:`repro.problem`), so each query is cone-of-influence
   sliced and its automata are compiled once.
 
-Both registries are string-keyed so the selection threads cleanly from the
-CLI (``--engine`` / ``--prop-backend``) and from
-:class:`~repro.core.coverage.CoverageOptions` down to the kernel.
+The engine registry is string-keyed so the selection threads cleanly from
+the CLI (``--engine``) and from :class:`~repro.core.coverage.CoverageOptions`
+down to the kernel.
 """
 
 from .prop import (
@@ -31,12 +32,6 @@ from .prop import (
     PropBackend,
     SatBackend,
     TruthTableBackend,
-    active_prop_backend,
-    get_prop_backend,
-    prop_backend_names,
-    register_prop_backend,
-    set_prop_backend,
-    using_prop_backend,
 )
 from .cancel import CancelToken, Cancelled, check_cancelled, using_cancel_token
 from .coverage import (
@@ -60,12 +55,6 @@ __all__ = [
     "BddBackend",
     "SatBackend",
     "AutoBackend",
-    "get_prop_backend",
-    "prop_backend_names",
-    "register_prop_backend",
-    "active_prop_backend",
-    "set_prop_backend",
-    "using_prop_backend",
     "CoverageEngine",
     "EngineVerdict",
     "ExplicitEngine",

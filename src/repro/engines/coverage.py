@@ -25,7 +25,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..ltl.ast import Formula, Not
 from ..ltl.traces import LassoTrace
@@ -163,12 +163,12 @@ class CoverageEngine:
 
         When a result cache is active (:mod:`repro.runner.cache`), the query
         is fingerprinted — *sliced* module structure + formulas + free
-        partition + engine + active propositional backend + bound — and
-        decided queries are replayed instead of re-run.  Keying on the slice
-        means structurally identical cones hit the cache across designs and
-        across suite shards.  This is the "never re-answer a decided query"
-        choke point: the primary question, witness enumeration and every
-        closure check all pass through here.
+        partition + engine + bound — and decided queries are replayed
+        instead of re-run.  Keying on the slice means structurally identical
+        cones hit the cache across designs and across suite shards.  This is
+        the "never re-answer a decided query" choke point: the primary
+        question, witness enumeration and every closure check all pass
+        through here.
         """
         problem = self._as_problem(target, formulas, observe)
 
@@ -185,9 +185,8 @@ class CoverageEngine:
             problem.module,
             problem.formulas,
             engine=self.name,
-            backend=self._cache_backend(),
             bound=self._cache_bound(),
-            extra=problem.cache_extra(),
+            extra=problem.cache_extra() + self._cache_extra(),
         )
         payload = cache.get(key)
         if payload is not None:
@@ -216,19 +215,9 @@ class CoverageEngine:
         """The bound component of this engine's cache keys (``None`` = complete)."""
         return None
 
-    def _cache_backend(self) -> str:
-        """The backend component of this engine's cache keys.
-
-        Engines whose search routes boolean queries through the active
-        propositional backend key on its name, so a result decided one way
-        can never shadow another.  Engines that never consult the backend
-        (the symbolic engine owns its BDD manager outright) override this
-        with a constant so their cached results replay under every
-        ``--prop-backend`` setting.
-        """
-        from .prop import active_prop_backend
-
-        return active_prop_backend().name
+    def _cache_extra(self) -> Tuple[str, ...]:
+        """Engine-specific components of this engine's cache keys."""
+        return ()
 
     def _find_run(self, problem: "CompiledProblem"):
         """Engine-specific uncached search (overridden by each engine)."""
@@ -445,5 +434,4 @@ def engine_from_options(options) -> CoverageEngine:
         getattr(options, "engine", "explicit"),
         max_bound=getattr(options, "bmc_max_bound", 12),
         slicing=getattr(options, "slicing", "auto"),
-        bdd_reorder=getattr(options, "bdd_reorder", False),
     )

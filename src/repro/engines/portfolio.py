@@ -120,11 +120,11 @@ class PortfolioEngine(CoverageEngine):
         # the bound.
         return self.max_bound
 
-    def _cache_backend(self) -> str:
+    def _cache_extra(self) -> Tuple[str, ...]:
         # The member set is part of the race's identity too: a bmc-only
         # portfolio caches bounded (complete=False) verdicts that must never
         # shadow the full three-member race's complete proofs.
-        return super()._cache_backend() + "|members=" + ",".join(self.members)
+        return ("members=" + ",".join(self.members),)
 
     def _member_engines(self) -> List[CoverageEngine]:
         return [

@@ -1,7 +1,7 @@
 """Propositional decision backends.
 
-One protocol — :class:`PropBackend` — with three interchangeable
-implementations plus a size-directed ``auto`` policy:
+One protocol — :class:`PropBackend` — with three implementations plus the
+size-directed ``auto`` policy that delegates to them:
 
 ``table``
     Exhaustive truth-table enumeration (the original reference semantics of
@@ -17,17 +17,18 @@ implementations plus a size-directed ``auto`` policy:
     Picks by support size: enumeration below :data:`TABLE_CUTOFF` variables,
     BDDs up to :data:`BDD_CUTOFF`, SAT beyond.
 
-The module also owns the process-wide *active* backend that the module-level
-predicates of :mod:`repro.logic.boolexpr` (``is_tautology`` /
-``expr_equivalent`` / ``is_contradiction``) dispatch through; use
-:func:`set_prop_backend` or the :func:`using_prop_backend` context manager to
-change it.
+The module-level predicates of :mod:`repro.logic.boolexpr`
+(``is_tautology`` / ``expr_equivalent`` / ``is_contradiction``), and through
+them the constant folds of ``T_M`` construction (:mod:`repro.core.tm`), are
+decided by the one :data:`AUTO` policy instance.  Every backend decides these
+queries exactly, so the choice of delegate affects only their cost; the
+concrete backends stay as the policy's delegates and as the differential
+tests' references.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, Optional, Protocol, Union, runtime_checkable
+from typing import Dict, Optional, Protocol, runtime_checkable
 
 from ..logic.boolexpr import (
     BoolExpr,
@@ -47,12 +48,7 @@ __all__ = [
     "AutoBackend",
     "TABLE_CUTOFF",
     "BDD_CUTOFF",
-    "register_prop_backend",
-    "get_prop_backend",
-    "prop_backend_names",
-    "active_prop_backend",
-    "set_prop_backend",
-    "using_prop_backend",
+    "AUTO",
 ]
 
 Assignment = Dict[str, bool]
@@ -202,30 +198,22 @@ class SatBackend(_BackendBase):
 class AutoBackend(_BackendBase):
     """Support-size policy: table for tiny, BDD for medium, SAT for large.
 
-    The cutoffs are per-instance so callers can tune them; the defaults keep
-    the exponential reference sweep strictly below :data:`TABLE_CUTOFF`
-    variables.
+    Truth tables strictly below :data:`TABLE_CUTOFF` variables, BDDs up to
+    :data:`BDD_CUTOFF`, SAT beyond.
     """
 
     name = "auto"
 
-    def __init__(
-        self,
-        *,
-        table_cutoff: int = TABLE_CUTOFF,
-        bdd_cutoff: int = BDD_CUTOFF,
-    ):
-        self.table_cutoff = table_cutoff
-        self.bdd_cutoff = bdd_cutoff
+    def __init__(self):
         self._table = TruthTableBackend()
         self._bdd = BddBackend()
         self._sat = SatBackend()
 
     def pick(self, variable_count: int) -> PropBackend:
         """The delegate backend for a query over ``variable_count`` variables."""
-        if variable_count < self.table_cutoff:
+        if variable_count < TABLE_CUTOFF:
             return self._table
-        if variable_count <= self.bdd_cutoff:
+        if variable_count <= BDD_CUTOFF:
             return self._bdd
         return self._sat
 
@@ -245,74 +233,5 @@ class AutoBackend(_BackendBase):
         return self.pick(len(expr.variables())).model(expr)
 
 
-# -- registry -----------------------------------------------------------------
-
-_FACTORIES: Dict[str, Callable[[], PropBackend]] = {}
-_ALIASES = {
-    "table": "table",
-    "truth-table": "table",
-    "truthtable": "table",
-    "tt": "table",
-    "bdd": "bdd",
-    "sat": "sat",
-    "auto": "auto",
-}
-
-
-def register_prop_backend(name: str, factory: Callable[[], PropBackend]) -> None:
-    """Register a backend factory under ``name`` (later lookups instantiate it)."""
-    _FACTORIES[name] = factory
-    _ALIASES[name] = name
-
-
-register_prop_backend("table", TruthTableBackend)
-register_prop_backend("bdd", BddBackend)
-register_prop_backend("sat", SatBackend)
-register_prop_backend("auto", AutoBackend)
-
-
-def prop_backend_names() -> tuple:
-    """The canonical registered backend names."""
-    return tuple(sorted(_FACTORIES))
-
-
-def get_prop_backend(name: Union[str, PropBackend]) -> PropBackend:
-    """Resolve a backend by name (aliases accepted) or pass an instance through."""
-    if not isinstance(name, str):
-        return name
-    canonical = _ALIASES.get(name.lower())
-    if canonical is None:
-        known = ", ".join(prop_backend_names())
-        raise KeyError(f"unknown propositional backend {name!r} (known: {known})")
-    return _FACTORIES[canonical]()
-
-
-# -- the active backend -------------------------------------------------------
-
-_active: PropBackend = AutoBackend()
-
-
-def active_prop_backend() -> PropBackend:
-    """The backend the module-level boolexpr predicates currently dispatch to."""
-    return _active
-
-
-def set_prop_backend(backend: Union[str, PropBackend]) -> PropBackend:
-    """Install a new active backend; returns the previous one."""
-    global _active
-    previous = _active
-    _active = get_prop_backend(backend)
-    return previous
-
-
-@contextmanager
-def using_prop_backend(backend: Union[str, PropBackend, None]) -> Iterator[PropBackend]:
-    """Temporarily switch the active backend (``None`` leaves it unchanged)."""
-    if backend is None:
-        yield _active
-        return
-    previous = set_prop_backend(backend)
-    try:
-        yield _active
-    finally:
-        set_prop_backend(previous)
+#: The policy instance behind the :mod:`repro.logic.boolexpr` predicates.
+AUTO = AutoBackend()

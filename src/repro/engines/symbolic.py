@@ -34,10 +34,6 @@ class SymbolicEngine(CoverageEngine):
 
     ``verify_witness`` keeps the simulator replay of extracted lassos on
     (the default); it can be disabled for benchmarking the raw fixpoint.
-    ``bdd_reorder`` enables dynamic variable reordering (greedy sifting,
-    triggered on node-table growth during the fixpoints) — off by default
-    because the interleaved current/next order is already good for most
-    designs, worth trying when ``peak_nodes`` dominates a profile.
     """
 
     name = "symbolic"
@@ -49,16 +45,9 @@ class SymbolicEngine(CoverageEngine):
         verify_witness: bool = True,
         slicing="auto",
         max_bound: int = 12,
-        bdd_reorder: bool = False,
     ):
         super().__init__(slicing=slicing, max_bound=max_bound)
         self.verify_witness = verify_witness
-        self.bdd_reorder = bdd_reorder
-
-    def _cache_backend(self) -> str:
-        # The fixpoint never consults the propositional backends, so cached
-        # results are valid — and replayed — under every backend setting.
-        return "-"
 
     def _find_run(self, problem: "CompiledProblem"):
         from ..mc.symbolic import find_run_symbolic
@@ -69,7 +58,6 @@ class SymbolicEngine(CoverageEngine):
             verify_witness=self.verify_witness,
             automata=problem.automata,
             extra_free=problem.free_signals,
-            reorder=self.bdd_reorder,
         )
 
 

@@ -59,11 +59,6 @@ class BDDManager:
         self._nodes: List[Optional[_Node]] = [None, None]
         self._unique: Dict[Tuple[int, int, int], int] = {}
         self._ite_cache: Dict[Tuple[int, int, int], int] = {}
-        # Every currently-allocated node id at each level, plus the free list
-        # of slots reclaimed by :meth:`collect_garbage` (ids are stable for
-        # live nodes; freed slots are reused by ``_mk``).
-        self._by_level: List[List[int]] = []
-        self._free: List[int] = []
         for name in variables:
             self.declare(name)
 
@@ -74,7 +69,6 @@ class BDDManager:
             return
         self._level[name] = len(self._order)
         self._order.append(name)
-        self._by_level.append([])
 
     @property
     def variables(self) -> Tuple[str, ...]:
@@ -93,21 +87,15 @@ class BDDManager:
         key = (level, low, high)
         node = self._unique.get(key)
         if node is None:
-            if self._free:
-                node = self._free.pop()
-                self._nodes[node] = _Node(level, low, high)
-            else:
-                node = len(self._nodes)
-                self._nodes.append(_Node(level, low, high))
-                # Track the process-wide node peak, sampled every 4096 nodes
-                # so the hot construction path stays one bitmask test per
-                # node.
-                if not (node & 0xFFF):
-                    from ..obs import metrics
+            node = len(self._nodes)
+            self._nodes.append(_Node(level, low, high))
+            # Track the process-wide node peak, sampled every 4096 nodes so
+            # the hot construction path stays one bitmask test per node.
+            if not (node & 0xFFF):
+                from ..obs import metrics
 
-                    metrics().gauge_max("bdd.nodes", node)
+                metrics().gauge_max("bdd.nodes", node)
             self._unique[key] = node
-            self._by_level[level].append(node)
         return node
 
     def true(self) -> "BDD":
@@ -193,230 +181,8 @@ class BDDManager:
         return result
 
     def node_count(self) -> int:
-        """Number of decision nodes currently allocated by the manager."""
-        return len(self._nodes) - 2 - len(self._free)
-
-    # -- dynamic variable reordering ------------------------------------------
-    def collect_garbage(self, roots: Iterable[object]) -> int:
-        """Reclaim every node unreachable from ``roots``; returns the count.
-
-        ``roots`` (node ids or :class:`BDD` handles) must cover **every**
-        function the caller still holds a handle to: ids of collected nodes
-        are recycled by later constructions, so a handle omitted here
-        silently starts denoting a different function.  Live ids are stable.
-        The ITE cache is dropped (its entries may reference reclaimed ids).
-        """
-        root_ids = [root.root if isinstance(root, BDD) else root for root in roots]
-        live = set()
-        stack = [root for root in root_ids if root > 1]
-        while stack:
-            ident = stack.pop()
-            if ident in live:
-                continue
-            live.add(ident)
-            node = self._nodes[ident]
-            if node.low > 1:
-                stack.append(node.low)
-            if node.high > 1:
-                stack.append(node.high)
-        collected = 0
-        for level in range(len(self._order)):
-            keep: List[int] = []
-            for ident in self._by_level[level]:
-                if ident in live:
-                    keep.append(ident)
-                else:
-                    node = self._nodes[ident]
-                    self._unique.pop((node.level, node.low, node.high), None)
-                    self._nodes[ident] = None
-                    self._free.append(ident)
-                    collected += 1
-            self._by_level[level] = keep
-        if collected:
-            self._ite_cache.clear()
-        return collected
-
-    def live_node_count(self, roots: Iterable[int]) -> int:
-        """Number of distinct decision nodes reachable from ``roots``.
-
-        This — not :meth:`node_count` — is the size metric reordering
-        optimises: the table itself never shrinks (there is no garbage
-        collection), but the DAGs the fixpoint operations actually traverse
-        do.
-        """
-        seen = set()
-        stack = [root for root in roots if root > 1]
-        while stack:
-            ident = stack.pop()
-            if ident in seen:
-                continue
-            seen.add(ident)
-            node = self._nodes[ident]
-            if node.low > 1:
-                stack.append(node.low)
-            if node.high > 1:
-                stack.append(node.high)
-        return len(seen)
-
-    def swap_adjacent(self, level: int) -> None:
-        """Exchange the variables at ``level`` and ``level + 1`` in place.
-
-        Every node index keeps denoting the same boolean function under the
-        new order, so outstanding :class:`BDD` handles — and the ITE cache,
-        whose entries relate functions, not shapes — remain valid; only the
-        shared DAG is restructured.  Three node classes at the two levels:
-
-        * lower-level nodes move up unchanged (their functions do not
-          involve the variable moving down past them),
-        * upper-level nodes with no lower-level child move down unchanged,
-        * *mixed* upper-level nodes are rewritten in place around the new
-          top variable: ``A?(B?f11:f10):(B?f01:f00)`` becomes
-          ``B?(A?f11:f01):(A?f10:f00)`` with freshly hash-consed children.
-
-        Post-swap keys never collide across classes (a rewritten mixed node
-        always keeps at least one child at the lower level, movers never
-        do), so re-registering the unique table is collision-free.
-        """
-        if not 0 <= level < len(self._order) - 1:
-            raise BDDError("swap level out of range")
-        upper, lower = level, level + 1
-        upper_nodes = self._by_level[upper]
-        lower_nodes = self._by_level[lower]
-        lower_set = set(lower_nodes)
-        # Drop every old key of both levels before registering any new one:
-        # a mover's new key can equal a sibling's old key.
-        for ident in upper_nodes + lower_nodes:
-            node = self._nodes[ident]
-            self._unique.pop((node.level, node.low, node.high), None)
-        pure: List[int] = []
-        mixed: List[int] = []
-        for ident in upper_nodes:
-            node = self._nodes[ident]
-            if node.low in lower_set or node.high in lower_set:
-                mixed.append(ident)
-            else:
-                pure.append(ident)
-        # Lower-level nodes move up ...
-        for ident in lower_nodes:
-            node = self._nodes[ident]
-            self._nodes[ident] = _Node(upper, node.low, node.high)
-            self._unique[(upper, node.low, node.high)] = ident
-        # ... pure upper-level nodes move down ...
-        self._by_level[lower] = pure
-        for ident in pure:
-            node = self._nodes[ident]
-            self._nodes[ident] = _Node(lower, node.low, node.high)
-            self._unique[(lower, node.low, node.high)] = ident
-        # ... and mixed nodes are rewritten around the swapped top variable.
-        # ``_mk`` below may extend ``_by_level[lower]`` with new children or
-        # share a just-moved pure node; both read the post-move unique table.
-        for ident in mixed:
-            node = self._nodes[ident]
-            f0, f1 = node.low, node.high
-            if f0 in lower_set:
-                child = self._nodes[f0]
-                f00, f01 = child.low, child.high
-            else:
-                f00 = f01 = f0
-            if f1 in lower_set:
-                child = self._nodes[f1]
-                f10, f11 = child.low, child.high
-            else:
-                f10 = f11 = f1
-            new_low = self._mk(lower, f00, f10)
-            new_high = self._mk(lower, f01, f11)
-            self._nodes[ident] = _Node(upper, new_low, new_high)
-            self._unique[(upper, new_low, new_high)] = ident
-        self._by_level[upper] = lower_nodes + mixed
-        name_a, name_b = self._order[upper], self._order[lower]
-        self._order[upper], self._order[lower] = name_b, name_a
-        self._level[name_a], self._level[name_b] = lower, upper
-
-    def sift(self, roots: Iterable[object], *, max_growth: float = 1.2) -> int:
-        """Greedy sifting (Rudell): move each variable through all positions
-        and leave it where the live DAG reachable from ``roots`` is smallest.
-
-        ``roots`` accepts node ids or :class:`BDD` handles and — like
-        :meth:`collect_garbage`, which sifting runs between variables to keep
-        the swap working set from compounding — must cover every function the
-        caller still holds a handle to.  Variables are processed in
-        decreasing order of live-node occupancy; a direction is abandoned
-        early once the live size exceeds ``max_growth`` times the best seen
-        (the settle phase still returns to the best position).  Returns the
-        number of adjacent swaps performed.
-        """
-        root_ids = [root.root if isinstance(root, BDD) else root for root in roots]
-        levels = len(self._order)
-        if levels < 2:
-            return 0
-        self.collect_garbage(root_ids)
-        occupancy: Dict[str, int] = {name: 0 for name in self._order}
-        seen = set()
-        stack = [root for root in root_ids if root > 1]
-        while stack:
-            ident = stack.pop()
-            if ident in seen:
-                continue
-            seen.add(ident)
-            node = self._nodes[ident]
-            occupancy[self._order[node.level]] += 1
-            if node.low > 1:
-                stack.append(node.low)
-            if node.high > 1:
-                stack.append(node.high)
-        agenda = [
-            name
-            for name in sorted(occupancy, key=lambda n: (-occupancy[n], n))
-            if occupancy[name]
-        ]
-        swaps = 0
-        for name in agenda:
-            best_size = self.live_node_count(root_ids)
-            start = self._level[name]
-            best_pos = start
-            limit = best_size * max_growth + 4
-            pos = start
-            while pos < levels - 1:  # downward sweep
-                self.swap_adjacent(pos)
-                swaps += 1
-                pos += 1
-                size = self.live_node_count(root_ids)
-                if size < best_size:
-                    best_size, best_pos = size, pos
-                    limit = best_size * max_growth + 4
-                elif size > limit:
-                    break
-            while pos > start:  # return before exploring the other direction
-                self.swap_adjacent(pos - 1)
-                swaps += 1
-                pos -= 1
-            while pos > 0:  # upward sweep
-                self.swap_adjacent(pos - 1)
-                swaps += 1
-                pos -= 1
-                size = self.live_node_count(root_ids)
-                if size < best_size:
-                    best_size, best_pos = size, pos
-                    limit = best_size * max_growth + 4
-                elif size > limit:
-                    break
-            while pos > best_pos:  # settle at the best position seen
-                self.swap_adjacent(pos - 1)
-                swaps += 1
-                pos -= 1
-            while pos < best_pos:
-                self.swap_adjacent(pos)
-                swaps += 1
-                pos += 1
-            # Swapping rewrites abandon children; reclaim them before the
-            # next variable so the per-swap working set stays near the live
-            # size instead of compounding.
-            self.collect_garbage(root_ids)
-        if swaps:
-            from ..obs import metrics
-
-            metrics().inc("bdd.sift_swaps", swaps)
-        return swaps
+        """Number of decision nodes allocated by the manager."""
+        return len(self._nodes) - 2
 
 
 class BDD:
@@ -508,23 +274,16 @@ class BDD:
         return root == BDDManager.TRUE
 
     def restrict(self, assignment: Mapping[str, bool]) -> "BDD":
-        """Cofactor with respect to a partial assignment."""
-        result = self
+        """Cofactor with respect to a partial assignment.
+
+        A variable the manager never declared cannot occur in the function,
+        so it leaves the function unchanged.
+        """
+        root = self.root
         for name, value in assignment.items():
-            literal = self.manager.var(name) if value else self.manager.nvar(name)
-            positive = self.manager._ite(result.root, BDDManager.TRUE, BDDManager.FALSE)
-            del positive  # restriction implemented via ite on cofactors below
-            result = BDD(
-                self.manager,
-                self.manager._ite(
-                    literal.root if value else (~literal).root,
-                    self._cofactor_root(result.root, name, True),
-                    self._cofactor_root(result.root, name, False),
-                ),
-            )
-            # Simpler: directly take the cofactor.
-            result = BDD(self.manager, self._cofactor_root(result.root, name, value))
-        return result
+            if name in self.manager._level:
+                root = self._cofactor_root(root, name, value)
+        return BDD(self.manager, root)
 
     def _cofactor_root(self, root: int, name: str, value: bool) -> int:
         level = self.manager.level_of(name)

@@ -18,11 +18,11 @@ evaluation, substitution, cofactoring, constant-propagation simplification and
 truth-table utilities.
 
 Decision procedures (:func:`is_tautology`, :func:`is_contradiction`,
-:func:`expr_equivalent`) dispatch through the active propositional backend of
-:mod:`repro.engines.prop` — truth-table enumeration, BDDs or CDCL SAT,
-selected globally or per :class:`~repro.core.coverage.CoverageOptions`.  The
-raw enumerating reference implementations remain available as
-:func:`enumerate_is_tautology` etc. and back the ``table`` backend.
+:func:`expr_equivalent`) are decided by the ``auto`` policy of
+:mod:`repro.engines.prop` — truth-table enumeration, BDDs or CDCL SAT by
+support size.  The raw enumerating reference implementations remain
+available as :func:`enumerate_is_tautology` etc. and back the ``table``
+backend.
 """
 
 from __future__ import annotations
@@ -595,8 +595,8 @@ def truth_table(expr: BoolExpr, names: Sequence[str] | None = None) -> Dict[Tupl
 
 # -- decision procedures ------------------------------------------------------
 #
-# The module-level predicates route through the active propositional backend
-# (:mod:`repro.engines.prop`): truth-table enumeration for small supports,
+# The module-level predicates route through the ``auto`` policy of
+# :mod:`repro.engines.prop`: truth-table enumeration for small supports,
 # BDDs or SAT beyond.  The ``enumerate_*`` functions are the exhaustive
 # reference implementations; the ``table`` backend delegates to them.
 
@@ -623,24 +623,24 @@ def enumerate_is_contradiction(expr: BoolExpr) -> bool:
 
 
 def expr_equivalent(left: BoolExpr, right: BoolExpr) -> bool:
-    """Semantic equivalence, decided by the active propositional backend."""
-    from ..engines.prop import active_prop_backend
+    """Semantic equivalence, decided by the ``auto`` propositional policy."""
+    from ..engines.prop import AUTO
 
-    return active_prop_backend().equivalent(left, right)
+    return AUTO.equivalent(left, right)
 
 
 def is_tautology(expr: BoolExpr) -> bool:
-    """Validity, decided by the active propositional backend."""
-    from ..engines.prop import active_prop_backend
+    """Validity, decided by the ``auto`` propositional policy."""
+    from ..engines.prop import AUTO
 
-    return active_prop_backend().is_tautology(expr)
+    return AUTO.is_tautology(expr)
 
 
 def is_contradiction(expr: BoolExpr) -> bool:
-    """Unsatisfiability, decided by the active propositional backend."""
-    from ..engines.prop import active_prop_backend
+    """Unsatisfiability, decided by the ``auto`` propositional policy."""
+    from ..engines.prop import AUTO
 
-    return not active_prop_backend().is_sat(expr)
+    return not AUTO.is_sat(expr)
 
 
 def minterms(expr: BoolExpr, names: Sequence[str] | None = None) -> Iterator[Dict[str, bool]]:

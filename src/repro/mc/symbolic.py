@@ -88,9 +88,6 @@ class SymbolicStatistics:
     reachable_iterations: int = 0
     el_iterations: int = 0
     peak_nodes: int = 0
-    #: Dynamic variable reordering (sifting) passes run during the fixpoints
-    #: (always 0 unless the engine was built with ``reorder=True``).
-    reorders: int = 0
     elapsed_seconds: float = 0.0
 
 
@@ -146,13 +143,11 @@ class SymbolicProduct:
         *,
         automata: Optional[Sequence[GeneralizedBuchi]] = None,
         extra_free: Sequence[str] = (),
-        reorder: bool = False,
     ):
         module.validate(allow_undriven=True)
         self.module = module
         self.formulas = list(formulas)
         self.statistics = SymbolicStatistics()
-        self.reorder = reorder
 
         # -- state variables ------------------------------------------------
         self.register_names: List[str] = list(module.state_signals())
@@ -260,12 +255,6 @@ class SymbolicProduct:
             # Plain emptiness: every infinite run is fair.
             self.fairness.append(self.manager.true())
 
-        # Reordering trigger: sift when the table has doubled past the
-        # post-construction size (the table never shrinks — no GC — so the
-        # threshold tracks total allocation, while sifting itself optimises
-        # the *live* DAG reachable from the persistent sets).
-        self._reorder_threshold = max(4096, 2 * self.manager.node_count())
-
     # -- encodings ----------------------------------------------------------
     def _encode_state(self, index: int, state: int, *, primed: bool) -> BDD:
         """Characteristic function of one automaton state over its bit block."""
@@ -346,37 +335,6 @@ class SymbolicProduct:
         self.statistics.peak_nodes = max(self.statistics.peak_nodes, self.manager.node_count())
         return acc
 
-    def _maybe_reorder(self, extra: Sequence[BDD]) -> None:
-        """Sift the variable order when the node table has outgrown its budget.
-
-        Swaps are performed in place — every node id keeps its function — so
-        the partition, fairness sets and cached letter functions stay valid
-        without translation.  Sifting also garbage-collects, and node ids of
-        reclaimed functions are recycled, so this must only be called from
-        points where ``extra`` plus the product's persistent sets cover
-        *every* outstanding handle (the two fixpoint loops — never from
-        inside image/preimage or witness extraction, whose caller frames
-        hold intermediate sets).
-        """
-        if not self.reorder or self.manager.node_count() < self._reorder_threshold:
-            return
-        roots = [bdd.root for bdd in extra]
-        roots.append(self.initial.root)
-        roots.extend(part.root for part in self.partition)
-        roots.extend(fair.root for fair in self.fairness)
-        roots.extend(fn.root for fn in self._signal_now.values())
-        roots.extend(fn.root for fn in self._signal_next.values())
-        with span("bdd_reorder") as sp:
-            swaps = self.manager.sift(roots)
-            sp.set(swaps=swaps, nodes=self.manager.node_count())
-        self.statistics.reorders += 1
-        metrics().inc("bdd.reorders")
-        # Exponential re-arm: allocation (including garbage) grows with
-        # every image, so a size-relative threshold would re-trigger — and
-        # re-clear the ITE cache — after every few steps.  Doubling keeps
-        # the total number of sifts logarithmic in the work performed.
-        self._reorder_threshold = max(2 * self._reorder_threshold, 4 * self.manager.node_count())
-
     def image(self, states: BDD) -> BDD:
         """Successor set ``∃ current. states ∧ T``, renamed back to current vars."""
         from ..engines.cancel import check_cancelled
@@ -402,7 +360,6 @@ class SymbolicProduct:
             self.statistics.reachable_iterations += 1
             frontier = self.image(frontier) & ~reached
             reached = reached | frontier
-            self._maybe_reorder([reached, frontier])
         return reached
 
     def _eu_within(self, domain: BDD, target: BDD) -> BDD:
@@ -422,7 +379,6 @@ class SymbolicProduct:
             previous = z
             for fair in self.fairness:
                 z = z & self.preimage(self._eu_within(z, z & fair))
-                self._maybe_reorder([within, z, previous])
             if z.equivalent(previous):
                 return z
 
@@ -587,7 +543,6 @@ def find_run_symbolic(
     verify_witness: bool = True,
     automata: Optional[Sequence[GeneralizedBuchi]] = None,
     extra_free: Sequence[str] = (),
-    reorder: bool = False,
 ) -> SymbolicResult:
     """Symbolic counterpart of :func:`repro.mc.modelcheck.find_run`.
 
@@ -600,9 +555,7 @@ def find_run_symbolic(
     """
     start = time.perf_counter()
     with span("symbolic_encode"):
-        product = SymbolicProduct(
-            module, formulas, automata=automata, extra_free=extra_free, reorder=reorder
-        )
+        product = SymbolicProduct(module, formulas, automata=automata, extra_free=extra_free)
     statistics = product.statistics
 
     satisfiable = False

@@ -1,8 +1,8 @@
 """Batch coverage-suite subsystem: sharded parallel runner + result cache.
 
 * :mod:`repro.runner.cache` — persistent decision-result cache keyed by
-  stable structural fingerprints of (module, formulas, engine, backend,
-  bound) queries; consulted by the coverage engines and the BMC search loop.
+  stable structural fingerprints of (module, formulas, engine, bound)
+  queries; consulted by the coverage engines and the BMC search loop.
 * :mod:`repro.runner.suite` — expansion of the designs catalog (plus seeded
   random designs) into independent shards, executed on a process pool with
   deterministic ordering, per-shard timeouts and a serial fallback.

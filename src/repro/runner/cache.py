@@ -3,8 +3,8 @@
 PR 1's hash-consed kernel makes the *identity* of a boolean query cheap to
 compute inside one process; this module extends that idea across processes and
 across runs.  Every model-relative decision query — "is there a run of module
-``M`` satisfying formulas ``phi_1..phi_n`` on engine ``E`` with backend ``B``
-up to bound ``k``?" — is given a **stable structural fingerprint** (a SHA-256
+``M`` satisfying formulas ``phi_1..phi_n`` on engine ``E`` up to bound
+``k``?" — is given a **stable structural fingerprint** (a SHA-256
 over a canonical linearisation of the netlist expressions and the LTL
 formulas), and the query's outcome (satisfiable / witness lasso / bound) is
 stored under that key:
@@ -20,10 +20,10 @@ build order of the hash-consing tables, and the linearisation walks the
 expression DAG once per node (shared sub-DAGs are emitted once), so keying a
 query is linear in DAG size.
 
-The process-wide *active* cache mirrors the active propositional backend of
-:mod:`repro.engines.prop`: engines consult :func:`active_result_cache`, and
-the suite runner / :class:`~repro.core.coverage.CoverageOptions` install one
-via :func:`set_result_cache` / :func:`using_result_cache`.
+Engines consult the process-wide *active* cache through
+:func:`active_result_cache`, and the suite runner /
+:class:`~repro.core.coverage.CoverageOptions` install one via
+:func:`set_result_cache` / :func:`using_result_cache`.
 """
 
 from __future__ import annotations
@@ -213,20 +213,18 @@ def query_key(
     formulas: Sequence[Formula],
     *,
     engine: str,
-    backend: str,
     bound: Optional[int] = None,
     extra: Sequence[str] = (),
 ) -> str:
     """The cache key of one decision query.
 
     ``kind`` namespaces the query shape (engine-level run search, raw BMC
-    search, ...); ``engine``/``backend``/``bound`` make keys precise about the
-    decision procedure, so a bounded verdict can never shadow a complete one.
+    search, ...); ``engine``/``bound`` make keys precise about the decision
+    procedure, so a bounded verdict can never shadow a complete one.
     """
     parts = [
         f"kind={kind}",
         f"engine={engine}",
-        f"backend={backend}",
         f"bound={'-' if bound is None else bound}",
         f"module={module_fingerprint(module)}",
     ]

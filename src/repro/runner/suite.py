@@ -45,7 +45,6 @@ from ..core.spec import CoverageProblem
 from ..designs.catalog import get_design
 from ..designs.random import RandomDesignSpec, random_problem
 from ..engines.coverage import get_engine
-from ..engines.prop import using_prop_backend
 from ..ltl.ast import Atom, Eventually
 from ..obs import PhaseAggregator
 from .cache import CacheStats, ResultCache, cache_for_dir, set_result_cache, using_result_cache
@@ -73,7 +72,6 @@ class CoverageJob:
     target: str  # conjunct index (as text) or signal name
     index: int  # architectural conjunct index (0 for signal shards)
     engine: str = "explicit"
-    prop_backend: str = "auto"
     bound: int = 12
     #: ``True`` / ``False`` / ``"auto"`` (see :mod:`repro.problem`).
     slicing: object = "auto"
@@ -204,7 +202,6 @@ def expand_jobs(
     designs: Optional[Sequence[str]] = None,
     *,
     engine: str = "explicit",
-    prop_backend: str = "auto",
     bound: int = 12,
     slicing="auto",
     include_signals: bool = True,
@@ -227,7 +224,6 @@ def expand_jobs(
         common = dict(
             design=name,
             engine=engine,
-            prop_backend=prop_backend,
             bound=bound,
             slicing=slicing,
             random_spec=spec,
@@ -268,39 +264,38 @@ def _answer(
     """
     problem = job.problem()
     engine = get_engine(job.engine, max_bound=job.bound, slicing=job.slicing)
-    with using_prop_backend(job.prop_backend):
-        if job.kind == "primary":
-            verdict = engine.check_primary(
-                problem, architectural=problem.architectural[job.index]
-            )
-            features = _shard_features(verdict.features, job)
-            return (
-                bool(verdict.covered),
-                bool(verdict.complete),
-                "",
-                verdict.winner,
-                features,
-            )
-        if job.kind == "signal":
-            module = problem.composed_module()
-            formulas = problem.all_rtl_formulas() + [Eventually(Atom(job.target))]
-            # Compile explicitly (memoized, so free when find_run recompiles)
-            # so the shard row carries the query's feature record.
-            compiled = engine.compile(module, formulas, observe=(job.target,))
-            features = _shard_features(compiled.features(bound=job.bound), job)
-            result = engine.find_run(compiled)
-            observable = bool(result.satisfiable)
-            result_complete = getattr(result, "complete", None)
-            if result_complete is None:
-                result_complete = engine.complete
-            # "never observable" is definitive only on a complete verdict.
-            return (
-                observable,
-                result_complete or observable,
-                "",
-                getattr(result, "winner", None),
-                features,
-            )
+    if job.kind == "primary":
+        verdict = engine.check_primary(
+            problem, architectural=problem.architectural[job.index]
+        )
+        features = _shard_features(verdict.features, job)
+        return (
+            bool(verdict.covered),
+            bool(verdict.complete),
+            "",
+            verdict.winner,
+            features,
+        )
+    if job.kind == "signal":
+        module = problem.composed_module()
+        formulas = problem.all_rtl_formulas() + [Eventually(Atom(job.target))]
+        # Compile explicitly (memoized, so free when find_run recompiles)
+        # so the shard row carries the query's feature record.
+        compiled = engine.compile(module, formulas, observe=(job.target,))
+        features = _shard_features(compiled.features(bound=job.bound), job)
+        result = engine.find_run(compiled)
+        observable = bool(result.satisfiable)
+        result_complete = getattr(result, "complete", None)
+        if result_complete is None:
+            result_complete = engine.complete
+        # "never observable" is definitive only on a complete verdict.
+        return (
+            observable,
+            result_complete or observable,
+            "",
+            getattr(result, "winner", None),
+            features,
+        )
     raise ValueError(f"unknown shard kind {job.kind!r}")
 
 

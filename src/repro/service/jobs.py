@@ -18,18 +18,11 @@ every engine search loop already polls it, and a fired timer surfaces as
 :class:`JobTimeout` (the HTTP layer's 504).  ``SIGALRM`` is useless here —
 handler threads are never the main thread — which is exactly why the tokens
 exist.
-
-Thread-safety note: the propositional backend is process-global
-(:func:`repro.engines.prop.using_prop_backend` swaps it), so requests that
-ask for a specific non-``auto`` backend are serialised through one lock;
-``auto`` requests (the default) run fully concurrently under whatever
-backend the server booted with.
 """
 
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -58,7 +51,6 @@ class JobRequest:
 
     kind: str  # "check" | "analyze" | "suite"
     engine: str = "explicit"
-    prop_backend: str = "auto"
     bound: int = 12
     slicing: object = "auto"
     #: Per-request wall-clock budget in seconds (``None`` = server default).
@@ -89,22 +81,6 @@ class ServiceDefaults:
 
     cache_dir: Optional[str] = None
     max_suite_workers: int = 4
-
-
-_BACKEND_LOCK = threading.Lock()
-
-
-@contextmanager
-def _backend_scope(name: str):
-    """Serialise non-default prop-backend switches (the backend is global)."""
-    from ..engines import active_prop_backend, using_prop_backend
-
-    if name in (None, "auto") and active_prop_backend().name in ("auto", name):
-        yield
-        return
-    with _BACKEND_LOCK:
-        with using_prop_backend(name):
-            yield
 
 
 def execute_job(
@@ -202,9 +178,8 @@ def _run_check(request: JobRequest, defaults: ServiceDefaults) -> Dict[str, obje
     )
     engine = get_engine(request.engine, max_bound=request.bound, slicing=request.slicing)
     delta = _cache_delta_scope()
-    with _backend_scope(request.prop_backend):
-        with PhaseAggregator() as phases:
-            verdict = engine.check_primary(problem, architectural=architectural)
+    with PhaseAggregator() as phases:
+        verdict = engine.check_primary(problem, architectural=architectural)
     return {
         "job": "check",
         "design": request.design,
@@ -240,9 +215,8 @@ def _run_analyze(request: JobRequest, defaults: ServiceDefaults) -> Dict[str, ob
         unfold_depth=request.depth,
     )
     delta = _cache_delta_scope()
-    with _backend_scope(request.prop_backend):
-        with PhaseAggregator() as phases:
-            report = analyze_problem(problem, options)
+    with PhaseAggregator() as phases:
+        report = analyze_problem(problem, options)
     gaps = [analysis.describe() for analysis in report.analyses if not analysis.covered]
     return {
         "job": "analyze",
@@ -267,7 +241,6 @@ def _run_suite(request: JobRequest, defaults: ServiceDefaults) -> Dict[str, obje
     jobs = expand_jobs(
         list(request.designs) if request.designs is not None else None,
         engine=request.engine,
-        prop_backend=request.prop_backend,
         bound=request.bound,
         slicing=request.slicing,
         include_signals=request.include_signals,

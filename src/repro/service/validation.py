@@ -158,16 +158,6 @@ def _engine(value, field: str) -> str:
     return name
 
 
-def _prop_backend(value, field: str) -> str:
-    from ..engines import prop_backend_names
-
-    name = _str(value, field)
-    if name not in prop_backend_names():
-        known = ", ".join(sorted(prop_backend_names()))
-        raise ValidationError(field, f"unknown prop backend {name!r} (known: {known})")
-    return name
-
-
 def _slicing(value, field: str):
     if value is True or value is False or value == "auto":
         return value
@@ -195,7 +185,6 @@ _Validator = Callable[[object, str], object]
 
 _COMMON: Dict[str, Tuple[_Validator, bool, object]] = {
     "engine": (_engine, False, "explicit"),
-    "prop_backend": (_prop_backend, False, "auto"),
     "bound": (_bound, False, 12),
     "slicing": (_slicing, False, "auto"),
     "timeout": (_timeout, False, None),

@@ -1,10 +1,9 @@
-"""Cross-engine agreement: every engine × prop-backend pair, identical verdicts.
+"""Cross-engine agreement: every engine, identical verdicts.
 
 This promotes the invariant previously only exercised by
 ``benchmarks/bench_backends.py`` into the tier-1 suite: on every catalogued
 design the explicit-state, bounded SAT and symbolic BDD fixpoint coverage
-engines — under every propositional backend — must return the catalogued
-coverage verdict.
+engines must return the catalogued coverage verdict.
 """
 
 import re
@@ -20,18 +19,17 @@ from repro.engines import (
     SymbolicEngine,
     engine_names,
     get_engine,
-    using_prop_backend,
 )
 
 _DESIGNS = ["mal_fig2", "mal_fig4", "paper_example"]
+_MATRIX_DESIGNS = _DESIGNS + ["telemetry_bank", "intel_like"]
 _ENGINES = ["explicit", "bmc"]
-_PROP_BACKENDS = ["table", "bdd", "sat", "auto"]
 _BMC_BOUND = 6
 
 
 @pytest.fixture(scope="module")
 def problems():
-    return {name: get_design(name).builder() for name in _DESIGNS}
+    return {name: get_design(name).builder() for name in _MATRIX_DESIGNS}
 
 
 class TestEngineRegistry:
@@ -78,15 +76,13 @@ class TestEngineRegistry:
         assert isinstance(get_engine("explicit", max_bound=4), ExplicitEngine)
 
 
-@pytest.mark.parametrize("prop_backend", _PROP_BACKENDS)
 @pytest.mark.parametrize("engine", _ENGINES)
-@pytest.mark.parametrize("design", _DESIGNS)
+@pytest.mark.parametrize("design", _MATRIX_DESIGNS)
 class TestMatrixAgreement:
-    def test_verdict_matches_catalog(self, problems, design, engine, prop_backend):
+    def test_verdict_matches_catalog(self, problems, design, engine):
         entry = get_design(design)
         engine_instance = get_engine(engine, max_bound=_BMC_BOUND)
-        with using_prop_backend(prop_backend):
-            verdict = engine_instance.check_primary(problems[design])
+        verdict = engine_instance.check_primary(problems[design])
         assert verdict.covered == entry.expected_covered
         assert verdict.engine == engine
         # Witness runs accompany every negative verdict, for either engine;
@@ -100,12 +96,7 @@ class TestMatrixAgreement:
 
 
 class TestSymbolicAgreement:
-    """The symbolic engine matches the catalogued verdict on every design.
-
-    It does not consult the propositional backends (all boolean reasoning
-    happens inside its own BDD manager), so one pass per design suffices
-    instead of the full backend matrix.
-    """
+    """The symbolic engine matches the catalogued verdict on every design."""
 
     @pytest.mark.parametrize("design", _DESIGNS)
     def test_verdict_matches_catalog(self, problems, design):

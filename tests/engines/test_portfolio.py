@@ -180,6 +180,21 @@ class TestCaching:
         assert second.winner == first.winner
         assert second.complete == first.complete
 
+    def test_member_set_is_part_of_the_cache_key(self):
+        # A bmc-only race caches a bounded verdict that must never shadow
+        # the full race's complete proof of the same query.
+        problem = get_design("mal_fig2").builder()
+        cache = ResultCache()
+        with using_result_cache(cache):
+            bounded = PortfolioEngine(
+                max_bound=_BMC_BOUND, members=("bmc",), parallel=False
+            ).check_primary(problem)
+            stores = cache.stats.stores
+            full = get_engine("portfolio", max_bound=_BMC_BOUND).check_primary(problem)
+        assert not bounded.complete
+        assert full.complete
+        assert cache.stats.stores > stores
+
     def test_race_populates_member_cache_keys(self):
         # The winning member's own cache entry must exist so a later pinned
         # run (--engine <winner>) replays instead of re-searching.

@@ -4,16 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.engines import prop
 from repro.engines.prop import (
+    BDD_CUTOFF,
+    TABLE_CUTOFF,
     AutoBackend,
     BddBackend,
     SatBackend,
     TruthTableBackend,
-    active_prop_backend,
-    get_prop_backend,
-    prop_backend_names,
-    set_prop_backend,
-    using_prop_backend,
 )
 from repro.logic.boolexpr import (
     FALSE,
@@ -33,53 +31,15 @@ from repro.logic.boolexpr import (
 
 a, b, c, d = var("a"), var("b"), var("c"), var("d")
 
-ALL_BACKENDS = ["table", "bdd", "sat", "auto"]
-
-
-class TestRegistry:
-    def test_known_names(self):
-        assert set(prop_backend_names()) == {"table", "bdd", "sat", "auto"}
-
-    def test_lookup_and_aliases(self):
-        assert isinstance(get_prop_backend("table"), TruthTableBackend)
-        assert isinstance(get_prop_backend("truth-table"), TruthTableBackend)
-        assert isinstance(get_prop_backend("BDD"), BddBackend)
-        assert isinstance(get_prop_backend("sat"), SatBackend)
-        assert isinstance(get_prop_backend("auto"), AutoBackend)
-
-    def test_instance_passthrough(self):
-        backend = SatBackend()
-        assert get_prop_backend(backend) is backend
-
-    def test_unknown_name_raises(self):
-        with pytest.raises(KeyError):
-            get_prop_backend("z3")
-
-    def test_using_prop_backend_restores(self):
-        before = active_prop_backend()
-        with using_prop_backend("sat") as installed:
-            assert isinstance(installed, SatBackend)
-            assert active_prop_backend() is installed
-        assert active_prop_backend() is before
-
-    def test_using_none_is_a_no_op(self):
-        before = active_prop_backend()
-        with using_prop_backend(None) as installed:
-            assert installed is before
-        assert active_prop_backend() is before
-
-    def test_set_prop_backend_returns_previous(self):
-        previous = set_prop_backend("table")
-        try:
-            assert isinstance(active_prop_backend(), TruthTableBackend)
-        finally:
-            set_prop_backend(previous)
+ALL_BACKENDS = [
+    pytest.param(cls, id=cls.name) for cls in (TruthTableBackend, BddBackend, SatBackend, AutoBackend)
+]
 
 
 class TestBackendSemantics:
-    @pytest.mark.parametrize("name", ALL_BACKENDS)
-    def test_tautology_and_contradiction(self, name):
-        backend = get_prop_backend(name)
+    @pytest.mark.parametrize("backend_class", ALL_BACKENDS)
+    def test_tautology_and_contradiction(self, backend_class):
+        backend = backend_class()
         assert backend.is_tautology(or_(a, not_(a)))
         assert not backend.is_tautology(a)
         assert not backend.is_sat(and_(a, not_(a)))
@@ -87,17 +47,17 @@ class TestBackendSemantics:
         assert backend.is_tautology(TRUE)
         assert not backend.is_sat(FALSE)
 
-    @pytest.mark.parametrize("name", ALL_BACKENDS)
-    def test_equivalence(self, name):
-        backend = get_prop_backend(name)
+    @pytest.mark.parametrize("backend_class", ALL_BACKENDS)
+    def test_equivalence(self, backend_class):
+        backend = backend_class()
         assert backend.equivalent(not_(and_(a, b)), or_(not_(a), not_(b)))
         assert backend.equivalent(implies(a, b), or_(not_(a), b))
         assert not backend.equivalent(a, b)
         assert backend.equivalent(xor(a, b), or_(and_(a, not_(b)), and_(not_(a), b)))
 
-    @pytest.mark.parametrize("name", ALL_BACKENDS)
-    def test_model_satisfies_expression(self, name):
-        backend = get_prop_backend(name)
+    @pytest.mark.parametrize("backend_class", ALL_BACKENDS)
+    def test_model_satisfies_expression(self, backend_class):
+        backend = backend_class()
         expr = and_(or_(a, b), or_(not_(a), c), not_(d))
         model = backend.model(expr)
         assert model is not None
@@ -105,11 +65,12 @@ class TestBackendSemantics:
         assert expr.evaluate(model)
         assert backend.model(and_(a, not_(a))) is None
 
-    def test_module_predicates_dispatch_to_active_backend(self):
-        class Recording(TruthTableBackend):
-            name = "recording"
+    def test_module_predicates_dispatch_to_auto_policy(self, monkeypatch):
+        assert isinstance(prop.AUTO, AutoBackend)
 
+        class Recording(AutoBackend):
             def __init__(self):
+                super().__init__()
                 self.calls = []
 
             def is_tautology(self, expr):
@@ -125,31 +86,34 @@ class TestBackendSemantics:
                 return super().is_sat(expr)
 
         recorder = Recording()
-        with using_prop_backend(recorder):
-            assert is_tautology(or_(a, not_(a)))
-            assert expr_equivalent(a, a)
-            assert is_contradiction(and_(a, not_(a)))
+        monkeypatch.setattr(prop, "AUTO", recorder)
+        assert is_tautology(or_(a, not_(a)))
+        assert expr_equivalent(a, a)
+        assert is_contradiction(and_(a, not_(a)))
         assert recorder.calls == ["is_tautology", "equivalent", "is_sat"]
 
 
 class TestAutoPolicy:
     def test_pick_by_variable_count(self):
-        auto = AutoBackend(table_cutoff=4, bdd_cutoff=8)
-        assert isinstance(auto.pick(2), TruthTableBackend)
-        assert isinstance(auto.pick(4), BddBackend)
-        assert isinstance(auto.pick(8), BddBackend)
-        assert isinstance(auto.pick(9), SatBackend)
+        auto = AutoBackend()
+        assert isinstance(auto.pick(0), TruthTableBackend)
+        assert isinstance(auto.pick(TABLE_CUTOFF - 1), TruthTableBackend)
+        assert isinstance(auto.pick(TABLE_CUTOFF), BddBackend)
+        assert isinstance(auto.pick(BDD_CUTOFF), BddBackend)
+        assert isinstance(auto.pick(BDD_CUTOFF + 1), SatBackend)
 
     def test_wide_query_never_enumerates(self):
         class Exploding(TruthTableBackend):
             def is_tautology(self, expr):  # pragma: no cover - must not run
                 raise AssertionError("truth-table backend used above the cutoff")
 
-        auto = AutoBackend(table_cutoff=4, bdd_cutoff=32)
+        auto = AutoBackend()
         auto._table = Exploding()
-        # A 7-variable tautology that does not constant-fold at construction.
-        wide = or_(*(var(f"v{i}") for i in range(6)), not_(and_(var("v0"), var("v6"))))
-        assert len(wide.variables()) == 7
+        # A TABLE_CUTOFF-variable tautology that does not constant-fold at
+        # construction.
+        last = TABLE_CUTOFF - 1
+        wide = or_(*(var(f"v{i}") for i in range(last)), not_(and_(var("v0"), var(f"v{last}"))))
+        assert len(wide.variables()) == TABLE_CUTOFF
         assert auto.is_tautology(wide)
 
 
@@ -220,8 +184,7 @@ def test_backends_agree(left, right):
     expected_taut = reference.is_tautology(left)
     expected_sat = reference.is_sat(left)
     expected_equiv = reference.equivalent(left, right)
-    for name in ("bdd", "sat", "auto"):
-        backend = get_prop_backend(name)
+    for backend in (BddBackend(), SatBackend(), AutoBackend()):
         assert backend.is_tautology(left) == expected_taut
         assert backend.is_sat(left) == expected_sat
         assert backend.equivalent(left, right) == expected_equiv

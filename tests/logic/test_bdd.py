@@ -57,6 +57,14 @@ class TestOperations:
         assert function.restrict({"a": True}).equivalent(b)
         assert function.restrict({"a": False}).is_false()
 
+    def test_restrict_by_undeclared_variable_is_identity(self, manager):
+        a, b = manager.var("a"), manager.var("b")
+        function = a | b
+        assert function.restrict({"z": True}) == function
+        assert function.restrict({"z": False, "a": False}).equivalent(b)
+        # Several variables at once: one cofactor each, in any order.
+        assert (a & b & manager.var("c")).restrict({"c": True, "a": True}).equivalent(b)
+
     def test_exists(self, manager):
         a, b = manager.var("a"), manager.var("b")
         assert (a & b).exists(["a"]).equivalent(b)

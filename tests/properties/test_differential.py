@@ -12,12 +12,19 @@ import random
 
 import pytest
 
+from repro.designs import CATALOG
 from repro.designs.random import RandomDesignSpec, random_boolexpr, random_problem
-from repro.engines import get_engine, get_prop_backend
-from repro.logic.boolexpr import not_
+from repro.engines import AutoBackend, BddBackend, SatBackend, TruthTableBackend, get_engine
+from repro.logic.boolexpr import FALSE, TRUE, and_, not_, or_, var
 
-BACKENDS = ("table", "bdd", "sat")
+BACKENDS = (TruthTableBackend(), BddBackend(), SatBackend())
 NAMES = ("a", "b", "c", "d", "e", "f")
+#: Catalog designs whose concrete modules drive combinational nets.
+_DESIGNS_WITH_NETS = [
+    name
+    for name in sorted(CATALOG)
+    if any(module.assigns for module in CATALOG[name].builder().concrete_modules)
+]
 
 
 def _cases(seed: int, count: int, depth: int = 3):
@@ -30,30 +37,27 @@ class TestBackendAgreement:
 
     @pytest.mark.parametrize("seed", [101, 202, 303])
     def test_is_sat_and_is_tautology_agree(self, seed):
-        backends = [get_prop_backend(name) for name in BACKENDS]
         for expr in _cases(seed, 120):
-            sat_votes = [backend.is_sat(expr) for backend in backends]
-            taut_votes = [backend.is_tautology(expr) for backend in backends]
+            sat_votes = [backend.is_sat(expr) for backend in BACKENDS]
+            taut_votes = [backend.is_tautology(expr) for backend in BACKENDS]
             assert len(set(sat_votes)) == 1, f"is_sat disagreement on {expr}"
             assert len(set(taut_votes)) == 1, f"is_tautology disagreement on {expr}"
 
     @pytest.mark.parametrize("seed", [404, 505])
     def test_equivalent_agrees(self, seed):
-        backends = [get_prop_backend(name) for name in BACKENDS]
         cases = _cases(seed, 120)
         for left, right in zip(cases[0::2], cases[1::2]):
-            votes = [backend.equivalent(left, right) for backend in backends]
+            votes = [backend.equivalent(left, right) for backend in BACKENDS]
             assert len(set(votes)) == 1, f"equivalent disagreement on {left} / {right}"
             # Metamorphic check: x is always equivalent to !!x, never to !x.
-            assert all(backend.equivalent(left, not_(not_(left))) for backend in backends)
+            assert all(backend.equivalent(left, not_(not_(left))) for backend in BACKENDS)
             negated = not_(left)
-            assert not any(backend.equivalent(left, negated) for backend in backends)
+            assert not any(backend.equivalent(left, negated) for backend in BACKENDS)
 
     @pytest.mark.parametrize("seed", [606, 707])
     def test_models_actually_satisfy(self, seed):
-        backends = [get_prop_backend(name) for name in BACKENDS]
         for expr in _cases(seed, 80):
-            for backend in backends:
+            for backend in BACKENDS:
                 model = backend.model(expr)
                 if model is None:
                     assert not backend.is_sat(expr)
@@ -62,9 +66,35 @@ class TestBackendAgreement:
                     full.update(model)
                     assert expr.evaluate(full), f"{backend.name} model does not satisfy {expr}"
 
+    @pytest.mark.parametrize("design", _DESIGNS_WITH_NETS)
+    def test_tm_folds_agree_across_backends(self, design, monkeypatch):
+        """``T_M`` constant folding, the pipeline's one use of the
+        propositional policy, folds every net of the design, and a disguised
+        tautology and contradiction over each, the same under every delegate
+        (the rest of ``T_M`` construction never asks a backend)."""
+        from repro.core.tm import _fold_constant
+        from repro.engines import prop
+
+        cases, expected = [], []
+        for module in CATALOG[design].builder().concrete_modules:
+            for net in module.assigns.values():
+                cases.append(net)
+                expected.append(net)
+                literal = var(sorted(net.variables())[0]) if net.variables() else TRUE
+                cases += [
+                    or_(and_(net, literal), not_(net), not_(literal)),
+                    and_(or_(net, literal), not_(net), not_(literal)),
+                ]
+                expected += [TRUE, FALSE]
+        # Catalog nets are not constant: only the disguised cases fold.
+        assert [_fold_constant(expr) for expr in cases] == expected
+        for backend in BACKENDS:
+            monkeypatch.setattr(prop, "AUTO", backend)
+            assert [_fold_constant(expr) for expr in cases] == expected, backend.name
+
     def test_auto_matches_the_concrete_backends(self):
-        auto = get_prop_backend("auto")
-        table = get_prop_backend("table")
+        auto = AutoBackend()
+        table = TruthTableBackend()
         for expr in _cases(808, 100):
             assert auto.is_sat(expr) == table.is_sat(expr)
             assert auto.is_tautology(expr) == table.is_tautology(expr)

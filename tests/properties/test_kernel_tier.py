@@ -1,11 +1,10 @@
 """Differential properties of the raw-speed kernel tier.
 
-Three kernels each keep a slow reference path in-tree; these tests pin the
+Two kernels each keep a slow reference path in-tree; these tests pin the
 fast path to it on the design catalog plus seeded random designs:
 
 * incremental (assumption-based) BMC vs the legacy fresh-solver search,
-* the bitset product / bitset emptiness sweep vs the dict product / Tarjan,
-* in-place BDD sifting vs the functions it is supposed to preserve.
+* the bitset product / bitset emptiness sweep vs the dict product / Tarjan.
 
 Seeded RNGs only — every failure here is reproducible by seed.
 """
@@ -22,8 +21,6 @@ import pytest
 from repro.bmc.engine import find_run_bmc
 from repro.designs import CATALOG
 from repro.designs.random import RandomDesignSpec, random_problem
-from repro.logic import boolexpr as bx
-from repro.logic.bdd import BDDManager
 from repro.ltl.traces import evaluate
 from repro.mc.modelcheck import build_kripke, compile_formulas
 from repro.mc.product import kripke_automata_product
@@ -223,91 +220,3 @@ class TestBitsetProductDifferential:
                         )
                     for accept_set in fast.acceptance:
                         assert accept_set & set(lasso.loop), (name, lasso)
-
-
-class TestBddSifting:
-    """In-place reordering must preserve every function and canonicity."""
-
-    NAMES = ("a", "b", "c", "d", "e", "f")
-
-    def _random_exprs(self, rng, count):
-        def rexpr(depth):
-            if depth == 0 or rng.random() < 0.25:
-                return bx.var(rng.choice(self.NAMES))
-            roll = rng.random()
-            if roll < 0.33:
-                return bx.not_(rexpr(depth - 1))
-            if roll < 0.66:
-                return bx.and_(rexpr(depth - 1), rexpr(depth - 1))
-            return bx.or_(rexpr(depth - 1), rexpr(depth - 1))
-
-        return [rexpr(4) for _ in range(count)]
-
-    def _assignments(self):
-        import itertools
-
-        return [
-            dict(zip(self.NAMES, bits))
-            for bits in itertools.product([False, True], repeat=len(self.NAMES))
-        ]
-
-    @pytest.mark.parametrize("seed", [17, 18, 19])
-    def test_swaps_and_sift_preserve_functions(self, seed):
-        rng = random.Random(seed)
-        manager = BDDManager(self.NAMES)
-        funcs = [manager.from_expr(expr) for expr in self._random_exprs(rng, 5)]
-        assignments = self._assignments()
-        before = [[f.evaluate(a) for a in assignments] for f in funcs]
-        for _ in range(20):
-            manager.swap_adjacent(rng.randrange(len(self.NAMES) - 1))
-        assert before == [[f.evaluate(a) for a in assignments] for f in funcs]
-        live = manager.live_node_count([f.root for f in funcs])
-        manager.sift(funcs)
-        assert manager.live_node_count([f.root for f in funcs]) <= live
-        assert before == [[f.evaluate(a) for a in assignments] for f in funcs]
-
-    @pytest.mark.parametrize("seed", [23, 29])
-    def test_canonicity_survives_reordering(self, seed):
-        """Equivalent functions built *after* a sift share one node."""
-        rng = random.Random(seed)
-        manager = BDDManager(self.NAMES)
-        funcs = [manager.from_expr(expr) for expr in self._random_exprs(rng, 4)]
-        manager.sift(funcs)
-        left, right = funcs[0], funcs[1]
-        conj = left & right
-        de_morgan = ~(~left | ~right)
-        assert conj.root == de_morgan.root
-        # And the internal invariant: children always at deeper levels.
-        for ident, node in enumerate(manager._nodes):
-            if node is None:
-                continue
-            for child in (node.low, node.high):
-                if child > 1:
-                    assert manager._nodes[child].level > node.level
-
-    def test_sifting_shrinks_a_known_bad_order(self):
-        """The textbook case: sum of disjoint products in interleaved-hostile
-        order ``a1..an b1..bn`` collapses once sifting pairs ``ai`` with
-        ``bi``."""
-        names = ["a1", "a2", "a3", "b1", "b2", "b3"]
-        manager = BDDManager(names)
-        function = manager.false()
-        for i in range(1, 4):
-            function = function | (
-                manager.var(f"a{i}") & manager.var(f"b{i}")
-            )
-        before = manager.live_node_count([function.root])
-        manager.sift([function])
-        after = manager.live_node_count([function.root])
-        assert after < before
-
-    def test_symbolic_engine_verdicts_unchanged_by_reordering(self):
-        from repro.engines import get_engine
-
-        for name in ("mal_fig2", "telemetry_bank"):
-            problem = CATALOG[name].builder()
-            base = get_engine("symbolic").check_primary(problem)
-            reordered = get_engine("symbolic", bdd_reorder=True).check_primary(
-                problem
-            )
-            assert base.covered == reordered.covered, name

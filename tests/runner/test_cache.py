@@ -81,12 +81,12 @@ class TestFingerprints:
     def test_query_key_components_matter(self):
         module = build_simple_latch()
         formulas = [parse("G(c -> X c)")]
-        base = query_key("k", module, formulas, engine="explicit", backend="auto")
-        assert base != query_key("k2", module, formulas, engine="explicit", backend="auto")
-        assert base != query_key("k", module, formulas, engine="bmc", backend="auto")
-        assert base != query_key("k", module, formulas, engine="explicit", backend="sat")
-        assert base != query_key("k", module, formulas, engine="explicit", backend="auto", bound=8)
-        assert base == query_key("k", module, formulas, engine="explicit", backend="auto")
+        base = query_key("k", module, formulas, engine="explicit")
+        assert base != query_key("k2", module, formulas, engine="explicit")
+        assert base != query_key("k", module, formulas, engine="bmc")
+        assert base != query_key("k", module, formulas, engine="explicit", bound=8)
+        assert base != query_key("k", module, formulas, engine="explicit", extra=("members=bmc",))
+        assert base == query_key("k", module, formulas, engine="explicit")
 
     def test_fingerprints_stable_across_hash_seeds(self):
         """Suite workers must agree on keys regardless of PYTHONHASHSEED."""
@@ -96,7 +96,7 @@ class TestFingerprints:
             "problem = build_mal()\n"
             "key = query_key('t', problem.composed_module(),"
             " problem.all_rtl_formulas() + problem.architectural,"
-            " engine='explicit', backend='auto')\n"
+            " engine='explicit')\n"
             "print(key)\n"
         )
         keys = set()

@@ -179,6 +179,13 @@ def test_http_validation_failure_is_structured(client):
     assert fields == ["bound", "design"]
 
 
+def test_http_prop_backend_field_is_unknown(client):
+    with pytest.raises(ServiceError) as excinfo:
+        client.submit("check", {"design": "mal_fig2", "prop_backend": "auto"})
+    assert excinfo.value.status == 400
+    assert excinfo.value.payload["errors"] == [{"field": "prop_backend", "message": "unknown field"}]
+
+
 def test_http_non_json_body_is_structured_400(client):
     import http.client
 

@@ -26,7 +26,6 @@ def test_minimal_check_request_fills_defaults():
     assert request.kind == "check"
     assert request.design == "mal_fig2"
     assert request.engine == "explicit"
-    assert request.prop_backend == "auto"
     assert request.bound == 12
     assert request.slicing == "auto"
     assert request.timeout is None
@@ -39,7 +38,6 @@ def test_full_check_request_round_trips():
         {
             "design": "amba_ahb",
             "engine": "bmc",
-            "prop_backend": "auto",
             "bound": 8,
             "slicing": False,
             "timeout": 30.5,
@@ -144,6 +142,15 @@ def test_unknown_engine_and_backend():
     assert fields_of(excinfo) == ["engine", "prop_backend"]
 
 
+@pytest.mark.parametrize("kind", ["check", "analyze", "suite"])
+def test_prop_backend_is_an_unknown_field(kind):
+    """There is one propositional policy: even its old name is rejected."""
+    body = {"prop_backend": "auto"} if kind == "suite" else {"design": "mal_fig2", "prop_backend": "auto"}
+    with pytest.raises(RequestValidationError) as excinfo:
+        validate_request(kind, body)
+    assert excinfo.value.entries() == [{"field": "prop_backend", "message": "unknown field"}]
+
+
 @pytest.mark.parametrize("engine", ["explicit", "bmc", "symbolic", "portfolio", "auto"])
 def test_registered_engines_accepted(engine):
     for kind in ("check", "analyze", "suite"):
@@ -162,7 +169,7 @@ def test_removed_engine_alias_rejected_with_known_names(alias):
     }
 
 
-_COMMON_FIELDS = {"engine", "prop_backend", "bound", "slicing", "timeout"}
+_COMMON_FIELDS = {"engine", "bound", "slicing", "timeout"}
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """CLI smoke tests and end-to-end integration tests."""
 
 import argparse
+import json
 
 import pytest
 
@@ -19,7 +20,12 @@ _ENGINE_ARGV = [
     ["submit", "check", "mal_fig2", "--port", "1"],
 ]
 
-_BACKEND_FLAGS = ["--bdd-reorder", "--bound", "--engine", "--no-slice", "--prop-backend"]
+_BACKEND_FLAGS = ["--bound", "--engine", "--no-slice"]
+
+#: The removed knobs and the subcommands that used to accept them.
+_REMOVED_FLAGS = [(argv, "--prop-backend") for argv in _ENGINE_ARGV] + [
+    (argv, "--bdd-reorder") for argv in _ENGINE_ARGV if argv[0] != "submit"
+]
 
 #: Every flag of the subcommands that run coverage queries or serve them.
 #: Options may only be removed: a new one must be added here on purpose.
@@ -132,6 +138,93 @@ class TestCLI:
         }
         expected = set(_SUBCOMMAND_FLAGS[command]) | {"-h", "--help", "--trace"}
         assert flags == expected
+
+    @pytest.mark.parametrize(
+        "argv,flag", _REMOVED_FLAGS, ids=lambda value: value if isinstance(value, str) else value[0]
+    )
+    def test_removed_knob_rejected(self, argv, flag, capsys):
+        value = ["auto"] if flag == "--prop-backend" else []
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv + [flag] + value)
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "paper_example", "--depth", "0"],
+            ["analyze", "paper_example", "--depth", "-2"],
+            ["analyze", "paper_example", "--max-witnesses", "-1"],
+            ["table1", "--max-witnesses", "-1"],
+        ],
+        ids=lambda argv: "_".join([argv[0]] + argv[-2:]),
+    )
+    def test_analysis_limits_rejected_below_range(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        assert f"argument {argv[-2]}: must be >= " in capsys.readouterr().err
+
+    def test_analysis_limits_accept_their_minimum(self):
+        args = build_parser().parse_args(["analyze", "paper_example", "--depth", "1", "--max-witnesses", "0"])
+        assert (args.depth, args.max_witnesses) == (1, 0)
+        assert build_parser().parse_args(["table1", "--max-witnesses", "0"]).max_witnesses == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "mal_fig4"],
+            ["check", "mal_fig2", "--engine", "bmc", "--bound", "6"],
+            ["check", "paper_example", "--engine", "symbolic"],
+            # Conjunct 0 of amba_ahb is covered up to bound 4 while the design
+            # as a whole is not: exit 1, in text mode as with --json.
+            ["check", "amba_ahb", "--engine", "bmc", "--bound", "4", "--index", "0"],
+            ["check", "amba_ahb", "--engine", "bmc", "--bound", "4", "--index", "1"],
+            ["check", "telemetry_bank", "--engine", "auto", "--index", "2"],
+        ],
+        ids=[
+            "mal_fig4",
+            "mal_fig2-bmc",
+            "paper_example-symbolic",
+            "amba_ahb-bmc-index0",
+            "amba_ahb-bmc-index1",
+            "telemetry_bank-auto-index2",
+        ],
+    )
+    def test_check_text_mode_prints_the_json_verdict(self, argv, capsys):
+        """Text mode checks what --json checks (``--index`` included) and
+        exits by the same rule."""
+        text_code = main(argv)
+        text = capsys.readouterr().out
+        json_code = main(argv + ["--json"])
+        payload = json.loads(capsys.readouterr().out)
+        verdict = payload["verdict"]
+        covered = f"covered  : {verdict['covered']}"
+        if verdict["covered"] and not verdict["complete"]:
+            covered += f" (up to bound {verdict['bound']})"
+        assert text_code == json_code
+        assert f"engine   : {payload['engine']}\n" in text
+        assert covered + "\n" in text
+        assert ("witness run (first cycles):" in text) == (not verdict["covered"])
+
+    def test_check_text_mode_skips_the_daemon_request_ceilings(self, capsys):
+        from repro.service.validation import MAX_BOUND
+
+        argv = ["check", "mal_fig2", "--bound", str(MAX_BOUND + 1)]
+        assert main(argv) == 0
+        assert "covered  : True" in capsys.readouterr().out
+        assert main(argv + ["--json"]) == 2
+        assert "bound" in capsys.readouterr().err
+
+    def test_check_index_out_of_range_exits_2_in_both_modes(self, capsys):
+        argv = ["check", "paper_example", "--index", "3"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert main(argv + ["--json"]) == 2
+        json_captured = capsys.readouterr()
+        assert "index 3 is out of range" in captured.err
+        assert captured.err == json_captured.err
 
     def test_sched_subcommand_rejected(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
