@@ -13,6 +13,10 @@ RTL specification (properties + concrete modules):
 5. *weaken* ``F_A`` with those literals, keep the weakest candidates that
    provably close the gap (step 2(d)), and verify closure with Theorem 1.
 
+Each model-checking query is asked once: the witness enumeration starts from
+the primary check's witness, and a reported gap property's closure verdict is
+the one its selection already decided.
+
 ``analyze_problem`` runs the pipeline for every architectural property and
 aggregates the phase timings in the shape of the paper's Table 1 (primary
 coverage question time / ``T_M`` building time / gap finding time).
@@ -222,15 +226,16 @@ def _find_coverage_gap(
         hole = coverage_hole(problem, architectural=architectural, options=options)
     tm_seconds = time.perf_counter() - tm_start
 
-    # Resolve the engine once per analysis: the closure checks below reuse it
-    # instead of re-resolving from options on every candidate.
+    # Resolve the engine once per analysis: the primary check, the witness
+    # enumeration and the closure checks all run on this instance.  An
+    # engine may keep state between queries (BMC pools its incremental
+    # solvers), so the enumeration, which starts from the primary witness,
+    # continues on the engine that found it.
     engine = engine_from_options(options)
 
     # Step 2 guard: the primary coverage question for this property.
     with span("primary_check", problem=problem.name):
-        primary = primary_coverage_check(
-            problem, architectural=architectural, options=options
-        )
+        primary = primary_coverage_check(problem, architectural=architectural, engine=engine)
     if primary.covered:
         return GapAnalysis(
             property_formula=architectural,
@@ -245,13 +250,15 @@ def _find_coverage_gap(
     gap_start = time.perf_counter()
     with span("gap_search", problem=problem.name):
         # Steps 2(a)/(b): uncovered terms from witness runs, projected onto
-        # APR/APA.
+        # APR/APA.  The enumeration's first query is the primary question, so
+        # it starts from the primary witness instead of asking it again.
         terms = uncovered_terms(
             problem,
             architectural=architectural,
             max_witnesses=options.max_witnesses,
             depth=options.unfold_depth,
-            options=options,
+            engine=engine,
+            first_witness=primary.witness,
         )
         # Step 2(c): push the terms into the parse tree.
         push = push_terms(architectural, terms.terms)
@@ -301,11 +308,10 @@ def _find_coverage_gap(
         gap_verified = False
         if options.verify_closure:
             if gap_properties:
-                gap_verified = engine.is_covered_with(
-                    problem,
-                    [candidate.formula for candidate in gap_properties[:1]],
-                    architectural=architectural,
-                )
+                # select_weakest reports only candidates closes() accepted,
+                # and Theorem 1 with a reported property added is exactly
+                # the query closes() answered for it on this engine.
+                gap_verified = True
             else:
                 from .hole import hole_closes_gap
 

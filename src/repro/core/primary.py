@@ -24,7 +24,7 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
-from ..engines.coverage import engine_from_options
+from ..engines.coverage import CoverageEngine, engine_from_options
 from ..ltl.ast import Formula, Not
 from ..ltl.traces import LassoTrace
 from ..mc.product import ProductStatistics
@@ -60,16 +60,18 @@ def primary_coverage_check(
     *,
     architectural: Optional[Formula] = None,
     options: Optional["CoverageOptions"] = None,
+    engine: Optional[CoverageEngine] = None,
 ) -> PrimaryCoverageResult:
     """Answer the primary coverage question for the problem.
 
     ``architectural`` restricts the check to a single architectural property
     (Algorithm 1 analyses the intent property by property); by default the
     conjunction of the whole intent is used.  ``options`` selects the engine
-    (``options.engine``, default explicit-state).
+    (``options.engine``, default explicit-state) unless an ``engine``
+    instance is passed.
     """
     problem.validate()
-    engine = engine_from_options(options)
+    engine = engine or engine_from_options(options)
     target = architectural if architectural is not None else problem.architectural_conjunction()
     formulas: List[Formula] = [Not(target)] + problem.all_rtl_formulas()
     start = time.perf_counter()

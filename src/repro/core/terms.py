@@ -23,7 +23,7 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, List, Optional
 
-from ..engines.coverage import engine_from_options
+from ..engines.coverage import CoverageEngine, engine_from_options
 from ..ltl.ast import Formula, Not
 from ..ltl.traces import LassoTrace
 from ..ltl.unfold import TemporalTerm, term_from_trace
@@ -55,18 +55,28 @@ def collect_gap_witnesses(
     max_witnesses: int = 4,
     depth: int = 5,
     options: Optional["CoverageOptions"] = None,
+    engine: Optional[CoverageEngine] = None,
+    first_witness: Optional[LassoTrace] = None,
 ) -> List[LassoTrace]:
     """Enumerate distinct runs admitted by ``R`` + concrete modules but refuting ``A``.
 
     Each new query excludes the bounded prefixes of the witnesses found so
     far, so the enumeration keeps producing genuinely different scenarios
     until either no further run exists or ``max_witnesses`` is reached.
-    The existential queries run on the engine selected by ``options``
-    (explicit-state by default; ``options.engine`` picks any registered
-    engine — ``"bmc"`` for the bounded SAT search, ``"symbolic"`` for the
-    BDD fixpoint, both of which return the same witness-lasso shape).
+    The existential queries run on ``engine``, or else on the engine
+    selected by ``options`` (explicit-state by default; ``options.engine``
+    picks any registered engine — ``"bmc"`` for the bounded SAT search,
+    ``"symbolic"`` for the BDD fixpoint, both of which return the same
+    witness-lasso shape).
+
+    ``first_witness`` is an answer to the first query, which has no
+    exclusions and is therefore the primary coverage question itself.
+    Algorithm 1 passes the witness its primary check found on the same
+    ``engine``, so the enumeration only queries for the second and later
+    witnesses, and finds the ones it would have found after asking the first
+    query itself.  ``None`` asks the first query too.
     """
-    engine = engine_from_options(options)
+    engine = engine or engine_from_options(options)
     target = architectural if architectural is not None else problem.architectural_conjunction()
     base_formulas: List[Formula] = [Not(target)] + problem.all_rtl_formulas()
     module = problem.composed_module()
@@ -74,16 +84,20 @@ def collect_gap_witnesses(
 
     witnesses: List[LassoTrace] = []
     exclusions: List[Formula] = []
-    for _ in range(max_witnesses):
-        # Witness prefixes are projected onto APR below; the compiled problem
-        # must keep the whole alphabet observable even when the query's
-        # formulas only read part of it (the cone-of-influence slice would
-        # otherwise drop signals the terms need).
-        result = engine.find_run(module, base_formulas + exclusions, observe=apr)
-        if not result.satisfiable or result.witness is None:
-            break
-        witnesses.append(result.witness)
-        observed = term_from_trace(result.witness, depth, apr).strip_trailing_empty()
+    while len(witnesses) < max_witnesses:
+        if not witnesses and first_witness is not None:
+            witness = first_witness
+        else:
+            # Witness prefixes are projected onto APR below; the compiled
+            # problem must keep the whole alphabet observable even when the
+            # query's formulas only read part of it (the cone-of-influence
+            # slice would otherwise drop signals the terms need).
+            result = engine.find_run(module, base_formulas + exclusions, observe=apr)
+            if not result.satisfiable or result.witness is None:
+                break
+            witness = result.witness
+        witnesses.append(witness)
+        observed = term_from_trace(witness, depth, apr).strip_trailing_empty()
         if observed.is_trivial():
             break
         exclusions.append(Not(observed.to_formula()))
@@ -97,8 +111,14 @@ def uncovered_terms(
     max_witnesses: int = 4,
     depth: int = 5,
     options: Optional["CoverageOptions"] = None,
+    engine: Optional[CoverageEngine] = None,
+    first_witness: Optional[LassoTrace] = None,
 ) -> UncoveredTerms:
-    """Steps 2(a)+(b) of Algorithm 1: bounded uncovered terms over ``APR`` and ``APA``."""
+    """Steps 2(a)+(b) of Algorithm 1: bounded uncovered terms over ``APR`` and ``APA``.
+
+    ``engine`` and ``first_witness`` pass through to the witness
+    enumeration (:func:`collect_gap_witnesses`).
+    """
     start = time.perf_counter()
     witnesses = collect_gap_witnesses(
         problem,
@@ -106,6 +126,8 @@ def uncovered_terms(
         max_witnesses=max_witnesses,
         depth=depth,
         options=options,
+        engine=engine,
+        first_witness=first_witness,
     )
     apr = problem.apr
     apa = problem.apa

@@ -58,7 +58,21 @@ __all__ = [
 class Formula:
     """Base class for LTL formula nodes (immutable, hashable)."""
 
-    __slots__ = ()
+    __slots__ = ("_hash",)
+
+    def __hash__(self) -> int:
+        # Computed once per node from the node class and its fields (whose
+        # hashes are cached in turn), so And(a, b) and Or(a, b), or Not(a)
+        # and G(a), hash apart.  The class *name* keeps the value a function
+        # of PYTHONHASHSEED alone.
+        try:
+            return self._hash
+        except AttributeError:
+            pass
+        fields = tuple(getattr(self, name) for name in self.__match_args__)
+        value = hash((type(self).__name__,) + fields)
+        object.__setattr__(self, "_hash", value)
+        return value
 
     # -- operator sugar -----------------------------------------------------
     def __and__(self, other: "Formula") -> "Formula":
@@ -88,7 +102,18 @@ class Formula:
         return f"{type(self).__name__}({to_str(self)!r})"
 
 
-@dataclass(frozen=True, repr=False)
+def _node(cls):
+    """``dataclass(frozen=True)`` that keeps the cached :meth:`Formula.__hash__`.
+
+    A frozen dataclass generates a hash of its field tuple unless the class
+    defines ``__hash__`` itself; that one would ignore the node class and
+    re-walk the whole subtree on every call.
+    """
+    cls.__hash__ = Formula.__hash__
+    return dataclass(frozen=True, repr=False)(cls)
+
+
+@_node
 class Atom(Formula):
     """An atomic proposition: a named boolean signal."""
 
@@ -97,21 +122,21 @@ class Atom(Formula):
     __slots__ = ("name",)
 
 
-@dataclass(frozen=True, repr=False)
+@_node
 class TrueFormula(Formula):
     """The constant ``true``."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True, repr=False)
+@_node
 class FalseFormula(Formula):
     """The constant ``false``."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True, repr=False)
+@_node
 class Not(Formula):
     """Negation."""
 
@@ -123,7 +148,7 @@ class Not(Formula):
         return (self.operand,)
 
 
-@dataclass(frozen=True, repr=False)
+@_node
 class _Binary(Formula):
     left: Formula
     right: Formula
@@ -158,7 +183,7 @@ class Iff(_Binary):
     __slots__ = ()
 
 
-@dataclass(frozen=True, repr=False)
+@_node
 class _Unary(Formula):
     operand: Formula
 

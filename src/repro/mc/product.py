@@ -18,21 +18,25 @@ compatible successors are filtered against that valuation before combining,
 so deterministic monitor components contribute exactly one successor and the
 product does not suffer the exponential branching a conjunction tableau would.
 
-The hot loops operate on integer bitmasks: each automaton's states are packed
-into dense bit positions, successor sets and label-compatibility sets become
-precomputed masks, and the per-edge filter is one ``&`` instead of a list
-comprehension re-checking literals.  Compatibility masks are memoised per
-(automaton, Kripke state) — the same Kripke target is reached through many
-product states, and its valuation never changes.  ``bitset=False`` selects
-the legacy dict/list inner loops, kept as the differential-testing reference;
-both construct the *identical* product (same state numbering, transitions,
-labels and acceptance), so every downstream consumer is byte-compatible.
+Each automaton's states are packed into dense bit positions, so successor
+sets and label-compatibility sets are integer masks and the per-edge filter
+is one ``&``.  The filtered successors depend only on the automaton state and
+the Kripke target, not on the rest of the product state, so each component
+memoises them per (automaton state, Kripke target) pair as a decoded tuple;
+the nondeterministic tableaux reach the same pair through thousands of
+product states.  Combinations are enumerated with :func:`itertools.product`,
+first component outermost, and edges are written straight into the product's
+adjacency sets.  States are numbered in discovery order, so the construction
+is deterministic (independent of hash seeds).  A plain dict/list construction
+in ``tests/properties/product_reference.py`` is its differential oracle: the
+two must build byte-identical products.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..ltl.buchi import GeneralizedBuchi, Literal
 from ..rtl.kripke import KripkeStructure
@@ -51,26 +55,20 @@ class ProductStatistics:
     product_transitions: int = 0
 
 
-def _compatible(label: FrozenSet[Literal], valuation: Mapping[str, bool]) -> bool:
-    """True when the automaton label agrees with a full signal valuation."""
-    for name, value in label:
-        if bool(valuation.get(name, False)) != value:
-            return False
-    return True
-
-
 class _ComponentBits:
-    """Bitmask view of one property automaton.
+    """Bitmask view of one property automaton, paired with one Kripke structure.
 
     States are packed into bit positions in ascending state-id order, so
-    iterating the set bits of any mask from least to most significant visits
-    states in the same ascending order the legacy list-based loops used —
-    which is what keeps the two construction paths state-for-state identical.
+    decoding a mask from least to most significant bit yields states in
+    ascending order — the order the product enumerates them in.
     """
 
-    __slots__ = ("states", "position", "succ", "initial_mask", "atom_masks", "full", "_compat")
+    __slots__ = (
+        "kripke", "states", "position", "succ", "initial_mask", "atom_masks", "full", "_compat",
+    )
 
-    def __init__(self, automaton: GeneralizedBuchi):
+    def __init__(self, automaton: GeneralizedBuchi, kripke: KripkeStructure):
+        self.kripke = kripke
         self.states: List[int] = sorted(automaton.labels)
         self.position: Dict[int, int] = {
             state: position for position, state in enumerate(self.states)
@@ -94,10 +92,11 @@ class _ComponentBits:
                 pair[0 if value else 1] |= bit
         self._compat: Dict[int, int] = {}
 
-    def compatible_mask(self, kripke_state: int, valuation: Mapping[str, bool]) -> int:
-        """Mask of automaton states whose labels agree with the valuation."""
+    def compatible_mask(self, kripke_state: int) -> int:
+        """Mask of automaton states whose labels agree with the Kripke state's valuation."""
         mask = self._compat.get(kripke_state)
         if mask is None:
+            valuation = self.kripke.label(kripke_state)
             mask = self.full
             for name, (need_true, need_false) in self.atom_masks.items():
                 if bool(valuation.get(name, False)):
@@ -107,13 +106,35 @@ class _ComponentBits:
             self._compat[kripke_state] = mask
         return mask
 
-    def bits_to_states(self, mask: int) -> List[int]:
+    def bits_to_states(self, mask: int) -> Tuple[int, ...]:
         """Set bits of ``mask`` as state ids, ascending."""
         states = []
         while mask:
             bit = mask & -mask
             states.append(self.states[bit.bit_length() - 1])
             mask ^= bit
+        return tuple(states)
+
+    def initial_states(self, kripke_state: int) -> Tuple[int, ...]:
+        """Initial states whose labels agree with the Kripke state's valuation."""
+        return self.bits_to_states(self.initial_mask & self.compatible_mask(kripke_state))
+
+
+class _SuccessorRow(dict):
+    """Kripke target -> successors of one automaton state whose labels agree
+    with the target's valuation, as an ascending tuple decoded on first use."""
+
+    __slots__ = ("component", "succ")
+
+    def __init__(self, component: _ComponentBits, state: int):
+        super().__init__()
+        self.component = component
+        self.succ = component.succ[component.position[state]]
+
+    def __missing__(self, kripke_target: int) -> Tuple[int, ...]:
+        states = self[kripke_target] = self.component.bits_to_states(
+            self.succ & self.component.compatible_mask(kripke_target)
+        )
         return states
 
 
@@ -122,7 +143,6 @@ def kripke_automata_product(
     automata: Sequence[GeneralizedBuchi],
     *,
     statistics: Optional[ProductStatistics] = None,
-    bitset: bool = True,
 ) -> GeneralizedBuchi:
     """Synchronous product of a Kripke structure and property automata.
 
@@ -133,30 +153,13 @@ def kripke_automata_product(
     waveforms.
     """
     automata = list(automata)
-    product = GeneralizedBuchi()
-    index: Dict[Tuple[int, ...], int] = {}
-
     if statistics is not None:
         statistics.kripke_states = kripke.state_count()
         statistics.automata = len(automata)
         statistics.automata_states = sum(a.state_count() for a in automata)
 
-    def get_state(combo: Tuple[int, ...], initial: bool = False) -> int:
-        ident = index.get(combo)
-        if ident is None:
-            ident = len(index)
-            index[combo] = ident
-            valuation = kripke.label(combo[0])
-            label = frozenset((name, bool(value)) for name, value in valuation.items())
-            product.add_state(ident, label, initial=initial, annotation=combo)
-        elif initial:
-            product.initial.add(ident)
-        return ident
-
-    if bitset:
-        _explore_bitset(kripke, automata, product, get_state)
-    else:
-        _explore_dict(kripke, automata, product, get_state)
+    product = GeneralizedBuchi()
+    index = _explore(kripke, automata, product)
 
     # Lift acceptance sets of every automaton to the product.
     for component, automaton in enumerate(automata):
@@ -172,138 +175,72 @@ def kripke_automata_product(
     return product
 
 
-def _explore_bitset(
+def _explore(
     kripke: KripkeStructure,
     automata: List[GeneralizedBuchi],
     product: GeneralizedBuchi,
-    get_state,
-) -> None:
-    """Bitmask worklist exploration (the default fast path)."""
+) -> Dict[Tuple[int, ...], int]:
+    """Worklist exploration from the initial states; returns the state numbering.
+
+    A product state is a tuple ``(kripke_state, component states...)``;
+    ``index`` maps each discovered one to its number and doubles as the
+    visited set.
+    """
     from ..engines.cancel import check_cancelled
 
-    components = [_ComponentBits(automaton) for automaton in automata]
-    count = len(components)
-    successor_lists: Dict[int, List[int]] = {}
-
+    components = [_ComponentBits(automaton, kripke) for automaton in automata]
+    # Per component: automaton state -> its successor row.  Rows point at
+    # their component, so the memo lives here rather than on the component:
+    # a reference cycle would keep every row (and the Kripke structure) alive
+    # until the cyclic garbage collector runs.
+    memos: List[Dict[int, _SuccessorRow]] = [{} for _ in components]
+    index: Dict[Tuple[int, ...], int] = {}
     worklist: List[Tuple[int, ...]] = []
-    seen: Set[Tuple[int, ...]] = set()
-    for kripke_state in sorted(kripke.initial):
-        valuation = kripke.label(kripke_state)
-        masks = []
-        for component in components:
-            mask = component.initial_mask & component.compatible_mask(
-                kripke_state, valuation
+    labels: Dict[int, FrozenSet[Literal]] = {}
+    kripke_successors: Dict[int, List[int]] = {}
+
+    def discover(combo: Tuple[int, ...], initial: bool) -> int:
+        kripke_state = combo[0]
+        label = labels.get(kripke_state)
+        if label is None:
+            label = labels[kripke_state] = frozenset(
+                (name, bool(value)) for name, value in kripke.label(kripke_state).items()
             )
-            if not mask:
-                break
-            masks.append(mask)
-        if len(masks) < count:
-            continue
-        choices = [
-            component.bits_to_states(mask) for component, mask in zip(components, masks)
-        ]
-        for combo_rest in _cartesian(choices):
-            combo = (kripke_state,) + combo_rest
-            get_state(combo, initial=True)
-            if combo not in seen:
-                seen.add(combo)
-                worklist.append(combo)
+        ident = index[combo] = len(index)
+        product.add_state(ident, label, initial=initial, annotation=combo)
+        worklist.append(combo)
+        return ident
 
-    while worklist:
-        check_cancelled()
-        combo = worklist.pop()
-        source = get_state(combo)
-        kripke_state = combo[0]
-        targets = successor_lists.get(kripke_state)
-        if targets is None:
-            targets = sorted(kripke.successors(kripke_state))
-            successor_lists[kripke_state] = targets
-        for kripke_target in targets:
-            valuation = kripke.label(kripke_target)
-            masks = []
-            for position in range(count):
-                component = components[position]
-                mask = component.succ[
-                    component.position[combo[position + 1]]
-                ] & component.compatible_mask(kripke_target, valuation)
-                if not mask:
-                    break
-                masks.append(mask)
-            if len(masks) < count:
-                continue
-            choices = [
-                component.bits_to_states(mask)
-                for component, mask in zip(components, masks)
-            ]
-            for combo_rest in _cartesian(choices):
-                target_combo = (kripke_target,) + combo_rest
-                target = get_state(target_combo)
-                product.add_transition(source, target)
-                if target_combo not in seen:
-                    seen.add(target_combo)
-                    worklist.append(target_combo)
-
-
-def _explore_dict(
-    kripke: KripkeStructure,
-    automata: List[GeneralizedBuchi],
-    product: GeneralizedBuchi,
-    get_state,
-) -> None:
-    """Legacy dict/list worklist exploration (differential reference)."""
-    from ..engines.cancel import check_cancelled
-
-    def compatible_states(automaton: GeneralizedBuchi, candidates: Iterable[int],
-                          valuation: Mapping[str, bool]) -> List[int]:
-        return [state for state in candidates
-                if _compatible(automaton.labels[state], valuation)]
-
-    worklist: List[Tuple[int, ...]] = []
-    seen: Set[Tuple[int, ...]] = set()
     for kripke_state in sorted(kripke.initial):
-        valuation = kripke.label(kripke_state)
-        per_component = [
-            compatible_states(automaton, sorted(automaton.initial), valuation)
-            for automaton in automata
-        ]
-        if any(not choices for choices in per_component):
-            continue
-        for combo_rest in _cartesian(per_component):
-            combo = (kripke_state,) + combo_rest
-            get_state(combo, initial=True)
-            if combo not in seen:
-                seen.add(combo)
-                worklist.append(combo)
+        choices = [component.initial_states(kripke_state) for component in components]
+        for rest in itertools.product(*choices):
+            combo = (kripke_state,) + rest
+            ident = index.get(combo)
+            if ident is None:
+                discover(combo, True)
+            else:
+                product.initial.add(ident)
 
+    edges = product.transitions
     while worklist:
         check_cancelled()
         combo = worklist.pop()
-        source = get_state(combo)
+        out = edges[index[combo]]
+        rows = []
+        for component, memo, state in zip(components, memos, combo[1:]):
+            row = memo.get(state)
+            if row is None:
+                row = memo[state] = _SuccessorRow(component, state)
+            rows.append(row)
         kripke_state = combo[0]
-        for kripke_target in sorted(kripke.successors(kripke_state)):
-            valuation = kripke.label(kripke_target)
-            per_component = [
-                compatible_states(
-                    automata[i], sorted(automata[i].transitions.get(combo[i + 1], set())), valuation
-                )
-                for i in range(len(automata))
-            ]
-            if any(not choices for choices in per_component):
-                continue
-            for combo_rest in _cartesian(per_component):
-                target_combo = (kripke_target,) + combo_rest
-                target = get_state(target_combo)
-                product.add_transition(source, target)
-                if target_combo not in seen:
-                    seen.add(target_combo)
-                    worklist.append(target_combo)
-
-
-def _cartesian(choices: Sequence[Sequence[int]]) -> Iterable[Tuple[int, ...]]:
-    if not choices:
-        yield ()
-        return
-    head, *tail = choices
-    for value in head:
-        for rest in _cartesian(tail):
-            yield (value,) + rest
+        targets = kripke_successors.get(kripke_state)
+        if targets is None:
+            targets = kripke_successors[kripke_state] = sorted(kripke.successors(kripke_state))
+        for kripke_target in targets:
+            for rest in itertools.product(*[row[kripke_target] for row in rows]):
+                target_combo = (kripke_target,) + rest
+                target = index.get(target_combo)
+                if target is None:
+                    target = discover(target_combo, False)
+                out.add(target)
+    return index

@@ -1,0 +1,155 @@
+"""Algorithm 1 asks each model-checking query once, and its reports stay put.
+
+The witness enumeration's first query is the primary coverage question
+itself, and verifying a reported gap property's closure is the query that
+selected it.  Both are answered once: the enumeration starts from the
+primary witness, and the closure verdict is reused.  The pinned reports make
+a change in which witness a run finds show up as a failure.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from collections import Counter
+
+import pytest
+
+from repro.core import CoverageOptions, collect_gap_witnesses, find_coverage_gap
+from repro.core.primary import primary_coverage_check
+from repro.designs import CATALOG
+from repro.engines.coverage import CoverageEngine, engine_from_options
+from repro.ltl.printer import to_str
+
+#: The reduced Algorithm-1 options of the benchmark's ``gap_analysis`` workload.
+GAP_OPTIONS = dict(max_witnesses=2, unfold_depth=3, max_closure_checks=2, bmc_max_bound=6)
+CELLS = [
+    ("paper_example", "explicit"),
+    ("paper_example", "bmc"),
+    ("mal_fig4", "explicit"),
+    ("mal_fig4", "bmc"),
+]
+
+_REPORT = """\
+property: G (!wait & r1 & X (r1 U r2) -> X (!d2 U d1))
+  NOT covered; coverage gap:
+    G (!wait & (r1 & !g1) & X (r1 U r2) -> X (!d2 U d1))
+      (strengthen instance 'r1' at offset 0 with !g1)
+  gap closure verified: True"""
+_BOUNDED = " (bounded: BMC engine, holds up to the bound only)"
+_PREFIX = "!d1 & !d2 & r1 & {r2} & !wait & X !d1 & X !d2 & X {r1_1} & X r2 & X wait & X X !d1 & "
+#: Each analysis's report, and the APA terms of its two witnesses (these
+#: change when a different witness is found, even where the report does not).
+EXPECTED = {
+    ("paper_example", "explicit"): (_REPORT, [
+        _PREFIX.format(r2="!r2", r1_1="!r1") + "X X !d2 & X X !r1 & X X !r2 & X X wait",
+        _PREFIX.format(r2="!r2", r1_1="r1") + "X X !d2 & X X !r1 & X X !r2 & X X wait",
+    ]),
+    ("paper_example", "bmc"): (_REPORT + _BOUNDED, [
+        _PREFIX.format(r2="!r2", r1_1="!r1") + "X X d2 & X X r1 & X X r2 & X X wait",
+        _PREFIX.format(r2="r2", r1_1="!r1") + "X X d2 & X X r1 & X X r2 & X X wait",
+    ]),
+    ("mal_fig4", "explicit"): (_REPORT, [
+        _PREFIX.format(r2="!r2", r1_1="!r1") + "X X d2 & X X !r1 & X X !r2 & X X wait",
+        _PREFIX.format(r2="!r2", r1_1="!r1") + "X X d2 & X X !r1 & X X r2 & X X wait",
+    ]),
+    ("mal_fig4", "bmc"): (_REPORT + _BOUNDED, [
+        _PREFIX.format(r2="r2", r1_1="!r1") + "X X d2 & X X r1 & X X r2 & X X wait",
+        _PREFIX.format(r2="r2", r1_1="!r1") + "X X d2 & X X r1 & X X !r2 & X X wait",
+    ]),
+}
+
+
+def _options(engine: str) -> CoverageOptions:
+    # No result cache: a repeated query must reach the engine to be counted.
+    return CoverageOptions(engine=engine, use_cache=False, **GAP_OPTIONS)
+
+
+@pytest.fixture
+def decided(monkeypatch):
+    """Fingerprints of the compiled queries the engines decide, in order."""
+    fingerprints = []
+    original = CoverageEngine._instrumented_run
+
+    def recording(self, problem):
+        fingerprints.append(problem.fingerprint)
+        return original(self, problem)
+
+    monkeypatch.setattr(CoverageEngine, "_instrumented_run", recording)
+    return fingerprints
+
+
+@pytest.mark.parametrize("design,engine", CELLS)
+def test_no_query_is_decided_twice_and_the_report_is_pinned(design, engine, decided):
+    problem = CATALOG[design].builder()
+    analysis = find_coverage_gap(problem, problem.architectural[0], _options(engine))
+    repeated = {fingerprint: n for fingerprint, n in Counter(decided).items() if n > 1}
+    assert decided and not repeated, repeated
+    report, apa_terms = EXPECTED[design, engine]
+    assert analysis.describe() == report
+    assert [to_str(term.to_formula()) for term in analysis.terms.architectural_terms] == apa_terms
+
+
+@pytest.mark.parametrize("design,engine", CELLS)
+def test_seeded_enumeration_finds_the_unseeded_witnesses(design, engine):
+    """Seeded with the primary witness, on the engine that found it (BMC's
+    pooled solver then holds what asking the first query would leave)."""
+    problem = CATALOG[design].builder()
+    target = problem.architectural[0]
+    options = _options(engine)
+    seeded_engine = engine_from_options(options)
+    primary = primary_coverage_check(problem, architectural=target, engine=seeded_engine)
+    assert primary.witness is not None
+
+    def enumerate_witnesses(engine, **seed):
+        return collect_gap_witnesses(
+            problem, architectural=target, max_witnesses=2, depth=3, engine=engine, **seed
+        )
+
+    unseeded = enumerate_witnesses(engine_from_options(options))
+    assert len(unseeded) == 2
+    assert unseeded[0] == primary.witness
+    assert enumerate_witnesses(seeded_engine, first_witness=primary.witness) == unseeded
+
+
+def test_seed_is_used_without_a_query_and_zero_witnesses_stay_zero(decided):
+    problem = CATALOG["mal_fig4"].builder()
+    target = problem.architectural[0]
+    options = _options("explicit")
+    witness = primary_coverage_check(problem, architectural=target, options=options).witness
+    decided.clear()
+    for count, expected in ((0, []), (1, [witness])):
+        found = collect_gap_witnesses(
+            problem, architectural=target, max_witnesses=count, depth=3,
+            options=options, first_witness=witness,
+        )
+        assert found == expected
+    assert decided == []
+
+
+def test_gap_reports_identical_across_hash_seeds():
+    """Formula hashes vary with PYTHONHASHSEED; the reports must not."""
+    script = (
+        "from repro.core import CoverageOptions, find_coverage_gap\n"
+        "from repro.designs import CATALOG\n"
+        "problem = CATALOG['mal_fig4'].builder()\n"
+        "for engine in ('explicit', 'bmc'):\n"
+        f"    options = CoverageOptions(engine=engine, use_cache=False, **{GAP_OPTIONS!r})\n"
+        "    analysis = find_coverage_gap(problem, problem.architectural[0], options)\n"
+        "    print(analysis.describe())\n"
+        "    print([str(term.to_formula()) for term in analysis.terms.terms])\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    outputs = set()
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + env.get("PYTHONPATH", "").split(os.pathsep)
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, check=True, env=env,
+        )
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1, "gap reports depend on PYTHONHASHSEED"

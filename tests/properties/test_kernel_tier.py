@@ -1,10 +1,14 @@
 """Differential properties of the raw-speed kernel tier.
 
-Two kernels each keep a slow reference path in-tree; these tests pin the
-fast path to it on the design catalog plus seeded random designs:
+Each fast kernel is pinned to a slow reference on the design catalog plus
+seeded random designs:
 
-* incremental (assumption-based) BMC vs the legacy fresh-solver search,
-* the bitset product / bitset emptiness sweep vs the dict product / Tarjan.
+* incremental (assumption-based) BMC vs the legacy fresh-solver search
+  (``find_run_bmc(incremental=False)``, kept in-tree),
+* the memoised bitset product vs a plain dict/list product loop
+  (``product_reference.py`` beside this file), on the query sets Algorithm 1
+  asks — ``R``, ``R + A``, ``[!A] + R`` with a witness exclusion and a
+  weakened candidate — and the bitset emptiness sweep vs Tarjan.
 
 Seeded RNGs only — every failure here is reproducible by seed.
 """
@@ -18,10 +22,14 @@ import sys
 
 import pytest
 
+from product_reference import reference_product
 from repro.bmc.engine import find_run_bmc
+from repro.core import generate_candidates, primary_coverage_check, push_terms
 from repro.designs import CATALOG
 from repro.designs.random import RandomDesignSpec, random_problem
+from repro.ltl.ast import Not
 from repro.ltl.traces import evaluate
+from repro.ltl.unfold import term_from_trace
 from repro.mc.modelcheck import build_kripke, compile_formulas
 from repro.mc.product import kripke_automata_product
 from repro.sat.cnf import CNF
@@ -44,6 +52,30 @@ def _query_sets(problem):
     yield rtl
     for target in problem.architectural:
         yield rtl + [target]
+
+
+def _algorithm1_query_sets(problem):
+    """The product queries Algorithm 1 asks about each architectural conjunct.
+
+    ``[!A] + R`` is the primary question.  When it has a witness, the witness
+    enumeration's next query adds the exclusion of the witness's depth-3
+    ``APR`` term, and a closure check adds a weakened candidate instead.
+    Their GPVW tableaux (45-63 states) are the nondeterministic automata the
+    product's successor memo serves.
+    """
+    for target in problem.architectural:
+        primary = [Not(target)] + problem.all_rtl_formulas()
+        yield primary
+        witness = primary_coverage_check(problem, architectural=target).witness
+        if witness is None:
+            continue
+        term = term_from_trace(witness, 3, sorted(problem.apr)).strip_trailing_empty()
+        if term.is_trivial():
+            continue
+        yield primary + [Not(term.to_formula())]
+        candidates = generate_candidates(target, push_terms(target, [term]).suggestions)
+        if candidates:
+            yield primary + [candidates[0].formula]
 
 
 class TestIncrementalBmcEquivalence:
@@ -87,7 +119,7 @@ class TestIncrementalBmcEquivalence:
 
     def test_reuse_counters_populated(self):
         """A multi-bound incremental search must actually reuse the solver."""
-        from repro.ltl.ast import F, G, Not, atom
+        from repro.ltl.ast import F, G, atom
 
         problem = CATALOG["telemetry_bank"].builder()
         module = problem.composed_module()
@@ -178,31 +210,44 @@ class TestIncrementalBmcEquivalence:
 
 
 class TestBitsetProductDifferential:
-    """Bitmask product construction must be byte-identical to the dict path,
-    and the bitset emptiness sweep must agree with Tarjan."""
+    """The product construction must be byte-identical to the dict/list
+    reference, and the bitset emptiness sweep must agree with Tarjan."""
 
-    def _products(self, problem, formulas):
-        module = problem.composed_module()
-        kripke = build_kripke(module, formulas)
-        automata = compile_formulas(formulas)
+    def _inputs(self, problem, formulas):
+        kripke = build_kripke(problem.composed_module(), formulas)
+        return kripke, compile_formulas(formulas)
+
+    def _assert_matches_reference(self, problem, formulas, name):
+        kripke, automata = self._inputs(problem, formulas)
         fast = kripke_automata_product(kripke, automata)
-        slow = kripke_automata_product(kripke, automata, bitset=False)
-        return fast, slow
+        slow = reference_product(kripke, automata)
+        assert list(fast.labels) == list(slow.labels), name  # insertion order
+        assert fast.labels == slow.labels, name
+        assert fast.initial == slow.initial, name
+        assert fast.transitions == slow.transitions, name
+        assert fast.acceptance == slow.acceptance, name
+        assert fast.annotations == slow.annotations, name
+        assert fast.accepting_lasso() == slow.accepting_lasso(), name
+        return automata
 
     def test_products_identical(self):
         for name, problem in _problems():
             for formulas in _query_sets(problem):
-                fast, slow = self._products(problem, formulas)
-                assert fast.labels == slow.labels, name
-                assert fast.initial == slow.initial, name
-                assert fast.transitions == slow.transitions, name
-                assert fast.acceptance == slow.acceptance, name
-                assert fast.annotations == slow.annotations, name
+                self._assert_matches_reference(problem, formulas, name)
+
+    def test_algorithm1_products_identical(self):
+        largest = 0
+        for name, problem in _problems():
+            for formulas in _algorithm1_query_sets(problem):
+                automata = self._assert_matches_reference(problem, formulas, (name, formulas))
+                largest = max([largest] + [automaton.state_count() for automaton in automata])
+        # The exclusion and candidate tableaux must actually be exercised.
+        assert largest >= 45, largest
 
     def test_emptiness_agrees_and_lassos_are_valid(self):
         for name, problem in _problems():
             for formulas in _query_sets(problem):
-                fast, _ = self._products(problem, formulas)
+                fast = kripke_automata_product(*self._inputs(problem, formulas))
                 bitset_lasso = fast.accepting_lasso()
                 tarjan_lasso = fast._accepting_lasso_tarjan()
                 assert (bitset_lasso is None) == (tarjan_lasso is None), name
