@@ -139,6 +139,7 @@ class GapAnalysis:
         elif self.hole is not None:
             lines.append("    (no structure-preserving weakening found; exact hole reported)")
             lines.append(f"    {to_str(self.hole.formula)}")
+            lines.append(f"  gap closure verified: {self.gap_verified}{bounded}")
         return "\n".join(lines)
 
 

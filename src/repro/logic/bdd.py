@@ -2,20 +2,25 @@
 
 The BDD manager provides canonical boolean function representation used by:
 
-* :mod:`repro.rtl.fsm` for reachability and transition-relation reasoning,
-* :mod:`repro.core.tm` to minimise state labels before printing ``T_M``,
+* :mod:`repro.mc.symbolic`, whose images are relational products
+  (:meth:`BDD.and_exists`) over a partitioned transition relation,
+* :mod:`repro.engines.prop` to decide ``T_M`` constant folds,
 * equivalence checks between combinational blocks and their specifications.
 
 The implementation is a classic hash-consed ITE-based manager with
-complement-free nodes (both branches stored explicitly), existential and
-universal quantification, restriction, satisfying-assignment enumeration and
-conversion back to :class:`~repro.logic.boolexpr.BoolExpr`.
+complement-free nodes (both branches stored explicitly).  Each node is the
+``(level, low, high)`` tuple that is also its unique-table key; the two
+terminals sit at a sentinel level below every variable.  The relational
+product ``∃ names. f ∧ g`` (Burch, Clarke & Long's AndAbstract) and renaming
+are each one memoised pass over the DAG; quantifying a set of variables is
+the relational product with TRUE (``∀`` is its dual, ``¬∃¬``).
+Restriction, satisfying-assignment enumeration and conversion back to
+:class:`~repro.logic.boolexpr.BoolExpr` complete the package.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import AbstractSet, Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
 
 from .boolexpr import (
     AndExpr,
@@ -37,13 +42,9 @@ class BDDError(Exception):
     """Raised for invalid BDD operations (unknown variables, manager mixing)."""
 
 
-@dataclass(frozen=True)
-class _Node:
-    """Internal decision node: branch on ``level`` (index into variable order)."""
-
-    level: int
-    low: int
-    high: int
+#: Level of the two terminals: below every variable, so the top level of any
+#: set of roots is the ``min`` of their levels.
+_TERMINAL_LEVEL = 1 << 62
 
 
 class BDDManager:
@@ -55,8 +56,12 @@ class BDDManager:
     def __init__(self, variables: Sequence[str] = ()):
         self._order: List[str] = []
         self._level: Dict[str, int] = {}
-        # Node table: index -> (level, low, high).  0/1 are terminals.
-        self._nodes: List[Optional[_Node]] = [None, None]
+        # Node table: index -> (level, low, high), the node's unique-table
+        # key.  0/1 are the terminals, at the sentinel level.
+        self._nodes: List[Tuple[int, int, int]] = [
+            (_TERMINAL_LEVEL, self.FALSE, self.FALSE),
+            (_TERMINAL_LEVEL, self.TRUE, self.TRUE),
+        ]
         self._unique: Dict[Tuple[int, int, int], int] = {}
         self._ite_cache: Dict[Tuple[int, int, int], int] = {}
         for name in variables:
@@ -80,6 +85,9 @@ class BDDManager:
         except KeyError as exc:
             raise BDDError(f"variable {name!r} not declared in BDD manager") from exc
 
+    def _levels_of(self, names: Iterable[str]) -> frozenset:
+        return frozenset(self.level_of(name) for name in names)
+
     # -- node construction ----------------------------------------------------
     def _mk(self, level: int, low: int, high: int) -> int:
         if low == high:
@@ -88,7 +96,7 @@ class BDDManager:
         node = self._unique.get(key)
         if node is None:
             node = len(self._nodes)
-            self._nodes.append(_Node(level, low, high))
+            self._nodes.append(key)
             # Track the process-wide node peak, sampled every 4096 nodes so
             # the hot construction path stays one bitmask test per node.
             if not (node & 0xFFF):
@@ -113,18 +121,6 @@ class BDDManager:
         return BDD(self, self._mk(self.level_of(name), self.TRUE, self.FALSE))
 
     # -- core ITE -------------------------------------------------------------
-    def _top_level(self, *roots: int) -> int:
-        levels = [self._nodes[r].level for r in roots if r > 1]
-        return min(levels) if levels else len(self._order)
-
-    def _cofactors(self, root: int, level: int) -> Tuple[int, int]:
-        if root <= 1:
-            return root, root
-        node = self._nodes[root]
-        if node.level == level:
-            return node.low, node.high
-        return root, root
-
     def _ite(self, f: int, g: int, h: int) -> int:
         if f == self.TRUE:
             return g
@@ -138,15 +134,94 @@ class BDDManager:
         cached = self._ite_cache.get(key)
         if cached is not None:
             return cached
-        level = self._top_level(f, g, h)
-        f_low, f_high = self._cofactors(f, level)
-        g_low, g_high = self._cofactors(g, level)
-        h_low, h_high = self._cofactors(h, level)
+        nodes = self._nodes
+        f_level, f_low, f_high = nodes[f]
+        g_level, g_low, g_high = nodes[g]
+        h_level, h_low, h_high = nodes[h]
+        level = min(f_level, g_level, h_level)
+        if f_level != level:
+            f_low = f_high = f
+        if g_level != level:
+            g_low = g_high = g
+        if h_level != level:
+            h_low = h_high = h
         low = self._ite(f_low, g_low, h_low)
         high = self._ite(f_high, g_high, h_high)
         result = self._mk(level, low, high)
         self._ite_cache[key] = result
         return result
+
+    # -- one-pass relational product and rename ---------------------------------
+    def _and_exists(self, f: int, g: int, levels: AbstractSet[int]) -> int:
+        """``∃ levels. f ∧ g`` without building ``f ∧ g`` (AndAbstract)."""
+        nodes = self._nodes
+        false, true = self.FALSE, self.TRUE
+        deepest = max(levels, default=-1)
+        memo: Dict[Tuple[int, int], int] = {}
+
+        def walk(f: int, g: int) -> int:
+            if f > g:
+                f, g = g, f
+            if f == false:
+                return false
+            if f == true:
+                f = g
+            key = (f, g)
+            result = memo.get(key)
+            if result is not None:
+                return result
+            f_level, f_low, f_high = nodes[f]
+            g_level, g_low, g_high = nodes[g]
+            if f_level < g_level:
+                level, g_low, g_high = f_level, g, g
+            elif g_level < f_level:
+                level, f_low, f_high = g_level, f, f
+            else:
+                level = f_level
+            if level > deepest:
+                result = self._ite(f, g, false)
+            else:
+                low = walk(f_low, g_low)
+                if level not in levels:
+                    result = self._mk(level, low, walk(f_high, g_high))
+                elif low == true:
+                    result = true
+                else:
+                    result = self._ite(low, true, walk(f_high, g_high))
+            memo[key] = result
+            return result
+
+        return walk(f, g)
+
+    def _rename(self, root: int, level_map: Mapping[int, int]) -> int:
+        """Map every node's level through ``level_map`` in one memoised pass.
+
+        A node whose new level still sits above both rebuilt children is
+        rebuilt in place; any other is rebuilt with ITE on its new variable,
+        which keeps every injective renaming correct whatever the order.
+        """
+        nodes = self._nodes
+        deepest = max(level_map)
+        memo: Dict[int, int] = {}
+
+        def walk(node: int) -> int:
+            result = memo.get(node)
+            if result is not None:
+                return result
+            level, low, high = nodes[node]
+            if level > deepest:
+                return node
+            low = walk(low)
+            high = walk(high)
+            new = level_map.get(level, level)
+            if new < nodes[low][0] and new < nodes[high][0]:
+                result = self._mk(new, low, high)
+            else:
+                result = self._ite(self._mk(new, self.FALSE, self.TRUE), high, low)
+            memo[node] = result
+            return result
+
+        return walk(root)
 
     # -- conversions ------------------------------------------------------------
     def from_expr(self, expr: BoolExpr) -> "BDD":
@@ -250,7 +325,8 @@ class BDD:
     # -- structure ----------------------------------------------------------------
     def support(self) -> frozenset:
         """Set of variable names the function actually depends on."""
-        names = set()
+        nodes = self.manager._nodes
+        levels = set()
         seen = set()
         stack = [self.root]
         while stack:
@@ -258,19 +334,21 @@ class BDD:
             if root <= 1 or root in seen:
                 continue
             seen.add(root)
-            node = self.manager._nodes[root]
-            names.add(self.manager.variables[node.level])
-            stack.append(node.low)
-            stack.append(node.high)
-        return frozenset(names)
+            level, low, high = nodes[root]
+            levels.add(level)
+            stack.append(low)
+            stack.append(high)
+        order = self.manager._order
+        return frozenset(order[level] for level in levels)
 
     # -- evaluation / quantification -----------------------------------------------
     def evaluate(self, assignment: Mapping[str, bool]) -> bool:
+        nodes = self.manager._nodes
+        order = self.manager._order
         root = self.root
         while root > 1:
-            node = self.manager._nodes[root]
-            name = self.manager.variables[node.level]
-            root = node.high if assignment.get(name, False) else node.low
+            level, low, high = nodes[root]
+            root = high if assignment.get(order[level], False) else low
         return root == BDDManager.TRUE
 
     def restrict(self, assignment: Mapping[str, bool]) -> "BDD":
@@ -290,40 +368,38 @@ class BDD:
         cache: Dict[int, int] = {}
 
         def walk(node_root: int) -> int:
-            if node_root <= 1:
-                return node_root
             cached = cache.get(node_root)
             if cached is not None:
                 return cached
-            node = self.manager._nodes[node_root]
-            if node.level == level:
-                result = node.high if value else node.low
-            elif node.level > level:
+            node_level, low, high = self.manager._nodes[node_root]
+            if node_level == level:
+                result = high if value else low
+            elif node_level > level:
                 result = node_root
             else:
-                result = self.manager._mk(node.level, walk(node.low), walk(node.high))
+                result = self.manager._mk(node_level, walk(low), walk(high))
             cache[node_root] = result
             return result
 
         return walk(root)
 
     def exists(self, names: Iterable[str]) -> "BDD":
-        """Existential quantification over the given variables."""
-        result = self
-        for name in names:
-            low = BDD(self.manager, self._cofactor_root(result.root, name, False))
-            high = BDD(self.manager, self._cofactor_root(result.root, name, True))
-            result = low | high
-        return result
+        """Existential quantification over the given variables (one pass)."""
+        return self.and_exists(self.manager.true(), names)
 
     def forall(self, names: Iterable[str]) -> "BDD":
-        """Universal quantification over the given variables."""
-        result = self
-        for name in names:
-            low = BDD(self.manager, self._cofactor_root(result.root, name, False))
-            high = BDD(self.manager, self._cofactor_root(result.root, name, True))
-            result = low & high
-        return result
+        """Universal quantification over the given variables: ``¬∃ names. ¬f``."""
+        return ~(~self).exists(names)
+
+    def and_exists(self, other: "BDD", names: Iterable[str]) -> "BDD":
+        """The relational product ``(self & other).exists(names)``.
+
+        One recursive pass that quantifies while it conjoins, so the
+        conjunction itself is never built.
+        """
+        self._check(other)
+        manager = self.manager
+        return BDD(manager, manager._and_exists(self.root, other.root, manager._levels_of(names)))
 
     def rename(self, mapping: Mapping[str, str]) -> "BDD":
         """Rename variables (compose with the identity on other variables).
@@ -332,9 +408,11 @@ class BDD:
         target may already occur in it (so simultaneous swaps are rejected):
         renaming onto an existing variable silently merges two distinct
         dimensions of the function, which is never what a transition-relation
-        shift wants, so it raises :class:`BDDError` instead.  Each pair is
-        applied as the relational composition ``∃ old. f ∧ (new ↔ old)`` —
-        linear passes over the DAG, never a round-trip through cube covers.
+        shift wants, so it raises :class:`BDDError` instead.  Undeclared
+        targets are declared.  One memoised pass maps each node's level
+        through the renaming; a renaming that keeps the variable order (every
+        current↔next shift of an interleaved order) rebuilds each node in
+        place.
         """
         support = self.support()
         relevant = {
@@ -350,12 +428,11 @@ class BDD:
                 raise BDDError(
                     f"rename target {new!r} already occurs in the function's support"
                 )
-        result = self
-        for old, new in relevant.items():
-            literal = self.manager.var(new)
-            old_literal = self.manager.var(old)
-            result = (result & literal.iff(old_literal)).exists([old])
-        return result
+        manager = self.manager
+        for new in targets:
+            manager.declare(new)
+        level_map = {manager.level_of(old): manager.level_of(new) for old, new in relevant.items()}
+        return BDD(manager, manager._rename(self.root, level_map))
 
     # -- enumeration ------------------------------------------------------------------
     def satisfying_cubes(self) -> Iterator[Cube]:
@@ -367,12 +444,12 @@ class BDD:
             if root == BDDManager.TRUE:
                 yield Cube(dict(partial))
                 return
-            node = self.manager._nodes[root]
-            name = self.manager.variables[node.level]
+            level, low, high = self.manager._nodes[root]
+            name = self.manager._order[level]
             partial[name] = False
-            yield from walk(node.low, partial)
+            yield from walk(low, partial)
             partial[name] = True
-            yield from walk(node.high, partial)
+            yield from walk(high, partial)
             del partial[name]
 
         yield from walk(self.root, {})

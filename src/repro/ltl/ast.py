@@ -74,6 +74,13 @@ class Formula:
         object.__setattr__(self, "_hash", value)
         return value
 
+    def __reduce__(self):
+        # Rebuild through the constructor: the default slot-state restore
+        # would assign through the frozen ``__setattr__``, and the cached
+        # ``_hash`` depends on this process's string hash seed, so it is
+        # recomputed on first use, never carried over.
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+
     # -- operator sugar -----------------------------------------------------
     def __and__(self, other: "Formula") -> "Formula":
         return conj(self, other)

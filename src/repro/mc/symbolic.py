@@ -27,9 +27,12 @@ after it* (interleaved current/next order — the classic ordering that keeps
 relation is kept **partitioned**: one conjunct per register (``r#n <->
 next_r(state)``), one per automaton block (the transition structure plus the
 state-label constraint evaluated on the *next* letter).  Images and
-preimages conjoin the partition lazily with **early quantification**: a
-variable is existentially quantified out as soon as no remaining conjunct
-mentions it, so the full relation is never built.
+preimages are **relational products** over the partition, with early
+quantification: the conjuncts are taken narrowest first, and each step that
+is the last to mention some variables conjoins and quantifies them in one
+pass (:meth:`~repro.logic.bdd.BDD.and_exists`), so neither the full
+relation nor any unquantified conjunction is ever built.  The variables each
+step releases are fixed when the product is built.
 
 Decision procedure
 ------------------
@@ -50,7 +53,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..logic.bdd import BDD, BDDManager
 from ..logic.boolexpr import BoolExpr, var
@@ -230,16 +233,15 @@ class SymbolicProduct:
             self.partition.append(self._automaton_relation(index, automaton))
         self.statistics.partitions = len(self.partition)
         # Fixed conjunction schedule: narrow conjuncts first so their
-        # variables ripen early; the suffix supports drive early
-        # quantification and never change after construction.
+        # variables ripen early.  An empty partition still takes one (TRUE)
+        # step, which quantifies every variable at once.
         self._schedule: List[BDD] = sorted(
             self.partition, key=lambda part: len(part.support())
+        ) or [self.manager.true()]
+        self._image_release = self._release_schedule(self.current_vars)
+        self._preimage_release = self._release_schedule(
+            [_next_name(name) for name in self.current_vars]
         )
-        self._suffix_support: List[Set[str]] = [set()] * len(self._schedule)
-        running: Set[str] = set()
-        for idx in range(len(self._schedule) - 1, -1, -1):
-            self._suffix_support[idx] = set(running)
-            running |= set(self._schedule[idx].support())
 
         # -- initial states and fairness -------------------------------------
         self.initial = self._initial_states()
@@ -313,25 +315,33 @@ class SymbolicProduct:
         return init
 
     # -- image computation ----------------------------------------------------
-    def _relational_step(self, seed: BDD, quantify: Sequence[str]) -> BDD:
+    def _release_schedule(self, quantify: Sequence[str]) -> List[Tuple[str, ...]]:
+        """The variables of ``quantify`` released at each schedule step.
+
+        A variable is released by the last step whose conjunct mentions it
+        (by the first step when none does): no later conjunct needs it.
+        """
+        last = {name: 0 for name in quantify}
+        for idx, part in enumerate(self._schedule):
+            for name in part.support():
+                if name in last:
+                    last[name] = idx
+        released: List[List[str]] = [[] for _ in self._schedule]
+        for name in sorted(last):
+            released[last[name]].append(name)
+        return [tuple(names) for names in released]
+
+    def _relational_step(self, seed: BDD, release: Sequence[Tuple[str, ...]]) -> BDD:
         """Conjoin the partition with ``seed``, quantifying early.
 
-        ``quantify`` lists the variables to eliminate (current variables for
-        an image, primed ones for a preimage).  A variable is quantified out
-        immediately after the last partition conjunct whose support mentions
-        it has been conjoined — the partition is ordered by support size so
-        narrow conjuncts release their variables first.
+        ``release[idx]`` lists the variables to eliminate (current variables
+        for an image, primed ones for a preimage) once schedule step ``idx``
+        is conjoined: the relational product ``∃ released. acc ∧ part``
+        replaces the conjunction on every step that releases a variable.
         """
-        pending = set(quantify)
         acc = seed
-        for idx, part in enumerate(self._schedule):
-            acc = acc & part
-            ripe = {name for name in pending if name not in self._suffix_support[idx]}
-            if ripe:
-                acc = acc.exists(sorted(ripe))
-                pending -= ripe
-        if pending:
-            acc = acc.exists(sorted(pending))
+        for part, ripe in zip(self._schedule, release):
+            acc = acc.and_exists(part, ripe) if ripe else acc & part
         self.statistics.peak_nodes = max(self.statistics.peak_nodes, self.manager.node_count())
         return acc
 
@@ -340,7 +350,7 @@ class SymbolicProduct:
         from ..engines.cancel import check_cancelled
 
         check_cancelled()
-        result = self._relational_step(states, self.current_vars)
+        result = self._relational_step(states, self._image_release)
         return result.rename(self._rename_to_current)
 
     def preimage(self, states: BDD) -> BDD:
@@ -349,7 +359,7 @@ class SymbolicProduct:
 
         check_cancelled()
         primed = states.rename(self._rename_to_next)
-        return self._relational_step(primed, [_next_name(n) for n in self.current_vars])
+        return self._relational_step(primed, self._preimage_release)
 
     # -- fixpoints -------------------------------------------------------------
     def reachable(self) -> BDD:
@@ -554,9 +564,10 @@ def find_run_symbolic(
     :class:`~repro.problem.CompiledProblem`.
     """
     start = time.perf_counter()
-    with span("symbolic_encode"):
+    with span("symbolic_encode") as sp:
         product = SymbolicProduct(module, formulas, automata=automata, extra_free=extra_free)
-    statistics = product.statistics
+        statistics = product.statistics
+        sp.set(state_variables=statistics.state_variables, partitions=statistics.partitions)
 
     satisfiable = False
     witness: Optional[LassoTrace] = None
@@ -566,7 +577,10 @@ def find_run_symbolic(
             sp.set(iterations=statistics.reachable_iterations)
         with span("symbolic_fair") as sp:
             fair = product.fair_states(reachable)
-            sp.set(el_iterations=statistics.el_iterations)
+            sp.set(
+                el_iterations=statistics.el_iterations,
+                peak_nodes=product.manager.node_count(),
+            )
         if not (product.initial & fair).is_false():
             satisfiable = True
             with span("symbolic_witness"):

@@ -19,6 +19,7 @@ import pytest
 from repro.core import CoverageOptions, collect_gap_witnesses, find_coverage_gap
 from repro.core.primary import primary_coverage_check
 from repro.designs import CATALOG
+from repro.designs.random import RandomDesignSpec, random_problem
 from repro.engines.coverage import CoverageEngine, engine_from_options
 from repro.ltl.printer import to_str
 
@@ -89,6 +90,16 @@ def test_no_query_is_decided_twice_and_the_report_is_pinned(design, engine, deci
     report, apa_terms = EXPECTED[design, engine]
     assert analysis.describe() == report
     assert [to_str(term.to_formula()) for term in analysis.terms.architectural_terms] == apa_terms
+
+
+@pytest.mark.parametrize("engine", ["explicit", "bmc"])
+def test_exact_hole_report_shows_its_closure_check(engine):
+    """random_s7_000 falls back to the exact hole; its closure was checked."""
+    problem = random_problem(RandomDesignSpec(seed=7, index=0))
+    analysis = find_coverage_gap(problem, problem.architectural[0], _options(engine))
+    text = analysis.describe()
+    assert "exact hole reported" in text
+    assert "gap closure verified: True" in text
 
 
 @pytest.mark.parametrize("design,engine", CELLS)

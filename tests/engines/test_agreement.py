@@ -115,7 +115,6 @@ class TestSymbolicAgreement:
         engine = get_engine("symbolic")
         assert engine.is_covered_with(problem, [problem.architectural_conjunction()])
 
-    @pytest.mark.slow
     @pytest.mark.parametrize("design", ["intel_like", "mal_table1", "amba_ahb"])
     def test_symbolic_agrees_with_explicit_on_large_catalog_designs(self, design):
         """Completes the catalog sweep: symbolic == explicit, conjunct by conjunct."""

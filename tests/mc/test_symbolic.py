@@ -1,5 +1,7 @@
 """Unit tests for the fully symbolic BDD fixpoint model checker."""
 
+import json
+
 import pytest
 
 from repro.ltl.ast import FALSE, Always, Eventually, G, Next, Not, X, atom
@@ -137,3 +139,30 @@ class TestFindRunSymbolic:
         assert result.satisfiable
         impossible = find_run_symbolic(module, [G(atom("a")), G(atom("y"))])
         assert not impossible.satisfiable
+        # No register and no automaton: an empty partition still has images.
+        product = SymbolicProduct(module, [])
+        assert product.partition == []
+        assert product.image(product.initial).is_true()
+        assert find_run_symbolic(module, []).satisfiable
+
+
+class TestTracedQuerySizes:
+    def test_traced_check_exports_encoding_and_node_counts(self, tmp_path):
+        from repro.designs import get_design
+        from repro.engines import get_engine
+        from repro.obs import JsonlExporter, add_sink
+        from repro.runner.cache import using_result_cache
+
+        path = tmp_path / "trace.jsonl"
+        exporter = JsonlExporter(str(path))
+        add_sink(exporter)
+        try:
+            with using_result_cache(None):  # the query must reach the engine
+                get_engine("symbolic").check_primary(get_design("mal_fig4").builder())
+        finally:
+            exporter.close()
+        records = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        attrs = {r["name"]: r["attrs"] for r in records if r["type"] == "span"}
+        assert attrs["symbolic_encode"]["state_variables"] > 0
+        assert attrs["symbolic_encode"]["partitions"] > 0
+        assert attrs["symbolic_fair"]["peak_nodes"] > 0

@@ -8,7 +8,10 @@ seeded random designs:
 * the memoised bitset product vs a plain dict/list product loop
   (``product_reference.py`` beside this file), on the query sets Algorithm 1
   asks — ``R``, ``R + A``, ``[!A] + R`` with a witness exclusion and a
-  weakened candidate — and the bitset emptiness sweep vs Tarjan.
+  weakened candidate — and the bitset emptiness sweep vs Tarjan,
+* the BDD kernel's one-pass ``exists``/``forall``/``and_exists``/``rename``
+  vs per-variable references (``bdd_reference.py`` beside this file), on
+  random functions and on the symbolic engine's images and preimages.
 
 Seeded RNGs only — every failure here is reproducible by seed.
 """
@@ -22,16 +25,26 @@ import sys
 
 import pytest
 
+from bdd_reference import (
+    reference_exists,
+    reference_forall,
+    reference_image,
+    reference_preimage,
+    reference_rename,
+)
 from product_reference import reference_product
 from repro.bmc.engine import find_run_bmc
 from repro.core import generate_candidates, primary_coverage_check, push_terms
 from repro.designs import CATALOG
-from repro.designs.random import RandomDesignSpec, random_problem
+from repro.designs.random import RandomDesignSpec, random_boolexpr, random_problem
+from repro.engines import get_engine
+from repro.logic import BDDError, BDDManager
 from repro.ltl.ast import Not
 from repro.ltl.traces import evaluate
 from repro.ltl.unfold import term_from_trace
 from repro.mc.modelcheck import build_kripke, compile_formulas
 from repro.mc.product import kripke_automata_product
+from repro.mc.symbolic import SymbolicProduct
 from repro.sat.cnf import CNF
 from repro.sat.solver import SatSolver, solve
 
@@ -265,3 +278,100 @@ class TestBitsetProductDifferential:
                         )
                     for accept_set in fast.acceptance:
                         assert accept_set & set(lasso.loop), (name, lasso)
+
+
+class TestBddKernelReference:
+    """The one-pass BDD operations return the very root their per-variable
+    references build in the same manager."""
+
+    CURRENT = [f"v{i}" for i in range(5)]
+    INTERLEAVED = [name for v in CURRENT for name in (v, v + "#n")]
+
+    def _cases(self, seed, count=40):
+        """``count`` (rng, manager) cases per variable order: the interleaved
+        ``v``/``v#n`` order of the symbolic engine, then a scrambled one."""
+        rng = random.Random(seed)
+        scrambled = list(self.INTERLEAVED)
+        rng.shuffle(scrambled)
+        for order in (self.INTERLEAVED, scrambled):
+            manager = BDDManager(order)
+            for _ in range(count):
+                yield rng, manager
+
+    def _function(self, rng, manager, names):
+        """A random function of at least three of ``names``."""
+        while True:
+            function = manager.from_expr(random_boolexpr(rng, names, rng.randint(3, 6)))
+            if len(function.support()) >= 3:
+                return function
+
+    def test_exists_and_forall_match_reference(self):
+        for rng, manager in self._cases(2203):
+            function = self._function(rng, manager, self.INTERLEAVED)
+            names = rng.sample(self.INTERLEAVED, rng.randint(0, 6))
+            assert function.exists(names).root == reference_exists(function, names).root, names
+            assert function.forall(names).root == reference_forall(function, names).root, names
+
+    def test_and_exists_matches_reference(self):
+        for rng, manager in self._cases(2207):
+            left = self._function(rng, manager, self.INTERLEAVED)
+            right = self._function(rng, manager, self.INTERLEAVED)
+            names = rng.sample(self.INTERLEAVED, rng.randint(0, 6))
+            want = reference_exists(left & right, names).root
+            assert left.and_exists(right, names).root == want, names
+            assert right.and_exists(left, names).root == want, names
+
+    def test_rename_matches_reference(self):
+        to_next = {v: v + "#n" for v in self.CURRENT}
+        to_current = {v + "#n": v for v in self.CURRENT}
+        for rng, manager in self._cases(2213):
+            now = self._function(rng, manager, self.CURRENT)
+            primed = self._function(rng, manager, list(to_current))
+            # Current <-> next shifts: order-preserving in the interleaved
+            # order, not in the scrambled one.
+            for function, mapping in ((now, to_next), (primed, to_current)):
+                assert function.rename(mapping).root == reference_rename(function, mapping).root
+            # A permutation onto the other half never keeps the order.
+            targets = list(to_current)
+            rng.shuffle(targets)
+            mapping = dict(zip(self.CURRENT, targets))
+            assert now.rename(mapping).root == reference_rename(now, mapping).root, mapping
+
+    def test_rename_onto_undeclared_variables_matches_reference(self):
+        for seed, (rng, manager) in enumerate(self._cases(2221, count=10)):
+            function = self._function(rng, manager, self.CURRENT)
+            fresh = [f"w{seed}_{i}" for i in range(len(self.CURRENT))]
+            rng.shuffle(fresh)
+            mapping = dict(zip(self.CURRENT, fresh))
+            renamed = function.rename(mapping)  # declares the targets it needs
+            assert renamed.root == reference_rename(function, mapping).root, mapping
+            assert renamed.support() == {mapping[name] for name in function.support()}
+
+    def test_rename_rejects_what_the_reference_rejects(self):
+        manager = BDDManager(self.INTERLEAVED)
+        function = manager.var("v0") & manager.var("v1")
+        for mapping in ({"v0": "v1"}, {"v0": "v1", "v1": "v0"}, {"v0": "v2", "v1": "v2"}):
+            for rename in (function.rename, lambda m: reference_rename(function, m)):
+                with pytest.raises(BDDError):
+                    rename(mapping)
+        with pytest.raises(BDDError):
+            function.and_exists(manager.true(), ["undeclared"])
+
+    @pytest.mark.parametrize(
+        "name", sorted(set(CATALOG) - {"amba_ahb", "mal_table1"})
+    )
+    def test_symbolic_images_match_reference(self, name):
+        problem = CATALOG[name].builder()
+        compiled = get_engine("symbolic").compile(
+            problem.composed_module(),
+            [Not(problem.architectural_conjunction())] + problem.all_rtl_formulas(),
+        )
+        product = SymbolicProduct(
+            compiled.module,
+            compiled.formulas,
+            automata=compiled.automata,
+            extra_free=compiled.free_signals,
+        )
+        for states in (product.initial, product.reachable()):
+            assert product.image(states) == reference_image(product, states), name
+            assert product.preimage(states) == reference_preimage(product, states), name
