@@ -434,7 +434,14 @@ def _cmd_check(design: str, args: argparse.Namespace) -> int:
     # reports from a daemon (modulo timing fields).
     import json as _json
 
-    from .service import JobRequest, RequestValidationError, execute_job, exit_code_for, validate_request
+    from .service import (
+        JobRequest,
+        ProblemMemo,
+        RequestValidationError,
+        execute_job,
+        exit_code_for,
+        validate_request,
+    )
 
     body = {"design": design, "engine": args.engine, "bound": args.bound, "slicing": _slicing_from_args(args)}
     if args.index is not None:
@@ -443,7 +450,8 @@ def _cmd_check(design: str, args: argparse.Namespace) -> int:
         # Only --json goes through the daemon's validation: its request
         # ceilings exist to protect the daemon, not one-shot text runs.
         request = validate_request("check", body) if args.json else JobRequest(kind="check", **body)
-        payload = execute_job(request)
+        problems = ProblemMemo()
+        payload = execute_job(request, problems=problems)
     except RequestValidationError as exc:
         print(f"check: invalid request: {exc}", file=sys.stderr)
         return 2
@@ -451,7 +459,7 @@ def _cmd_check(design: str, args: argparse.Namespace) -> int:
         print(_json.dumps(payload, indent=2, sort_keys=True))
         return exit_code_for(payload)
     verdict = payload["verdict"]
-    print(f"design   : {get_design(design).builder().name}")
+    print(f"design   : {problems.get(get_design(design)).name}")
     print(f"engine   : {payload['engine']}")
     if payload["winner"]:
         print(f"winner   : {payload['winner']}")

@@ -24,8 +24,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["AutoEngine", "AutoResult", "EXPLICIT_ABOVE_STATES", "pick_engine"]
 
 #: Queries whose automata have more states than this in total run on
-#: ``explicit``; the rest run on ``bmc``.  This is the one rule of the
-#: scheduler model committed in ``BENCH_engines.json``
+#: ``explicit``; the rest run on ``bmc``.  This is the one rule a
+#: decision-list model learned from the catalog's per-query winners
 #: (``automaton_states > 28.5``, trained on the 18 catalog rows).
 EXPLICIT_ABOVE_STATES = 28
 

@@ -22,10 +22,11 @@ an engine by name.
 
 from __future__ import annotations
 
+import inspect
 import threading
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..ltl.ast import Formula, Not
 from ..ltl.traces import LassoTrace
@@ -369,13 +370,22 @@ class BmcEngine(CoverageEngine):
 # -- registry -----------------------------------------------------------------
 
 # The symbolic, portfolio and auto engines register themselves from their
-# own modules once the package __init__ has imported them.
-_ENGINES: Dict[str, Callable[..., CoverageEngine]] = {}
+# own modules once the package __init__ has imported them.  Each factory is
+# stored with the keyword names it accepts (``None``: it takes ``**kwargs``),
+# read from its signature once, here, instead of on every lookup.
+_ENGINES: Dict[str, Tuple[Callable[..., CoverageEngine], Optional[FrozenSet[str]]]] = {}
+
+
+def _accepted_keywords(factory: Callable[..., CoverageEngine]) -> Optional[FrozenSet[str]]:
+    parameters = inspect.signature(factory).parameters
+    if any(p.kind is inspect.Parameter.VAR_KEYWORD for p in parameters.values()):
+        return None
+    return frozenset(parameters)
 
 
 def register_engine(name: str, factory: Callable[..., CoverageEngine]) -> None:
     """Register an engine factory; keyword arguments pass through lookups."""
-    _ENGINES[name] = factory
+    _ENGINES[name] = (factory, _accepted_keywords(factory))
 
 
 def unregister_engine(name: str) -> None:
@@ -405,18 +415,14 @@ def get_engine(name: str, **kwargs) -> CoverageEngine:
     (``get_engine(options.engine, max_bound=options.bmc_max_bound)``) and each
     engine picks up only the knobs it understands.
     """
-    factory = _ENGINES.get(name) if isinstance(name, str) else None
-    if factory is None:
+    registered = _ENGINES.get(name) if isinstance(name, str) else None
+    if registered is None:
         known = ", ".join(engine_names())
         raise KeyError(f"unknown coverage engine {name!r} (known: {known})")
-    if kwargs:
-        import inspect
-
-        parameters = inspect.signature(factory).parameters
-        if any(p.kind is inspect.Parameter.VAR_KEYWORD for p in parameters.values()):
-            return factory(**kwargs)
-        return factory(**{k: v for k, v in kwargs.items() if k in parameters})
-    return factory()
+    factory, accepted = registered
+    if accepted is None:
+        return factory(**kwargs)
+    return factory(**{k: v for k, v in kwargs.items() if k in accepted})
 
 
 def engine_from_options(options) -> CoverageEngine:

@@ -37,7 +37,8 @@ from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from ..ltl.traces import LassoTrace
 from ..obs import metrics, span
-from .cancel import CancelToken, Cancelled, using_cancel_token
+from ..runner.cache import active_lookup_counter, counting_lookups
+from .cancel import CancelToken, Cancelled, check_cancelled, using_cancel_token
 from .coverage import CoverageEngine, get_engine, register_engine
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -154,10 +155,12 @@ class PortfolioEngine(CoverageEngine):
         lock = threading.Lock()
         finished: List[Tuple[str, object]] = []  # (name, result) in completion order
         outcomes: dict = {}
+        # Members count their cache lookups toward the caller's job.
+        lookups = active_lookup_counter()
 
         def work(engine: CoverageEngine) -> None:
             try:
-                with using_cancel_token(token, member=engine.name):
+                with using_cancel_token(token, member=engine.name), counting_lookups(lookups):
                     # Members run their own find_run, so the shared result
                     # cache is consulted — and populated — under each
                     # member's own key.
@@ -202,13 +205,16 @@ class PortfolioEngine(CoverageEngine):
                 for thread in started:
                     thread.join(timeout=5.0)
                 raise _ThreadsUnavailable(str(exc)) from exc
-            # Interruptible wait (a suite shard watchdog may fire here).
+            # Interruptible wait (a suite shard watchdog may fire here) that
+            # also polls the caller's own token (a job timeout): the members
+            # only see the race token, so this wait is where a cancelled
+            # caller stops them.
             while not decided.wait(timeout=0.05):
-                pass
+                check_cancelled()
         finally:
             token.cancel()
-        for thread in started:
-            thread.join(timeout=5.0)
+            for thread in started:
+                thread.join(timeout=5.0)
         return self._settle(
             problem, engines, finished, outcomes, start,
             progress=token.progress_snapshot(), mode="race",
@@ -221,6 +227,9 @@ class PortfolioEngine(CoverageEngine):
         for engine in engines:
             try:
                 result = engine.find_run(problem)
+            except Cancelled:
+                # The caller's own token (a job timeout): no rung may run.
+                raise
             except Exception as exc:  # noqa: BLE001 - climb to the next rung
                 outcomes[engine.name] = f"error: {type(exc).__name__}: {exc}"
                 continue

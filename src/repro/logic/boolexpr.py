@@ -115,9 +115,12 @@ class BoolExpr:
 
     Instances are immutable, interned and hashable.  The operator overloads
     build new nodes with light constant folding (``x & TRUE`` returns ``x``).
+    The ``_fingerprint`` slot caches
+    :func:`repro.runner.cache.expr_fingerprint` on the node; it is set on
+    first use, so it lives exactly as long as the (weakly interned) node.
     """
 
-    __slots__ = ("_hash", "_vars", "__weakref__")
+    __slots__ = ("_hash", "_vars", "_fingerprint", "__weakref__")
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"{type(self).__name__} instances are immutable")

@@ -56,9 +56,15 @@ __all__ = [
 
 
 class Formula:
-    """Base class for LTL formula nodes (immutable, hashable)."""
+    """Base class for LTL formula nodes (immutable, hashable).
 
-    __slots__ = ("_hash",)
+    Besides ``_hash``, two slots cache pure functions of the node on the
+    node itself, set on first use and never at construction: ``_atoms``
+    (:func:`atoms_of`) and ``_fingerprint``
+    (:func:`repro.runner.cache.formula_fingerprint`).
+    """
+
+    __slots__ = ("_hash", "_atoms", "_fingerprint")
 
     def __hash__(self) -> int:
         # Computed once per node from the node class and its fields (whose
@@ -78,7 +84,8 @@ class Formula:
         # Rebuild through the constructor: the default slot-state restore
         # would assign through the frozen ``__setattr__``, and the cached
         # ``_hash`` depends on this process's string hash seed, so it is
-        # recomputed on first use, never carried over.
+        # recomputed on first use, never carried over (nor is any other
+        # cached slot).
         return type(self), tuple(getattr(self, name) for name in self.__match_args__)
 
     # -- operator sugar -----------------------------------------------------
@@ -333,12 +340,22 @@ def subformulas(formula: Formula) -> Iterator[Formula]:
 
 
 def atoms_of(formula: Formula) -> FrozenSet[str]:
-    """Return the set of atomic proposition names used by the formula."""
+    """Return the set of atomic proposition names used by the formula.
+
+    Cached on ``formula`` (only on it, not on its subformulas): asking a
+    formula twice walks it once.
+    """
+    try:
+        return formula._atoms
+    except AttributeError:
+        pass
     names = set()
     for sub in subformulas(formula):
         if isinstance(sub, Atom):
             names.add(sub.name)
-    return frozenset(names)
+    atoms = frozenset(names)
+    object.__setattr__(formula, "_atoms", atoms)
+    return atoms
 
 
 def atom_support(formulas: Iterable[Formula]) -> FrozenSet[str]:

@@ -18,7 +18,11 @@ Fingerprints are *structural*, not ``repr``-based: two modules with the same
 inputs/assigns/registers hash identically regardless of object identity or
 build order of the hash-consing tables, and the linearisation walks the
 expression DAG once per node (shared sub-DAGs are emitted once), so keying a
-query is linear in DAG size.
+query is linear in DAG size.  Expressions and formulas are immutable, so
+their fingerprints are cached on the node asked (a pure function of an
+immutable, hash-consed value); a :class:`~repro.rtl.netlist.Module` is
+mutable, so its fingerprint is recomputed every time, from the cached
+fingerprints of its drivers.
 
 Engines consult the process-wide *active* cache through
 :func:`active_result_cache`, and the suite runner /
@@ -75,6 +79,8 @@ __all__ = [
     "CachedRunResult",
     "CacheStats",
     "ResultCache",
+    "counting_lookups",
+    "active_lookup_counter",
     "cache_for_dir",
     "cache_dir_stats",
     "clear_cache_dir",
@@ -89,22 +95,21 @@ __all__ = [
 # -- structural fingerprints --------------------------------------------------
 
 
-def expr_fingerprint(expr: BoolExpr) -> str:
-    """Stable fingerprint of a :class:`BoolExpr` DAG (linear in DAG size).
+def _digest(root, children_of, line_of) -> str:
+    """SHA-256 of a DAG linearised in a deterministic post-order.
 
-    Nodes are numbered in a deterministic post-order; each node contributes one
-    line naming its operator and the numbers of its children, so shared
-    sub-DAGs are serialised exactly once.  The result is independent of the
-    process, of ``PYTHONHASHSEED`` and of hash-consing table state.
+    Each node contributes one line naming its operator and the numbers of
+    its children (``line_of(node, child_ids)``), so shared sub-DAGs are
+    serialised exactly once and the walk is linear in DAG size.
     """
-    memo: Dict[BoolExpr, int] = {}
+    memo: Dict[object, int] = {}
     lines: List[str] = []
-    stack: List[Tuple[BoolExpr, bool]] = [(expr, False)]
+    stack: List[Tuple[object, bool]] = [(root, False)]
     while stack:
         node, processed = stack.pop()
         if node in memo:
             continue
-        children = _expr_children(node)
+        children = children_of(node)
         if not processed:
             stack.append((node, True))
             for child in reversed(children):
@@ -112,8 +117,22 @@ def expr_fingerprint(expr: BoolExpr) -> str:
                     stack.append((child, False))
             continue
         memo[node] = len(lines)
-        lines.append(_expr_line(node, [memo[child] for child in children]))
-    digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+        lines.append(line_of(node, [memo[child] for child in children]))
+    return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+
+
+def expr_fingerprint(expr: BoolExpr) -> str:
+    """Stable fingerprint of a :class:`BoolExpr` DAG (linear in DAG size).
+
+    The result is independent of the process, of ``PYTHONHASHSEED`` and of
+    hash-consing table state.  Cached on ``expr``.
+    """
+    try:
+        return expr._fingerprint
+    except AttributeError:
+        pass
+    digest = _digest(expr, _expr_children, _expr_line)
+    object.__setattr__(expr, "_fingerprint", digest)
     return digest
 
 
@@ -158,32 +177,32 @@ _FORMULA_TAGS = {
 }
 
 
+def _formula_children(node: Formula) -> Tuple[Formula, ...]:
+    return node.children()
+
+
+def _formula_line(node: Formula, child_ids: List[int]) -> str:
+    if isinstance(node, Atom):
+        return f"a:{node.name}"
+    tag = _FORMULA_TAGS.get(type(node))
+    if tag is None:
+        raise TypeError(f"cannot fingerprint formula of type {type(node).__name__}")
+    return tag + ":" + ",".join(map(str, child_ids))
+
+
 def formula_fingerprint(formula: Formula) -> str:
-    """Stable fingerprint of an LTL formula tree (iterative, memoised)."""
-    memo: Dict[Formula, int] = {}
-    lines: List[str] = []
-    stack: List[Tuple[Formula, bool]] = [(formula, False)]
-    while stack:
-        node, processed = stack.pop()
-        if node in memo:
-            continue
-        children = node.children()
-        if not processed:
-            stack.append((node, True))
-            for child in reversed(children):
-                if child not in memo:
-                    stack.append((child, False))
-            continue
-        memo[node] = len(lines)
-        if isinstance(node, Atom):
-            line = f"a:{node.name}"
-        else:
-            tag = _FORMULA_TAGS.get(type(node))
-            if tag is None:
-                raise TypeError(f"cannot fingerprint formula of type {type(node).__name__}")
-            line = tag + ":" + ",".join(str(memo[child]) for child in children)
-        lines.append(line)
-    return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+    """Stable fingerprint of an LTL formula tree (equal subtrees serialised once).
+
+    Cached on ``formula``; a pickled or copied formula is rebuilt from its
+    fields and recomputes it.
+    """
+    try:
+        return formula._fingerprint
+    except AttributeError:
+        pass
+    digest = _digest(formula, _formula_children, _formula_line)
+    object.__setattr__(formula, "_fingerprint", digest)
+    return digest
 
 
 def module_fingerprint(module) -> str:
@@ -194,6 +213,11 @@ def module_fingerprint(module) -> str:
     order with the structural fingerprint of their expressions, so two
     structurally identical modules key identically across processes.  The
     module *name* is deliberately excluded.
+
+    Not cached: ``compose``, ``hide_signals`` and ``Module.slice_for``
+    assign a module's fields directly, and a stale digest would be a stale
+    cache key.  Each driver's expression fingerprint is cached on the
+    expression, so this is one join and one SHA-256.
     """
     lines = [
         "in:" + ",".join(module.inputs),
@@ -417,9 +441,11 @@ class ResultCache:
         if payload is None:
             self.stats.misses += 1
             metrics().inc("result_cache.misses")
+            _count_lookup("misses")
         else:
             self.stats.hits += 1
             metrics().inc("result_cache.hits")
+            _count_lookup("hits")
         return payload
 
     def put(self, key: str, payload: dict) -> None:
@@ -427,6 +453,7 @@ class ResultCache:
         self._remember(key, payload)
         self.stats.stores += 1
         metrics().inc("result_cache.stores")
+        _count_lookup("stores")
         if not self.cache_dir:
             return
         path = self._path(key)
@@ -450,6 +477,41 @@ class ResultCache:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         where = self.cache_dir or "memory"
         return f"<ResultCache {where} entries={len(self._memory)} stats={self.stats}>"
+
+
+# -- per-job lookup counts ----------------------------------------------------
+#
+# ``ResultCache.stats`` counts every thread's lookups, so around one job it
+# also counts whatever other jobs of a daemon did meanwhile.  A job installs
+# its own counter here instead; helper threads working for the job (portfolio
+# members) install the same counter.
+
+_LOOKUPS = threading.local()
+_LOOKUPS_LOCK = threading.Lock()
+
+
+def active_lookup_counter() -> Optional[CacheStats]:
+    """The counter this thread's lookups and stores also go to (or ``None``)."""
+    return getattr(_LOOKUPS, "stats", None)
+
+
+@contextmanager
+def counting_lookups(stats: Optional[CacheStats]) -> Iterator[Optional[CacheStats]]:
+    """Also count this thread's cache hits, misses and stores into ``stats``."""
+    previous = getattr(_LOOKUPS, "stats", None)
+    _LOOKUPS.stats = stats
+    try:
+        yield stats
+    finally:
+        _LOOKUPS.stats = previous
+
+
+def _count_lookup(field: str) -> None:
+    stats = getattr(_LOOKUPS, "stats", None)
+    if stats is not None:
+        # Several threads may share one counter.
+        with _LOOKUPS_LOCK:
+            setattr(stats, field, getattr(stats, field) + 1)
 
 
 # -- persistent per-directory statistics (the `specmatcher cache` CLI) --------

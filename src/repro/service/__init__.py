@@ -32,7 +32,14 @@ from .validation import (
     ValidationError,
     validate_request,
 )
-from .jobs import JobRequest, JobTimeout, ServiceDefaults, execute_job, exit_code_for
+from .jobs import (
+    JobRequest,
+    JobTimeout,
+    ProblemMemo,
+    ServiceDefaults,
+    execute_job,
+    exit_code_for,
+)
 from .quota import QuotaRegistry, TokenBucket
 from .server import CoverageService, ServiceConfig
 from .client import ServiceClient, ServiceError, ServiceUnavailable
@@ -43,6 +50,7 @@ __all__ = [
     "validate_request",
     "JobRequest",
     "JobTimeout",
+    "ProblemMemo",
     "ServiceDefaults",
     "execute_job",
     "exit_code_for",

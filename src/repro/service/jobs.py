@@ -3,8 +3,10 @@
 :func:`execute_job` is the single choke point both front doors share:
 
 * the HTTP daemon (:mod:`repro.service.server`) calls it from a handler
-  thread with the server's warm caches installed;
-* the one-shot ``specmatcher check --json`` path calls it directly.
+  thread with the server's warm caches installed and its
+  :class:`ProblemMemo`, so each design is built once per daemon;
+* the one-shot ``specmatcher check --json`` path calls it directly, with a
+  fresh memo.
 
 Because both produce the *same* payload from the same code, a verdict served
 over HTTP byte-matches the one-shot CLI's (modulo the volatile
@@ -24,13 +26,19 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from ..engines.cancel import Cancelled, CancelToken, using_cancel_token
+from ..obs import metrics
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..core.spec import CoverageProblem
+    from ..designs import DesignEntry
 
 __all__ = [
     "JobRequest",
     "JobTimeout",
+    "ProblemMemo",
     "ServiceDefaults",
     "execute_job",
     "exit_code_for",
@@ -83,29 +91,61 @@ class ServiceDefaults:
     max_suite_workers: int = 4
 
 
+class ProblemMemo:
+    """The :class:`CoverageProblem` of each catalog entry, built once.
+
+    Keyed by the :class:`~repro.designs.DesignEntry` *object*, so a name
+    registered again builds afresh.  A build runs outside the lock: two
+    concurrent first requests for one design may both build, and the first
+    problem stored is the one every later request gets.  Job runners treat
+    the problem as read-only (its one write, the ``composed_module()`` memo,
+    is idempotent).
+    """
+
+    def __init__(self) -> None:
+        # id(entry) -> (entry, problem); holding the entry keeps its id unique.
+        self._built: Dict[int, Tuple["DesignEntry", "CoverageProblem"]] = {}
+        self._lock = threading.Lock()
+
+    def get(self, entry: "DesignEntry") -> "CoverageProblem":
+        held = self._built.get(id(entry))
+        if held is None:
+            problem = entry.builder()
+            metrics().inc("service.designs_built")
+            with self._lock:
+                held = self._built.setdefault(id(entry), (entry, problem))
+        return held[1]
+
+
 def execute_job(
-    request: JobRequest, defaults: Optional[ServiceDefaults] = None
+    request: JobRequest,
+    defaults: Optional[ServiceDefaults] = None,
+    problems: Optional[ProblemMemo] = None,
 ) -> Dict[str, object]:
     """Run one validated job and return its JSON-ready response payload.
 
-    Raises :class:`JobTimeout` when ``request.timeout`` fires first; any
-    other exception propagates (the HTTP layer maps it to a 500).
+    ``problems`` is the caller's memo of built designs (``None``: a fresh
+    one, as for a one-shot run).  Raises :class:`JobTimeout` when
+    ``request.timeout`` fires first; any other exception propagates (the
+    HTTP layer maps it to a 500).
     """
     defaults = defaults or ServiceDefaults()
+    if problems is None:
+        problems = ProblemMemo()
     runner = {
         "check": _run_check,
         "analyze": _run_analyze,
         "suite": _run_suite,
     }[request.kind]
     if request.timeout is None:
-        return runner(request, defaults)
+        return runner(request, defaults, problems)
     token = CancelToken()
     timer = threading.Timer(request.timeout, token.cancel)
     timer.daemon = True
     timer.start()
     try:
         with using_cancel_token(token, member="service"):
-            return runner(request, defaults)
+            return runner(request, defaults, problems)
     except Cancelled:
         raise JobTimeout(request.timeout) from None
     finally:
@@ -134,32 +174,20 @@ def exit_code_for(payload: Dict[str, object]) -> int:
 # -- job runners ---------------------------------------------------------------
 
 
-def _cache_delta_scope():
-    """Snapshot the active result cache's counters around one job."""
-    from ..runner.cache import CacheStats, active_result_cache
-
-    cache = active_result_cache()
-    before = cache.stats.snapshot() if cache else CacheStats()
-
-    def delta() -> Dict[str, int]:
-        after = cache.stats.delta(before) if cache else CacheStats()
-        return {
-            "hits": after.hits,
-            "misses": after.misses,
-            "stores": after.stores,
-        }
-
-    return delta
+def _cache_block(lookups) -> Dict[str, int]:
+    return {"hits": lookups.hits, "misses": lookups.misses, "stores": lookups.stores}
 
 
-def _run_check(request: JobRequest, defaults: ServiceDefaults) -> Dict[str, object]:
+def _run_check(
+    request: JobRequest, defaults: ServiceDefaults, problems: ProblemMemo
+) -> Dict[str, object]:
     from ..designs import get_design
     from ..engines import get_engine
     from ..obs import PhaseAggregator
-    from ..runner.cache import encode_trace
+    from ..runner.cache import CacheStats, counting_lookups, encode_trace
 
     entry = get_design(request.design)
-    problem = entry.builder()
+    problem = problems.get(entry)
     if request.index is not None and request.index >= len(problem.architectural):
         from .validation import RequestValidationError, ValidationError
 
@@ -177,8 +205,10 @@ def _run_check(request: JobRequest, defaults: ServiceDefaults) -> Dict[str, obje
         problem.architectural[request.index] if request.index is not None else None
     )
     engine = get_engine(request.engine, max_bound=request.bound, slicing=request.slicing)
-    delta = _cache_delta_scope()
-    with PhaseAggregator() as phases:
+    # This job's own result-cache lookups (its portfolio members' included),
+    # not the shared cache's counters, which concurrent jobs move too.
+    lookups = CacheStats()
+    with PhaseAggregator() as phases, counting_lookups(lookups):
         verdict = engine.check_primary(problem, architectural=architectural)
     return {
         "job": "check",
@@ -194,19 +224,21 @@ def _run_check(request: JobRequest, defaults: ServiceDefaults) -> Dict[str, obje
         "expected_covered": entry.expected_covered,
         "winner": verdict.winner,
         "features": verdict.features,
-        "cache": delta(),
+        "cache": _cache_block(lookups),
         "timings": phases.timings(),
         "elapsed_seconds": round(verdict.elapsed_seconds, 6),
     }
 
 
-def _run_analyze(request: JobRequest, defaults: ServiceDefaults) -> Dict[str, object]:
+def _run_analyze(
+    request: JobRequest, defaults: ServiceDefaults, problems: ProblemMemo
+) -> Dict[str, object]:
     from ..core import CoverageOptions, analyze_problem, format_report
     from ..designs import get_design
     from ..obs import PhaseAggregator
+    from ..runner.cache import CacheStats, counting_lookups
 
-    entry = get_design(request.design)
-    problem = entry.builder()
+    problem = problems.get(get_design(request.design))
     options = CoverageOptions(
         engine=request.engine,
         bmc_max_bound=request.bound,
@@ -214,8 +246,8 @@ def _run_analyze(request: JobRequest, defaults: ServiceDefaults) -> Dict[str, ob
         max_witnesses=request.max_witnesses,
         unfold_depth=request.depth,
     )
-    delta = _cache_delta_scope()
-    with PhaseAggregator() as phases:
+    lookups = CacheStats()
+    with PhaseAggregator() as phases, counting_lookups(lookups):
         report = analyze_problem(problem, options)
     gaps = [analysis.describe() for analysis in report.analyses if not analysis.covered]
     return {
@@ -226,7 +258,7 @@ def _run_analyze(request: JobRequest, defaults: ServiceDefaults) -> Dict[str, ob
         "gap_count": len(gaps),
         "gaps": gaps,
         "report": format_report(report, show_witnesses=request.witnesses),
-        "cache": delta(),
+        "cache": _cache_block(lookups),
         "timings": phases.timings(),
         "elapsed_seconds": round(
             report.primary_seconds + report.tm_seconds + report.gap_seconds, 6
@@ -234,7 +266,9 @@ def _run_analyze(request: JobRequest, defaults: ServiceDefaults) -> Dict[str, ob
     }
 
 
-def _run_suite(request: JobRequest, defaults: ServiceDefaults) -> Dict[str, object]:
+def _run_suite(
+    request: JobRequest, defaults: ServiceDefaults, problems: ProblemMemo
+) -> Dict[str, object]:
     from ..runner import expand_jobs, run_suite
     from ..runner.report import suite_to_dict
 

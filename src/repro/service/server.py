@@ -1,7 +1,9 @@
 """The coverage-as-a-service HTTP daemon (stdlib ``http.server`` only).
 
 One long-lived process keeps everything a one-shot invocation pays for over
-and over *warm*: the interned ``BoolExpr`` kernel, the memoized
+and over *warm*: each catalog design's built ``CoverageProblem`` (built on
+its first request, counted by ``service.designs_built``), the interned
+``BoolExpr`` kernel with its cached fingerprints, the memoized
 ``CompiledProblem`` IR and the result-cache LRU (optionally
 directory-backed).  Requests are plain JSON over HTTP/1.0 (one
 connection per request — which keeps the graceful drain story simple: no
@@ -38,7 +40,7 @@ from typing import Dict, Optional
 
 from .. import __version__
 from ..obs import metrics
-from .jobs import JobTimeout, ServiceDefaults, execute_job
+from .jobs import JobTimeout, ProblemMemo, ServiceDefaults, execute_job
 from .quota import QuotaRegistry
 from .validation import JOB_KINDS, RequestValidationError, validate_request
 
@@ -187,7 +189,7 @@ class _Handler(BaseHTTPRequestHandler):
                 # worker slot; it was already in flight (counted) by then,
                 # so it runs to completion — the drain waits for it.
                 try:
-                    payload = execute_job(request, service.defaults)
+                    payload = execute_job(request, service.defaults, service.problems)
                 except JobTimeout as exc:
                     metrics().inc("service.timeouts")
                     self._send(
@@ -219,6 +221,10 @@ class _Handler(BaseHTTPRequestHandler):
 
 class _Server(ThreadingHTTPServer):
     daemon_threads = True
+    #: Listen backlog.  The socketserver default of 5 makes the kernel reset
+    #: connections of a burst of concurrent clients before the accept loop
+    #: gets to them.
+    request_queue_size = 128
     #: The drain waits on the service's own in-flight accounting, not on
     #: thread joins — an idle handler thread must not block ``server_close``.
     block_on_close = False
@@ -235,6 +241,9 @@ class CoverageService:
             max_suite_workers=config.max_suite_workers,
         )
         self.quotas = QuotaRegistry(config.quota_rate, max(1, config.quota_burst))
+        #: Each design's problem, built on its first request; lives as long
+        #: as the daemon.
+        self.problems = ProblemMemo()
         self._server: Optional[_Server] = None
         self._thread: Optional[threading.Thread] = None
         self._inflight = 0

@@ -1,4 +1,8 @@
-"""Formulas survive pickling and copying, with their hash recomputed."""
+"""Formulas survive pickling and copying, with their hash recomputed.
+
+Neither the cached hash nor the cached atom set and fingerprint travel with
+a copy: a round-tripped formula recomputes each on first use.
+"""
 
 from __future__ import annotations
 
@@ -11,7 +15,8 @@ import sys
 import pytest
 
 from repro.designs import CATALOG
-from repro.ltl.ast import And, Atom, Formula, Not
+from repro.ltl.ast import And, Atom, Formula, Not, atoms_of
+from repro.runner.cache import formula_fingerprint
 
 
 def _node_classes():
@@ -42,18 +47,24 @@ def test_every_node_class_is_covered():
     assert len(_node_classes()) == 14
 
 
-@pytest.mark.parametrize("hashed", [False, True], ids=["fresh", "hashed"])
+@pytest.mark.parametrize("warmed", ["fresh", "hashed", "cached"])
 @pytest.mark.parametrize("how", sorted(ROUND_TRIPS))
 @pytest.mark.parametrize("cls", _node_classes(), ids=lambda cls: cls.__name__)
-def test_node_round_trips(cls, how, hashed):
+def test_node_round_trips(cls, how, warmed):
     formula = _instance(cls)
-    if hashed:
+    if warmed != "fresh":
         hash(formula)
+    if warmed == "cached":
+        atoms_of(formula)
+        formula_fingerprint(formula)
     clone = ROUND_TRIPS[how](formula)
     assert type(clone) is cls
+    assert not any(hasattr(clone, slot) for slot in ("_hash", "_atoms", "_fingerprint"))
     assert clone == formula
     assert hash(clone) == hash(formula)
     assert str(clone) == str(formula)
+    assert atoms_of(clone) == atoms_of(formula)
+    assert formula_fingerprint(clone) == formula_fingerprint(formula)
 
 
 def test_hash_is_recomputed_in_the_loading_process():

@@ -3,9 +3,11 @@
 The plugin is loaded by file path — the same mechanism ``specmatcher serve
 --preload`` uses — so these tests never depend on ``tests/`` being
 importable as a package.  Registration happens in an autouse fixture (not at
-conftest import time, which runs during collection) and is undone on
-teardown, so the process-global engine registry stays pristine for every
-other test directory.
+conftest import time, which runs during collection) scoped to each test
+module of this directory and undone on its teardown, together with the
+process-wide result cache a started daemon installs, so the engine registry
+and the active cache stay pristine for every test run after the service
+tests.
 """
 
 from __future__ import annotations
@@ -18,14 +20,17 @@ import pytest
 SLEEPY_PLUGIN = Path(__file__).with_name("sleepy_plugin.py")
 
 
-@pytest.fixture(scope="session", autouse=True)
+@pytest.fixture(scope="module", autouse=True)
 def sleepy_engine():
     spec = importlib.util.spec_from_file_location(
         "specmatcher_sleepy_plugin", SLEEPY_PLUGIN
     )
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    yield
     from repro.engines import unregister_engine
+    from repro.runner.cache import active_result_cache, set_result_cache
 
+    previous_cache = active_result_cache()
+    yield
     unregister_engine("sleepy")
+    set_result_cache(previous_cache)

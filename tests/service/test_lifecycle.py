@@ -100,3 +100,29 @@ def test_serve_sigterm_drains_inflight_job(tmp_path):
         if proc.poll() is None:
             proc.kill()
             proc.communicate(timeout=30)
+
+
+def test_service_tests_leave_the_process_pristine():
+    """The ``sleepy`` engine and a daemon's result cache end with the service tests.
+
+    Engine tests run after a daemon-starting service test must see only the
+    built-in engines, and must run their races rather than replay them from
+    the cache the daemon installed.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    engine_tests = REPO / "tests" / "engines"
+    result = subprocess.run(
+        [
+            sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+            f"{Path(__file__).with_name('test_service.py')}::test_healthz",
+            f"{engine_tests / 'test_agreement.py'}::TestEngineRegistry::test_known_names",
+            f"{engine_tests / 'test_portfolio.py'}::TestMode",
+        ],
+        cwd=REPO,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stdout[-3000:]
