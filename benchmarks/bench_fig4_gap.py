@@ -5,8 +5,9 @@ with a genuine witness run, and (b) the closure check of the reference gap
 property — together these reproduce the qualitative content of Example 2.
 """
 
-from repro.core import is_covered_with, primary_coverage_check
+from repro.core import primary_coverage_check
 from repro.designs import build_mal_with_gap, expected_gap_property
+from repro.engines import get_engine
 from repro.ltl import evaluate, implies
 
 
@@ -26,7 +27,8 @@ def test_fig4_reference_gap_property_closes(benchmark):
     problem = build_mal_with_gap()
     gap = expected_gap_property()
     assert implies(problem.architectural[0], gap)
+    engine = get_engine("explicit")
     closed = benchmark.pedantic(
-        lambda: is_covered_with(problem, [gap]), rounds=1, iterations=1
+        lambda: engine.is_covered_with(problem, [gap]), rounds=1, iterations=1
     )
     assert closed

@@ -23,10 +23,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bmc.primary import bmc_primary_coverage
 from repro.core.primary import primary_coverage_check
 from repro.core.tm import build_tm_for_modules
 from repro.designs.daisy_chain import build_daisy_problem
+from repro.engines import get_engine
 
 _EXPLICIT_SIZES = [2, 3]
 _BMC_SIZES = [2, 3, 4, 5, 6]
@@ -45,10 +45,12 @@ def test_scaling_explicit_primary(benchmark, requesters):
 @pytest.mark.parametrize("requesters", _BMC_SIZES)
 def test_scaling_bmc_primary(benchmark, requesters):
     problem = build_daisy_problem(requesters)
+    engine = get_engine("bmc", max_bound=4)
     result = benchmark.pedantic(
-        lambda: bmc_primary_coverage(problem, max_bound=4), rounds=1, iterations=1
+        lambda: engine.check_primary(problem), rounds=1, iterations=1
     )
-    assert result.covered_up_to_bound
+    # Covered up to the bound: no refuting run, and no complete proof.
+    assert result.covered and not result.complete
 
 
 @pytest.mark.parametrize("requesters", _TM_SIZES)

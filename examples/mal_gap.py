@@ -20,10 +20,10 @@ from repro.core import (
     CoverageOptions,
     find_coverage_gap,
     format_gap_analysis,
-    is_covered_with,
     primary_coverage_check,
 )
 from repro.designs import build_mal_with_gap, expected_gap_property
+from repro.engines import get_engine
 from repro.ltl import implies, to_str
 from repro.rtl import render_table
 
@@ -46,7 +46,7 @@ def main() -> None:
     print()
     print("reference gap property:", to_str(gap))
     print("  weaker than the intent:", implies(problem.architectural[0], gap))
-    print("  closes the gap:        ", is_covered_with(problem, [gap]))
+    print("  closes the gap:        ", get_engine("explicit").is_covered_with(problem, [gap]))
 
     if fast:
         return

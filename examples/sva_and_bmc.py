@@ -7,24 +7,26 @@ flow:
 * the :mod:`repro.sva` front-end, so RTL properties can be written the way a
   validation engineer would write SystemVerilog Assertions (``|->``, ``##n``
   delays, ``[*n]`` repetition) and are desugared to the LTL the tool uses, and
-* the :mod:`repro.bmc` SAT-based engine, used here both to answer the primary
-  coverage question (Theorem 1) and to prove a supporting invariant of the
-  cache logic by k-induction.
+* the SAT-based engine, used here both to answer the primary coverage
+  question (Theorem 1) next to the explicit-state and symbolic engines, and
+  (:mod:`repro.bmc`) to prove a supporting invariant of the cache logic by
+  k-induction.
 
 Run with::
 
     python examples/sva_and_bmc.py
 """
 
-from repro.bmc import bmc_primary_coverage, prove_invariant
+from repro.bmc import prove_invariant
 from repro.core import SpecMatcher
-from repro.core.primary import primary_coverage_check
 from repro.designs.mal import (
     architectural_property,
     build_cache_logic,
     build_masking_glue_fig4,
     environment_assumption,
 )
+from repro.engines import get_engine
+from repro.ltl.parser import parse
 from repro.sva import parse_sva
 
 
@@ -51,22 +53,16 @@ def main() -> None:
     matcher.add_concrete_module(build_cache_logic())
 
     print()
-    explicit = primary_coverage_check(matcher.problem)
-    print(f"explicit-state engine : covered = {explicit.covered} "
-          f"({explicit.elapsed_seconds:.3f}s)")
+    explicit = get_engine("explicit").check_primary(matcher.problem)
+    print(f"explicit-state engine : {explicit.summary()}")
 
-    bounded = bmc_primary_coverage(matcher.problem, max_bound=6)
+    bounded = get_engine("bmc", max_bound=6).check_primary(matcher.problem)
     print(f"SAT-based BMC engine  : {bounded.summary()}")
 
-    from repro.engines import get_engine
-
     symbolic = get_engine("symbolic").check_primary(matcher.problem)
-    print(f"symbolic BDD engine   : covered = {symbolic.covered} "
-          f"({symbolic.elapsed_seconds:.3f}s, complete proof)")
+    print(f"symbolic BDD engine   : {symbolic.summary()}")
 
     # A supporting invariant of the cache access logic, proved by k-induction.
-    from repro.ltl.parser import parse
-
     result = prove_invariant(build_cache_logic(), parse("G !(d1 & d2)"), max_k=4)
     print(f"cache invariant !(d1 & d2): {result.summary()}")
 

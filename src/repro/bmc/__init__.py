@@ -19,15 +19,20 @@ Modules
 -------
 * :mod:`repro.bmc.unroll` — time-frame expansion of a netlist into CNF,
 * :mod:`repro.bmc.ltl_bmc` — bounded LTL semantics over a (k, l)-lasso,
+* :mod:`repro.bmc.incremental` — the persistent solver session the search
+  runs on,
 * :mod:`repro.bmc.engine` — the search loop, witness extraction,
-* :mod:`repro.bmc.induction` — k-induction for invariants,
-* :mod:`repro.bmc.primary` — the BMC form of the primary coverage question.
+* :mod:`repro.bmc.induction` — k-induction for invariants.
+
+The primary coverage question itself is asked through the engine layer:
+``get_engine("bmc", max_bound=k).check_primary(problem)``
+(:class:`~repro.engines.coverage.BmcEngine`), which slices the query, pools
+sessions and caches decided queries.
 """
 
 from .engine import BMCResult, check_bmc, find_run_bmc
 from .induction import InductionResult, prove_invariant
 from .ltl_bmc import LTLBoundedEncoder
-from .primary import bmc_primary_coverage
 from .unroll import UnrolledModule
 
 __all__ = [
@@ -37,6 +42,5 @@ __all__ = [
     "InductionResult",
     "prove_invariant",
     "LTLBoundedEncoder",
-    "bmc_primary_coverage",
     "UnrolledModule",
 ]

@@ -3,8 +3,12 @@
 :func:`find_run_bmc` mirrors :func:`repro.mc.modelcheck.find_run`: it searches
 for a run of the concrete modules satisfying every given formula, but does so
 by unrolling the transition relation and asking the CDCL solver, increasing
-the bound until a witness appears or ``max_bound`` is exhausted.
-:func:`check_bmc` is the universal counterpart (property + assumptions).
+the bound until a witness appears or ``max_bound`` is exhausted.  There is one
+search: every query runs on an incremental
+:class:`~repro.bmc.incremental.BMCSession`, and decided queries are cached by
+the engine layer (:meth:`repro.engines.coverage.CoverageEngine.find_run`),
+not here.  :func:`check_bmc` is the universal counterpart (property +
+assumptions).
 
 Witnesses are returned as :class:`~repro.ltl.traces.LassoTrace` objects, the
 same shape the explicit-state engine produces, so downstream reporting and
@@ -21,11 +25,7 @@ from ..ltl.ast import Formula, Not, atoms_of
 from ..ltl.traces import LassoTrace
 from ..obs import metrics, span
 from ..rtl.netlist import Module
-from ..sat.solver import SatSolver
-from ..sat.tseitin import TseitinEncoder
 from .incremental import BMCSession
-from .ltl_bmc import LTLBoundedEncoder
-from .unroll import UnrolledModule
 
 __all__ = ["BMCResult", "BMCStatistics", "bmc_free_atoms", "find_run_bmc", "check_bmc"]
 
@@ -91,32 +91,23 @@ class BMCResult:
         )
 
 
-def _free_atoms(module: Module, formulas: Sequence[Formula]) -> List[str]:
-    """Atoms used by the formulas that the module does not drive."""
-    driven = set(module.assigns) | set(module.registers)
-    names: List[str] = []
-    for formula in formulas:
-        for name in sorted(atoms_of(formula)):
-            if name not in driven and name not in names:
-                names.append(name)
-    return names
-
-
 def bmc_free_atoms(
     module: Module, formulas: Sequence[Formula], extra_free: Sequence[str] = ()
 ) -> List[str]:
-    """The full free-signal list a BMC query leaves unconstrained.
+    """The free-signal list a BMC query leaves unconstrained.
 
+    The formulas' atoms the module does not drive, then ``extra_free``.
     Exposed so callers that pool :class:`~repro.bmc.incremental.BMCSession`
     objects (the BMC engine) can construct sessions with exactly the list
     :func:`find_run_bmc` will derive.
     """
-    free_atoms = _free_atoms(module, formulas)
     driven = set(module.assigns) | set(module.registers)
-    for name in extra_free:
-        if name not in driven and name not in free_atoms:
-            free_atoms.append(name)
-    return free_atoms
+    names: List[str] = []
+    atoms = [name for formula in formulas for name in sorted(atoms_of(formula))]
+    for name in atoms + list(extra_free):
+        if name not in driven and name not in names:
+            names.append(name)
+    return names
 
 
 def find_run_bmc(
@@ -125,9 +116,7 @@ def find_run_bmc(
     *,
     max_bound: int = 12,
     min_bound: int = 0,
-    use_result_cache: bool = True,
     extra_free: Sequence[str] = (),
-    incremental: bool = True,
     session: Optional[BMCSession] = None,
 ) -> BMCResult:
     """Search for a lasso run of ``module`` satisfying every formula.
@@ -139,107 +128,52 @@ def find_run_bmc(
     free signals of a :class:`~repro.problem.CompiledProblem`) to leave
     unconstrained — and decoded into witness states — in every frame.
 
-    By default the search is *incremental*: one persistent solver accumulates
-    the monotone unrolling across bounds, with per-``(k, l)`` loop closures
-    and LTL obligations switched on through assumptions (see
+    The search is *incremental*: one persistent solver accumulates the
+    monotone unrolling across bounds, with per-``(k, l)`` loop closures and
+    LTL obligations switched on through assumptions (see
     :class:`~repro.bmc.incremental.BMCSession`).  Passing an existing
     ``session`` (the BMC engine pools them per slice) extends reuse across
-    calls — across spec conjuncts sharing the slice.  ``incremental=False``
-    selects the legacy fresh-solver-per-query search, kept as the
-    differential-testing reference; both paths are verdict-identical.
-
-    When a result cache is active (:mod:`repro.runner.cache`), the unrolled
-    query — module structure + formulas + bound window — is fingerprinted and
-    decided searches are replayed without touching the solver (the replayed
-    result carries empty solver statistics).  ``use_result_cache=False``
-    skips this layer; :class:`~repro.engines.coverage.BmcEngine` passes it
-    because the engine wrapper already caches the same query under its own
-    key (caching twice would double the fingerprinting and disk entries).
+    calls — across spec conjuncts sharing the slice.  Decided queries are
+    cached one layer up, by :meth:`repro.engines.coverage.CoverageEngine.find_run`.
     """
-    from ..runner.cache import active_result_cache
-
     free_atoms = bmc_free_atoms(module, formulas, extra_free)
-
-    cache = active_result_cache() if use_result_cache else None
-    cache_key = None
-    if cache is not None:
-        from ..runner.cache import query_key
-
-        cache_key = query_key(
-            "bmc-run",
-            module,
-            formulas,
-            engine="bmc",
-            bound=max_bound,
-            extra=(f"min_bound={min_bound}", "free=" + ",".join(free_atoms)),
-        )
-        payload = cache.get(cache_key)
-        if payload is not None:
-            from ..runner.cache import decode_trace
-
-            return BMCResult(
-                satisfiable=bool(payload["satisfiable"]),
-                bound=payload.get("bound", max_bound),
-                loop_start=payload.get("loop_start"),
-                witness=decode_trace(payload.get("witness")),
-            )
-
     start = time.perf_counter()
     statistics = BMCStatistics()
-    unrolled: Optional[UnrolledModule] = None
-    if incremental:
-        if session is not None and not session.compatible_with(module, free_atoms):
-            session = None
-        if session is None:
-            session = BMCSession(module, free_atoms)
-    else:
-        session = None
-        unrolled = UnrolledModule(module, free_atoms=free_atoms)
-        unrolled.assert_initial_state()
+    if session is None or not session.compatible_with(module, free_atoms):
+        session = BMCSession(module, free_atoms)
 
+    result = BMCResult(False, max_bound, statistics=statistics)
     for bound in range(min_bound, max_bound + 1):
         bound_start = time.perf_counter()
         with span("bmc_bound", bound=bound) as sp:
-            if session is not None:
-                if session.queries > 0:
-                    statistics.bounds_incremental += 1
-                witness_info = _search_bound_incremental(
-                    session, formulas, bound, statistics
-                )
-            else:
-                witness_info = _search_bound(unrolled, formulas, bound, statistics)
+            if session.queries > 0:
+                statistics.bounds_incremental += 1
+            witness_info = _search_bound(session, formulas, bound, statistics)
             sp.set(sat_calls=statistics.sat_calls, clauses_reused=statistics.clauses_reused)
         bound_seconds = time.perf_counter() - bound_start
         statistics.per_bound_seconds.append(round(bound_seconds, 6))
         metrics().observe("bmc.bound_seconds", bound_seconds)
         if witness_info is not None:
             loop_start, witness = witness_info
-            return _store_bmc(
-                cache,
-                cache_key,
-                BMCResult(
-                    True,
-                    bound,
-                    loop_start,
-                    witness,
-                    statistics,
-                    time.perf_counter() - start,
-                ),
-            )
-    return _store_bmc(
-        cache,
-        cache_key,
-        BMCResult(False, max_bound, None, None, statistics, time.perf_counter() - start),
-    )
+            result = BMCResult(True, bound, loop_start, witness, statistics)
+            break
+    result.elapsed_seconds = time.perf_counter() - start
+    registry = metrics()
+    registry.inc("bmc.runs")
+    registry.inc("bmc.sat_calls", statistics.sat_calls)
+    registry.inc("bmc.solver_reused", statistics.solver_reused)
+    registry.inc("bmc.clauses_reused", statistics.clauses_reused)
+    registry.inc("bmc.bounds_incremental", statistics.bounds_incremental)
+    return result
 
 
-def _search_bound_incremental(
+def _search_bound(
     session: BMCSession,
     formulas: Sequence[Formula],
     bound: int,
     statistics: BMCStatistics,
 ) -> Optional[tuple]:
-    """Try every loop position at one bound on the persistent session."""
+    """Try every loop position at one bound; ``(loop_start, witness)`` on SAT."""
     from ..engines.cancel import check_cancelled
 
     session.unrolled.extend_to(bound)
@@ -266,54 +200,6 @@ def _search_bound_incremental(
             states = session.decode_witness(result, bound)
             return loop_start, LassoTrace.from_states(states, loop_start)
     return None
-
-
-def _search_bound(
-    unrolled: UnrolledModule,
-    formulas: Sequence[Formula],
-    bound: int,
-    statistics: BMCStatistics,
-) -> Optional[tuple]:
-    """Try every loop position at one bound; ``(loop_start, witness)`` on SAT."""
-    from ..engines.cancel import check_cancelled
-
-    unrolled.extend_to(bound)
-    statistics.max_bound_reached = bound
-    for loop_start in range(bound + 1):
-        check_cancelled()
-        query = unrolled.cnf.copy()
-        unrolled.loop_constraint(query, loop_start)
-        ltl = LTLBoundedEncoder(TseitinEncoder(query), bound, loop_start)
-        for formula in formulas:
-            ltl.assert_formula(formula)
-        statistics.sat_calls += 1
-        statistics.clauses = max(statistics.clauses, query.clause_count())
-        statistics.variables = max(statistics.variables, query.variable_count())
-        result = SatSolver(query).solve()
-        statistics.merge_solver(
-            result.conflicts,
-            result.decisions,
-            result.propagations,
-            result.restarts,
-        )
-        if result.satisfiable:
-            states = unrolled.decode_states(result.assignment)
-            return loop_start, LassoTrace.from_states(states, loop_start)
-    return None
-
-
-def _store_bmc(cache, cache_key, result: BMCResult) -> BMCResult:
-    """Record a freshly decided BMC search in the active cache (if any)."""
-    metrics().inc("bmc.runs")
-    metrics().inc("bmc.sat_calls", result.statistics.sat_calls)
-    metrics().inc("bmc.solver_reused", result.statistics.solver_reused)
-    metrics().inc("bmc.clauses_reused", result.statistics.clauses_reused)
-    metrics().inc("bmc.bounds_incremental", result.statistics.bounds_incremental)
-    if cache is not None and cache_key is not None:
-        from ..runner.cache import encode_run_result
-
-        cache.put(cache_key, encode_run_result(result))
-    return result
 
 
 def check_bmc(

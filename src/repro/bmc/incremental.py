@@ -17,9 +17,10 @@ and answers every ``(formulas, bound, loop_start)`` query against them:
   share a slice reuse one solver (and each other's learned clauses).
 
 This mirrors the assumption-based incremental interface of modern SAT-based
-model checkers; the legacy fresh-solver-per-query path is kept in
-:func:`repro.bmc.engine.find_run_bmc` behind ``incremental=False`` as the
-differential-testing reference.
+model checkers.  It is the only BMC search in the package:
+:func:`repro.bmc.engine.find_run_bmc` always runs on a session.  The
+fresh-solver-per-query search it replaced is a test oracle
+(``tests/properties/bmc_reference.py``).
 """
 
 from __future__ import annotations

@@ -76,11 +76,6 @@ class LTLBoundedEncoder:
         self._memo: Dict[Tuple[int, int], BoolExpr] = {}
 
     # -- public API ---------------------------------------------------------------
-    def assert_formula(self, formula: Formula, *, position: int = 0) -> Literal:
-        """Constrain the lasso to satisfy ``formula`` at ``position``."""
-        expression = self.encode(formula, position)
-        return self.encoder.assert_expr(expression)
-
     def formula_literal(self, formula: Formula, *, position: int = 0) -> Literal:
         """Literal equivalent to ``formula`` at ``position`` (not asserted).
 

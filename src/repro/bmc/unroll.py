@@ -10,7 +10,8 @@ shared :class:`~repro.sat.tseitin.TseitinEncoder`:
 * transition constraints — register values at frame ``i+1`` equal their
   next-state functions evaluated at frame ``i``,
 * the loop constraint — the successor of frame ``k`` is frame ``l``, making
-  the unrolled path a lasso (required for infinite-run LTL semantics).
+  the unrolled path a lasso (required for infinite-run LTL semantics); it is
+  guarded by an activation literal, so one unrolling serves every ``(k, l)``.
 
 Primary inputs, undriven signals and any *free atoms* named by the properties
 but not driven by the module are left unconstrained in every frame.
@@ -108,31 +109,14 @@ class UnrolledModule:
             if self.depth > 0:
                 self._assert_transition(self.depth - 1)
 
-    def loop_constraint(self, cnf: CNF, loop_start: int) -> None:
-        """Close the lasso: the successor of the last frame is ``loop_start``.
-
-        The constraint is written into ``cnf`` (usually a :meth:`CNF.copy` of
-        the shared unrolling) so several loop positions can be tried against
-        the same frames.
-        """
-        if not 0 <= loop_start <= self.depth:
-            raise ValueError("loop_start must lie within the unrolled frames")
-        local_encoder = TseitinEncoder(cnf)
-        rename = self.rename(self.depth)
-        for name, register in self.module.registers.items():
-            next_literal = local_encoder.literal_for(register.next_value, rename=rename)
-            target = cnf.pool.literal(frame_name(name, loop_start))
-            cnf.add_clause(-next_literal, target)
-            cnf.add_clause(next_literal, -target)
-
     def guarded_loop_constraint(self, bound: int, loop_start: int, activation: Literal) -> None:
         """Close the ``(bound, loop_start)`` lasso *conditionally* on a literal.
 
-        Unlike :meth:`loop_constraint` the biconditional clauses go into the
-        shared CNF itself, each weakened with ``¬activation`` — inert unless
-        the activation literal is assumed.  This is the incremental-BMC
-        discipline: every ``(k, l)`` pair gets one activation literal, the
-        frames are never re-encoded, and one solver serves every query.
+        The biconditional clauses go into the shared CNF itself, each
+        weakened with ``¬activation`` — inert unless the activation literal
+        is assumed.  This is the incremental-BMC discipline: every ``(k, l)``
+        pair gets one activation literal, the frames are never re-encoded,
+        and one solver serves every query.
         """
         if not 0 <= loop_start <= bound <= self.depth:
             raise ValueError("loop window must lie within the unrolled frames")

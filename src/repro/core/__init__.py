@@ -2,7 +2,7 @@
 
 from .spec import CoverageProblem, SpecificationError
 from .tm import TMResult, build_tm, build_tm_for_modules, boolexpr_to_formula
-from .primary import PrimaryCoverageResult, primary_coverage_check, is_covered_with
+from .primary import primary_coverage_check
 from .hole import CoverageHole, coverage_hole, hole_closes_gap
 from .terms import UncoveredTerms, collect_gap_witnesses, uncovered_terms
 from .push import AtomInstance, WeakeningSuggestion, PushResult, atom_instance_table, push_terms, render_push
@@ -26,9 +26,7 @@ __all__ = [
     "build_tm",
     "build_tm_for_modules",
     "boolexpr_to_formula",
-    "PrimaryCoverageResult",
     "primary_coverage_check",
-    "is_covered_with",
     "CoverageHole",
     "coverage_hole",
     "hole_closes_gap",

@@ -28,12 +28,12 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from ..engines.coverage import engine_from_options
+from ..engines.coverage import EngineVerdict, engine_from_options
 from ..ltl.ast import Formula
 from ..obs import span
 from ..ltl.printer import to_str
 from .hole import CoverageHole, coverage_hole
-from .primary import PrimaryCoverageResult, primary_coverage_check
+from .primary import primary_coverage_check
 from .push import PushResult, push_terms
 from .spec import CoverageProblem
 from .terms import UncoveredTerms, uncovered_terms
@@ -99,7 +99,7 @@ class GapAnalysis:
 
     property_formula: Formula
     covered: bool
-    primary: PrimaryCoverageResult
+    primary: EngineVerdict
     hole: Optional[CoverageHole] = None
     terms: Optional[UncoveredTerms] = None
     push: Optional[PushResult] = None
@@ -316,7 +316,7 @@ def _find_coverage_gap(
             else:
                 from .hole import hole_closes_gap
 
-                gap_verified = hole_closes_gap(problem, hole, options=options)
+                gap_verified = hole_closes_gap(problem, hole, engine=engine)
     gap_seconds = time.perf_counter() - gap_start
 
     return GapAnalysis(

@@ -24,6 +24,7 @@ from .spec import CoverageProblem
 from .tm import TMResult, build_tm_for_modules
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..engines.coverage import CoverageEngine
     from .coverage import CoverageOptions
 
 __all__ = ["CoverageHole", "coverage_hole", "hole_closes_gap"]
@@ -90,7 +91,7 @@ def coverage_hole(
 def hole_closes_gap(
     problem: CoverageProblem,
     hole: CoverageHole,
-    options: Optional["CoverageOptions"] = None,
+    engine: Optional["CoverageEngine"] = None,
 ) -> bool:
     """Sanity check of Theorem 2: ``(R & R_H) & !A`` must be false in ``M``.
 
@@ -102,11 +103,14 @@ def hole_closes_gap(
     satisfies ``R & !A & !t``.  Each ``!t`` is either a negated initial-state
     cube or ``F(!step-relation)``, both of which have small monitors — avoiding
     a tableau over the (large) ``T_M`` formula itself.
+
+    The queries run on ``engine`` (Algorithm 1 passes the engine of the
+    analysis), or else on the default explicit-state engine.
     """
-    from ..engines.coverage import engine_from_options
+    from ..engines.coverage import get_engine
     from ..ltl.rewrite import conjuncts
 
-    engine = engine_from_options(options)
+    engine = engine or get_engine("explicit")
     module = problem.composed_module()
     base = [Not(hole.architectural)] + problem.all_rtl_formulas()
     for conjunct in conjuncts(hole.tm_formula):

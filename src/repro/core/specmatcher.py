@@ -23,13 +23,14 @@ from __future__ import annotations
 
 from typing import Optional, Sequence, Union
 
+from ..engines.coverage import EngineVerdict
 from ..ltl.ast import Formula
 from ..ltl.parser import parse
 from ..rtl.hdl import parse_module
 from ..rtl.netlist import Module
 from .coverage import CoverageOptions, CoverageReport, GapAnalysis, analyze_problem, find_coverage_gap
 from .hole import CoverageHole, coverage_hole
-from .primary import PrimaryCoverageResult, primary_coverage_check
+from .primary import primary_coverage_check
 from .spec import CoverageProblem
 
 __all__ = ["SpecMatcher"]
@@ -80,13 +81,20 @@ class SpecMatcher:
         return self
 
     # -- queries -----------------------------------------------------------------
-    def primary_coverage(self) -> PrimaryCoverageResult:
-        """Theorem 1 only: is the architectural intent covered?"""
-        return primary_coverage_check(self.problem)
+    def primary_coverage(self) -> EngineVerdict:
+        """Theorem 1 only: is the architectural intent covered?
+
+        Asked on the engine ``self.options`` selects, like :meth:`run`.
+        """
+        return primary_coverage_check(self.problem, options=self.options)
 
     def coverage_hole(self) -> CoverageHole:
-        """Theorem 2: the exact (unreduced) coverage hole."""
-        return coverage_hole(self.problem)
+        """Theorem 2: the exact (unreduced) coverage hole.
+
+        ``T_M`` is built with ``self.options.minimize_tm_guards``, as in
+        :meth:`run`.
+        """
+        return coverage_hole(self.problem, options=self.options)
 
     def analyze_property(self, formula: FormulaLike) -> GapAnalysis:
         """Run Algorithm 1 for a single architectural property."""

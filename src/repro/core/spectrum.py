@@ -25,13 +25,14 @@ import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
+from ..engines.coverage import EngineVerdict
 from ..ltl.ast import Formula, Not
 from ..ltl.sat import is_satisfiable, satisfying_trace
 from ..ltl.traces import LassoTrace
 from ..mc.modelcheck import ModelCheckResult, check
 from ..mc.product import ProductStatistics
 from ..rtl.netlist import Module
-from .primary import PrimaryCoverageResult, primary_coverage_check
+from .primary import primary_coverage_check
 from .spec import CoverageProblem
 
 __all__ = [
@@ -77,7 +78,7 @@ class SpectrumComparison:
 
     problem_name: str
     pure: PureIntentCoverageResult
-    hybrid: PrimaryCoverageResult
+    hybrid: EngineVerdict
     full: Optional[FullModelCheckResult] = None
 
     def rows(self) -> List[dict]:

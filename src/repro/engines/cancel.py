@@ -14,6 +14,10 @@ promptly.
 A thread with no installed token pays one thread-local attribute read per
 poll and never raises — every existing single-engine entry point is
 unaffected.
+
+:func:`cancel_after` is the deadline form of the same mechanism: a token
+that a timer cancels.  Service jobs and suite shards are bounded with it, and
+a shard's deadline nests inside its job's.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ __all__ = [
     "CancelToken",
     "active_cancel_token",
     "using_cancel_token",
+    "cancel_after",
     "check_cancelled",
 ]
 
@@ -86,6 +91,20 @@ class CancelToken:
         }
 
 
+class _NestedToken(CancelToken):
+    """A token that also reads as cancelled while an enclosing one is."""
+
+    __slots__ = ("_outer",)
+
+    def __init__(self, outer: CancelToken) -> None:
+        super().__init__()
+        self._outer = outer
+
+    @property
+    def cancelled(self) -> bool:
+        return self._event.is_set() or self._outer.cancelled
+
+
 _LOCAL = threading.local()
 
 
@@ -112,6 +131,26 @@ def using_cancel_token(
     finally:
         _LOCAL.token = previous
         _LOCAL.member = previous_member
+
+
+@contextmanager
+def cancel_after(seconds: float) -> Iterator[CancelToken]:
+    """Run the body under a fresh token that a timer cancels after ``seconds``.
+
+    The token nests: it also reads as cancelled while the token it shadows
+    (the caller's) is, so a suite shard's deadline inside a service job's
+    deadline stops the shard at whichever fires first.
+    """
+    outer = active_cancel_token()
+    token = CancelToken() if outer is None else _NestedToken(outer)
+    timer = threading.Timer(seconds, token.cancel)
+    timer.daemon = True
+    timer.start()
+    try:
+        with using_cancel_token(token):
+            yield token
+    finally:
+        timer.cancel()
 
 
 def check_cancelled() -> None:

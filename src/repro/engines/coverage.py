@@ -314,9 +314,8 @@ class BmcEngine(CoverageEngine):
     #: Upper bound on pooled sessions per engine instance; oldest evicted.
     _SESSION_POOL_LIMIT = 8
 
-    def __init__(self, *, max_bound: int = 12, slicing="auto", incremental: bool = True):
+    def __init__(self, *, max_bound: int = 12, slicing="auto"):
         super().__init__(slicing=slicing, max_bound=max_bound)
-        self.incremental = incremental
         self._sessions: Dict[tuple, object] = {}
         self._session_lock = threading.Lock()
 
@@ -325,21 +324,8 @@ class BmcEngine(CoverageEngine):
 
     def _find_run(self, problem: "CompiledProblem"):
         from ..bmc.engine import bmc_free_atoms, find_run_bmc
-        from ..runner.cache import module_fingerprint
-
-        # The engine-level wrapper already caches this query under its own
-        # key; disable the raw-search layer so each decision is fingerprinted
-        # and persisted once.
-        if not self.incremental:
-            return find_run_bmc(
-                problem.module,
-                problem.formulas,
-                max_bound=self.max_bound,
-                use_result_cache=False,
-                extra_free=problem.free_signals,
-                incremental=False,
-            )
         from ..bmc.incremental import BMCSession
+        from ..runner.cache import module_fingerprint
 
         free_atoms = bmc_free_atoms(
             problem.module, problem.formulas, problem.free_signals
@@ -354,7 +340,6 @@ class BmcEngine(CoverageEngine):
                 problem.module,
                 problem.formulas,
                 max_bound=self.max_bound,
-                use_result_cache=False,
                 extra_free=problem.free_signals,
                 session=session,
             )

@@ -30,24 +30,10 @@ __all__ = ["SymbolicEngine"]
 
 
 class SymbolicEngine(CoverageEngine):
-    """BDD fixpoint engine (complete, witness-checked).
-
-    ``verify_witness`` keeps the simulator replay of extracted lassos on
-    (the default); it can be disabled for benchmarking the raw fixpoint.
-    """
+    """BDD fixpoint engine (complete, witness-checked)."""
 
     name = "symbolic"
     complete = True
-
-    def __init__(
-        self,
-        *,
-        verify_witness: bool = True,
-        slicing="auto",
-        max_bound: int = 12,
-    ):
-        super().__init__(slicing=slicing, max_bound=max_bound)
-        self.verify_witness = verify_witness
 
     def _find_run(self, problem: "CompiledProblem"):
         from ..mc.symbolic import find_run_symbolic
@@ -55,7 +41,6 @@ class SymbolicEngine(CoverageEngine):
         return find_run_symbolic(
             problem.module,
             problem.formulas,
-            verify_witness=self.verify_witness,
             automata=problem.automata,
             extra_free=problem.free_signals,
         )

@@ -9,7 +9,8 @@ The same class is reused for products with Kripke structures (the model
 checker builds a product GBA whose labels are full signal valuations), so the
 emptiness check and accepting-lasso extraction implemented here are the single
 engine behind LTL satisfiability, validity, implication and model-checking
-queries.
+queries.  The check has one path, a bitmask SCC sweep over densely numbered
+states; the tableau's sparsely numbered automata are renumbered for it.
 """
 
 from __future__ import annotations
@@ -96,20 +97,6 @@ class GeneralizedBuchi:
     def transition_count(self) -> int:
         return sum(len(targets) for targets in self.transitions.values())
 
-    def successors(self, state: int) -> FrozenSet[int]:
-        return frozenset(self.transitions.get(state, set()))
-
-    def reachable_states(self) -> Set[int]:
-        seen: Set[int] = set()
-        stack = list(self.initial)
-        while stack:
-            state = stack.pop()
-            if state in seen:
-                continue
-            seen.add(state)
-            stack.extend(self.transitions.get(state, set()))
-        return seen
-
     # -- emptiness ---------------------------------------------------------------
     def is_empty(self) -> bool:
         """True when the automaton accepts no word."""
@@ -123,35 +110,41 @@ class GeneralizedBuchi:
         then assembled from a shortest path to the SCC and a cycle inside it
         that touches one state of each acceptance set.
 
-        When the state space is densely numbered ``0 .. n-1`` — which every
-        product construction guarantees — the search runs on integer
-        bitmasks: reachability is a frontier ``|=`` sweep and the SCC
-        decomposition is forward-backward intersection over precomputed
-        successor/predecessor masks.  Sparsely numbered automata fall back to
-        the Tarjan path, which is also kept as the differential-testing
-        reference (:meth:`_accepting_lasso_tarjan`).  Both paths agree on
-        emptiness; when several fair SCCs exist they may pick different ones,
-        so the extracted lassos are each valid but not necessarily equal.
+        The search runs on integer bitmasks over states numbered ``0 .. n-1``
+        — which every product construction guarantees: reachability is a
+        frontier ``|=`` sweep and the SCC decomposition is forward-backward
+        intersection over precomputed successor/predecessor masks.  A
+        sparsely numbered automaton (the tableau names states by its node
+        counter) is renumbered in sorted state order first and its lasso
+        mapped back, so paths keep the tie-breaking order of the state names.
+        Tarjan's SCC algorithm is the test oracle
+        (``tests/properties/emptiness_reference.py``).
         """
         count = len(self.labels)
-        if count and all(
-            isinstance(state, int) and 0 <= state < count for state in self.labels
-        ):
-            return self._accepting_lasso_bitset(count)
-        return self._accepting_lasso_tarjan()
-
-    def _accepting_lasso_tarjan(self) -> Optional[AcceptingLasso]:
-        """Tarjan-SCC emptiness check (reference path for differentials)."""
-        reachable = self.reachable_states()
-        if not reachable:
+        if not count:
             return None
-        sccs = _tarjan_sccs(reachable, self.transitions)
-        for component in sccs:
-            if not _is_nontrivial(component, self.transitions):
-                continue
-            if all(component & accept_set for accept_set in self.acceptance):
-                return self._build_lasso(component)
-        return None
+        if all(isinstance(state, int) and 0 <= state < count for state in self.labels):
+            return self._accepting_lasso_bitset(count)
+        order = sorted(self.labels)
+        number = {state: index for index, state in enumerate(order)}
+        dense = GeneralizedBuchi(
+            initial={number[state] for state in self.initial},
+            transitions={
+                number[state]: {number[target] for target in targets}
+                for state, targets in self.transitions.items()
+            },
+            acceptance=[
+                frozenset(number[state] for state in accept_set if state in number)
+                for accept_set in self.acceptance
+            ],
+        )
+        lasso = dense._accepting_lasso_bitset(count)
+        if lasso is None:
+            return None
+        return AcceptingLasso(
+            tuple(order[index] for index in lasso.stem),
+            tuple(order[index] for index in lasso.loop),
+        )
 
     def _accepting_lasso_bitset(self, count: int) -> Optional[AcceptingLasso]:
         """Bitset emptiness: frontier-sweep reachability + forward-backward SCCs.
@@ -389,70 +382,8 @@ class BuchiAutomaton:
 
 
 # ---------------------------------------------------------------------------
-# Graph utilities shared by the emptiness checks.
+# Lasso assembly inside a fair SCC.
 # ---------------------------------------------------------------------------
-
-def _tarjan_sccs(nodes: Set[int], transitions: Mapping[int, Set[int]]) -> List[Set[int]]:
-    """Iterative Tarjan strongly-connected-components restricted to ``nodes``."""
-    index_counter = [0]
-    index: Dict[int, int] = {}
-    lowlink: Dict[int, int] = {}
-    on_stack: Set[int] = set()
-    stack: List[int] = []
-    result: List[Set[int]] = []
-
-    for root in nodes:
-        if root in index:
-            continue
-        work = [(root, iter(sorted(t for t in transitions.get(root, set()) if t in nodes)))]
-        index[root] = lowlink[root] = index_counter[0]
-        index_counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, iterator = work[-1]
-            advanced = False
-            for target in iterator:
-                if target not in index:
-                    index[target] = lowlink[target] = index_counter[0]
-                    index_counter[0] += 1
-                    stack.append(target)
-                    on_stack.add(target)
-                    work.append(
-                        (
-                            target,
-                            iter(sorted(t for t in transitions.get(target, set()) if t in nodes)),
-                        )
-                    )
-                    advanced = True
-                    break
-                if target in on_stack:
-                    lowlink[node] = min(lowlink[node], index[target])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-            if lowlink[node] == index[node]:
-                component = set()
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.add(member)
-                    if member == node:
-                        break
-                result.append(component)
-    return result
-
-
-def _is_nontrivial(component: Set[int], transitions: Mapping[int, Set[int]]) -> bool:
-    """An SCC supports an infinite run iff it has an internal transition."""
-    if len(component) > 1:
-        return True
-    (state,) = tuple(component)
-    return state in transitions.get(state, set())
-
 
 def _shortest_path_to(
     sources: Set[int], targets: Set[int], transitions: Mapping[int, Set[int]]

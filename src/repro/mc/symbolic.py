@@ -550,7 +550,6 @@ def find_run_symbolic(
     module: Module,
     formulas: Sequence[Formula],
     *,
-    verify_witness: bool = True,
     automata: Optional[Sequence[GeneralizedBuchi]] = None,
     extra_free: Sequence[str] = (),
 ) -> SymbolicResult:
@@ -558,8 +557,8 @@ def find_run_symbolic(
 
     Decides "does ``module`` have a run satisfying every formula?" with the
     BDD fixpoint machinery of :class:`SymbolicProduct`; a positive verdict
-    carries a concrete lasso witness (simulator-replayed when
-    ``verify_witness`` is set), a negative verdict is a full proof.
+    carries a concrete lasso witness, replayed on the simulator before it is
+    returned, and a negative verdict is a full proof.
     ``automata``/``extra_free`` accept the precompiled artifacts of a
     :class:`~repro.problem.CompiledProblem`.
     """
@@ -585,8 +584,7 @@ def find_run_symbolic(
             satisfiable = True
             with span("symbolic_witness"):
                 witness = _extract_lasso(product, fair)
-                if verify_witness:
-                    _replay_witness(module, formulas, witness)
+                _replay_witness(module, formulas, witness)
 
     statistics.peak_nodes = max(statistics.peak_nodes, product.manager.node_count())
     statistics.elapsed_seconds = time.perf_counter() - start

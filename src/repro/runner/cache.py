@@ -242,8 +242,8 @@ def query_key(
 ) -> str:
     """The cache key of one decision query.
 
-    ``kind`` namespaces the query shape (engine-level run search, raw BMC
-    search, ...); ``engine``/``bound`` make keys precise about the decision
+    ``kind`` namespaces the query shape (``"engine-run"``: the engine-level
+    run search); ``engine``/``bound`` make keys precise about the decision
     procedure, so a bounded verdict can never shadow a complete one.
     """
     parts = [

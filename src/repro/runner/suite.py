@@ -13,8 +13,10 @@ with
   and every verdict are identical regardless of worker count or completion
   order (timings and per-shard cache counters naturally vary between runs —
   compare ``SuiteResult.verdicts()``, not raw reports);
-* **per-shard timeouts**: each shard runs under a ``SIGALRM`` watchdog inside
-  its worker, so one pathological query cannot stall the suite;
+* **per-shard timeouts**: each shard runs under a cancel-token deadline
+  (:func:`~repro.engines.cancel.cancel_after`) that every engine search loop
+  polls, in any thread or worker, so one pathological query cannot stall
+  the suite;
 * **result caching**: every worker installs the shared persistent
   :class:`~repro.runner.cache.ResultCache`, so overlapping shards and repeated
   suite runs replay decided queries (per-shard hit/miss deltas are reported).
@@ -34,9 +36,9 @@ Shard kinds
 from __future__ import annotations
 
 import os
-import signal as _signal
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, wait
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -44,6 +46,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..core.spec import CoverageProblem
 from ..designs.catalog import get_design
 from ..designs.random import RandomDesignSpec, random_problem
+from ..engines.cancel import Cancelled, active_cancel_token, cancel_after, check_cancelled
 from ..engines.coverage import get_engine
 from ..ltl.ast import Atom, Eventually
 from ..obs import PhaseAggregator
@@ -247,14 +250,6 @@ def expand_jobs(
 # -- shard execution ----------------------------------------------------------
 
 
-class _ShardTimeout(Exception):
-    """Raised inside a worker when a shard exceeds its time budget."""
-
-
-def _alarm_handler(signum, frame):  # pragma: no cover - exercised via timeouts
-    raise _ShardTimeout()
-
-
 def _answer(
     job: CoverageJob,
 ) -> Tuple[bool, bool, str, Optional[str], Optional[dict]]:
@@ -317,9 +312,11 @@ def _shard_features(features: Optional[dict], job: CoverageJob) -> Optional[dict
 def execute_shard(job: CoverageJob, timeout: Optional[float] = None) -> ShardResult:
     """Run one shard in the current process under the active result cache.
 
-    ``timeout`` (seconds) arms a ``SIGALRM`` watchdog where the platform
-    supports it; a fired watchdog yields a ``timeout`` shard instead of
-    aborting the suite.
+    ``timeout`` (seconds) bounds the shard with a cancel-token deadline that
+    the engines' search loops poll; a fired deadline yields a ``timeout``
+    shard instead of aborting the suite.  A cancel of the caller's own token
+    (a served suite job past its timeout) ends the whole run, so it
+    propagates instead of being recorded against the shard.
     """
     cache = _current_cache()
     before = cache.stats.snapshot() if cache else CacheStats()
@@ -327,46 +324,21 @@ def execute_shard(job: CoverageJob, timeout: Optional[float] = None) -> ShardRes
     status, verdict, complete, detail, winner = "ok", None, True, "", None
     features: Optional[dict] = None
     timings: Optional[dict] = None
-    import threading
-
-    use_alarm = (
-        timeout is not None
-        and timeout > 0
-        and hasattr(_signal, "SIGALRM")
-        and threading.current_thread() is threading.main_thread()
-    )
-    previous_handler = None
+    caller = active_cancel_token()
+    armed = timeout is not None and timeout > 0
     try:
-        # The timer is armed inside this try and disarmed in the *inner*
-        # finally, so an alarm firing at any point — even in the arming window
-        # before _answer starts, or just after it returns — lands in the
-        # except clause below and is recorded as a timeout instead of escaping
-        # and killing the suite.  Once the inner finally completes no further
-        # alarm can fire, so the except bodies run unarmed.
-        if use_alarm:
-            previous_handler = _signal.signal(_signal.SIGALRM, _alarm_handler)
-            # Armed with a repeat interval: if the first alarm lands in a
-            # frame whose exception is swallowed (e.g. a GC callback raises
-            # it as "unraisable"), the timer re-fires until the watchdog is
-            # disarmed, so a timed-out shard cannot sneak through as "ok".
-            _signal.setitimer(_signal.ITIMER_REAL, timeout, 0.05)
-        try:
-            # The aggregator collects every span closed while this shard
-            # decides — engine phases, compile, SAT — into the per-query
-            # ``timings`` record, with or without a --trace exporter.
-            with PhaseAggregator() as phases:
-                verdict, complete, detail, winner, features = _answer(job)
-            timings = phases.timings()
-        finally:
-            if use_alarm:
-                _signal.setitimer(_signal.ITIMER_REAL, 0)
-    except _ShardTimeout:
+        # The aggregator collects every span closed while this shard
+        # decides — engine phases, compile, SAT — into the per-query
+        # ``timings`` record, with or without a --trace exporter.
+        with cancel_after(timeout) if armed else nullcontext(), PhaseAggregator() as phases:
+            verdict, complete, detail, winner, features = _answer(job)
+        timings = phases.timings()
+    except Cancelled:
+        if not armed or (caller is not None and caller.cancelled):
+            raise
         status, detail = "timeout", f"exceeded {timeout:.1f}s"
     except Exception as exc:  # noqa: BLE001 - a shard failure must not kill the suite
         status, detail = "error", f"{type(exc).__name__}: {exc}"
-    finally:
-        if previous_handler is not None:
-            _signal.signal(_signal.SIGALRM, previous_handler)
     elapsed = time.perf_counter() - start
     delta = cache.stats.delta(before) if cache else CacheStats()
     return ShardResult(
@@ -425,8 +397,17 @@ def _worker_init(
         install_trace_exporter(trace)
 
 
-def _worker_shard(job: CoverageJob, timeout: Optional[float]) -> ShardResult:
-    return execute_shard(job, timeout)
+#: Seconds between two polls of the caller's cancel token while the pool runs.
+_POLL_SECONDS = 0.05
+
+
+def _gather(futures) -> List[ShardResult]:
+    """The futures' results in order, polling the caller's cancel token."""
+    pending = set(futures)
+    while pending:
+        check_cancelled()
+        _done, pending = wait(pending, timeout=_POLL_SECONDS)
+    return [future.result() for future in futures]
 
 
 def run_suite(
@@ -456,13 +437,23 @@ def run_suite(
         with using_result_cache(_select_cache(cache_dir, use_cache)):
             shards = [execute_shard(job, shard_timeout) for job in ordered]
     else:
-        with ProcessPoolExecutor(
+        pool = ProcessPoolExecutor(
             max_workers=workers,
             initializer=_worker_init,
             initargs=(cache_dir, use_cache, trace),
-        ) as pool:
-            futures = [pool.submit(_worker_shard, job, shard_timeout) for job in ordered]
-            shards = [future.result() for future in futures]
+        )
+        cancelled = False
+        try:
+            futures = [pool.submit(execute_shard, job, shard_timeout) for job in ordered]
+            shards = _gather(futures)
+        except Cancelled:
+            cancelled = True
+            raise
+        finally:
+            # A cancelled caller (a served suite job past its timeout) does
+            # not wait: queued shards are dropped, and running ones finish in
+            # their workers, which then exit.
+            pool.shutdown(wait=not cancelled, cancel_futures=cancelled)
     wall = time.perf_counter() - start
     result = SuiteResult(
         shards=shards,

@@ -14,12 +14,14 @@ over HTTP byte-matches the one-shot CLI's (modulo the volatile
 the CI service lane asserts.
 
 Per-request timeouts reuse the portfolio's cooperative cancellation tokens
-(:mod:`repro.engines.cancel`): the job runs under a fresh
-:class:`~repro.engines.cancel.CancelToken` armed by a ``threading.Timer``,
+(:mod:`repro.engines.cancel`): the job runs under
+:func:`~repro.engines.cancel.cancel_after`, a fresh
+:class:`~repro.engines.cancel.CancelToken` armed by a ``threading.Timer``;
 every engine search loop already polls it, and a fired timer surfaces as
 :class:`JobTimeout` (the HTTP layer's 504).  ``SIGALRM`` is useless here —
 handler threads are never the main thread — which is exactly why the tokens
-exist.
+exist.  A suite job's shards poll the same token (and their own nested
+shard deadlines), and its process-pool wait polls it too.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
-from ..engines.cancel import Cancelled, CancelToken, using_cancel_token
+from ..engines.cancel import Cancelled, cancel_after
 from ..obs import metrics
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -139,17 +141,11 @@ def execute_job(
     }[request.kind]
     if request.timeout is None:
         return runner(request, defaults, problems)
-    token = CancelToken()
-    timer = threading.Timer(request.timeout, token.cancel)
-    timer.daemon = True
-    timer.start()
     try:
-        with using_cancel_token(token, member="service"):
+        with cancel_after(request.timeout):
             return runner(request, defaults, problems)
     except Cancelled:
         raise JobTimeout(request.timeout) from None
-    finally:
-        timer.cancel()
 
 
 def exit_code_for(payload: Dict[str, object]) -> int:

@@ -250,6 +250,9 @@ class CoverageService:
         self._inflight_cv = threading.Condition()
         self._slots = threading.Semaphore(max(1, config.workers))
         self._started = 0.0
+        #: The result cache that was active before :meth:`start` installed
+        #: the daemon's; :meth:`drain` reinstalls it.
+        self._previous_cache = None
         self.draining = False
 
     # -- warm state -----------------------------------------------------------
@@ -274,6 +277,9 @@ class CoverageService:
         """
         if self._server is not None:
             raise RuntimeError("service already started")
+        from ..runner.cache import active_result_cache
+
+        self._previous_cache = active_result_cache()
         self.install_cache()
         server = _Server((self.config.host, self.config.port), _Handler)
         server.service = self
@@ -301,6 +307,9 @@ class CoverageService:
         Returns ``True`` when every in-flight job finished within
         ``timeout`` (``None`` = wait forever).  Responses of jobs that were
         already executing are always written before their sockets close.
+        The result cache that was active before :meth:`start` is active
+        again afterwards, so a program embedding the daemon does not keep
+        answering from the daemon's cache.
         """
         if self._server is None:
             return True
@@ -322,6 +331,9 @@ class CoverageService:
             self._thread.join(timeout=5.0)
         self._server = None
         self._thread = None
+        from ..runner.cache import set_result_cache
+
+        set_result_cache(self._previous_cache)
         return drained
 
     # -- request accounting ----------------------------------------------------

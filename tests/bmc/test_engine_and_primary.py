@@ -1,5 +1,5 @@
 """End-to-end BMC tests: engine search, cross-check with the explicit engine,
-the BMC form of the primary coverage question, and k-induction."""
+the primary coverage question on the BMC engine, and k-induction."""
 
 import pytest
 
@@ -12,7 +12,7 @@ from repro.mc.modelcheck import check, find_run
 from repro.rtl.netlist import Module
 from repro.bmc.engine import check_bmc, find_run_bmc
 from repro.bmc.induction import prove_invariant
-from repro.bmc.primary import bmc_primary_coverage
+from repro.engines import get_engine
 
 
 def build_toggle() -> Module:
@@ -119,35 +119,38 @@ class TestCrossCheckWithExplicitEngine:
 
 
 class TestBMCPrimaryCoverage:
+    """Theorem 1 on the BMC engine: a witness refutes, no witness is bounded."""
+
     def test_fig4_gap_found(self):
-        result = bmc_primary_coverage(build_mal_with_gap(), max_bound=6)
-        assert result.not_covered
-        assert result.witness is not None
-        assert "NOT covered" in result.summary()
+        verdict = get_engine("bmc", max_bound=6).check_primary(build_mal_with_gap())
+        assert not verdict.covered
+        # A refuting run is definitive even on the bounded engine.
+        assert verdict.complete
+        assert verdict.witness is not None
+        assert "NOT covered" in verdict.summary()
 
     def test_fig2_covered_up_to_bound(self):
-        result = bmc_primary_coverage(build_mal(), max_bound=4)
-        assert result.covered_up_to_bound
-        assert "covered up to bound" in result.summary()
+        verdict = get_engine("bmc", max_bound=4).check_primary(build_mal())
+        # Covered up to the bound only: covered, but not a complete proof.
+        assert verdict.covered and not verdict.complete
+        assert verdict.bound == 4
+        assert "covered up to bound 4" in verdict.summary()
 
     def test_paper_example_matches_explicit_verdict(self):
-        from repro.core.primary import primary_coverage_check
-
         problem = build_paper_example()
-        explicit = primary_coverage_check(problem)
-        bounded = bmc_primary_coverage(problem, max_bound=6)
-        if explicit.covered:
-            assert bounded.covered_up_to_bound
-        else:
-            assert bounded.not_covered
+        explicit = get_engine("explicit").check_primary(problem)
+        bounded = get_engine("bmc", max_bound=6).check_primary(problem)
+        assert bounded.covered == explicit.covered
+        if bounded.covered:
+            assert not bounded.complete
 
     def test_witness_refutes_architectural_intent(self):
         problem = build_mal_with_gap()
-        result = bmc_primary_coverage(problem, max_bound=6)
+        verdict = get_engine("bmc", max_bound=6).check_primary(problem)
         intent = problem.architectural_conjunction()
-        assert not evaluate(intent, result.witness)
+        assert not evaluate(intent, verdict.witness)
         for rtl_property in problem.all_rtl_formulas():
-            assert evaluate(rtl_property, result.witness)
+            assert evaluate(rtl_property, verdict.witness)
 
 
 class TestKInduction:

@@ -58,7 +58,7 @@ def _encode_on_lasso(formula, states, loop_start):
         for name in atoms:
             cnf.assume(frame_name(name, frame), bool(state.get(name, False)))
     encoder = LTLBoundedEncoder(TseitinEncoder(cnf), depth, loop_start)
-    encoder.assert_formula(formula)
+    cnf.add_unit(encoder.formula_literal(formula))
     return SatSolver(cnf).solve().satisfiable
 
 

@@ -5,7 +5,7 @@ import pytest
 from repro.designs.simple_latch import build_simple_latch
 from repro.logic.boolexpr import and_, var
 from repro.rtl.netlist import Module
-from repro.sat.solver import solve
+from repro.sat.solver import SatSolver, solve
 from repro.bmc.unroll import UnrolledModule, frame_name
 
 
@@ -101,41 +101,48 @@ class TestUnrollingSemantics:
 
 
 class TestLoopConstraint:
+    """The activation-guarded lasso closure of the incremental BMC session."""
+
+    def _closed(self, depth, loop_start):
+        """An unrolling to ``depth`` with the ``(depth, loop_start)`` closure
+        guarded by a fresh activation literal."""
+        unrolled = UnrolledModule(build_toggle())
+        unrolled.assert_initial_state()
+        unrolled.extend_to(depth)
+        activation = unrolled.encoder.variable_literal("act")
+        unrolled.guarded_loop_constraint(depth, loop_start, activation)
+        return unrolled, activation
+
     def test_loop_to_initial_frame(self):
         # With en forced high every cycle, q alternates; a lasso of odd period
         # cannot close back onto frame 0.
-        unrolled = UnrolledModule(build_toggle())
-        unrolled.assert_initial_state()
-        unrolled.extend_to(0)
-        query = unrolled.cnf.copy()
-        unrolled.loop_constraint(query, 0)
-        query.assume("en@0", True)
-        assert not solve(query).satisfiable
+        unrolled, activation = self._closed(0, 0)
+        en = unrolled.signal_literal("en", 0)
+        assert not SatSolver(unrolled.cnf).solve(assumptions=[activation, en]).satisfiable
 
     def test_loop_possible_when_en_low(self):
-        unrolled = UnrolledModule(build_toggle())
-        unrolled.assert_initial_state()
-        unrolled.extend_to(0)
-        query = unrolled.cnf.copy()
-        unrolled.loop_constraint(query, 0)
-        query.assume("en@0", False)
-        assert solve(query).satisfiable
+        unrolled, activation = self._closed(0, 0)
+        en = unrolled.signal_literal("en", 0)
+        assert SatSolver(unrolled.cnf).solve(assumptions=[activation, -en]).satisfiable
 
     def test_loop_start_out_of_range(self):
         unrolled = UnrolledModule(build_toggle())
         unrolled.extend_to(1)
+        activation = unrolled.encoder.variable_literal("act")
         with pytest.raises(ValueError):
-            unrolled.loop_constraint(unrolled.cnf.copy(), 5)
+            unrolled.guarded_loop_constraint(1, 5, activation)
+        with pytest.raises(ValueError):
+            unrolled.guarded_loop_constraint(3, 0, activation)
 
     def test_base_cnf_untouched_by_loop_queries(self):
-        unrolled = UnrolledModule(build_toggle())
-        unrolled.assert_initial_state()
-        unrolled.extend_to(2)
-        before = unrolled.cnf.clause_count()
-        query = unrolled.cnf.copy()
-        unrolled.loop_constraint(query, 1)
-        assert unrolled.cnf.clause_count() == before
-        assert query.clause_count() > before
+        # The closure is inert unless its activation literal is assumed: the
+        # odd-period lasso excluded above stays satisfiable without it.
+        unrolled, activation = self._closed(0, 0)
+        en = unrolled.signal_literal("en", 0)
+        solver = SatSolver(unrolled.cnf)
+        assert solver.solve(assumptions=[en]).satisfiable
+        assert not solver.solve(assumptions=[activation, en]).satisfiable
+        assert solver.solve(assumptions=[en]).satisfiable
 
 
 class TestDecodeStates:

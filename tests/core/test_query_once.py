@@ -102,6 +102,25 @@ def test_exact_hole_report_shows_its_closure_check(engine):
     assert "gap closure verified: True" in text
 
 
+@pytest.mark.parametrize("engine", ["explicit", "bmc"])
+def test_exact_hole_closure_runs_on_the_analysis_engine(engine, monkeypatch):
+    """Every query of an analysis, the exact hole's closure checks included,
+    runs on the one engine instance the analysis resolved (for bmc: on its
+    pool of incremental solver sessions)."""
+    problem = random_problem(RandomDesignSpec(seed=7, index=0))
+    engines = []
+    original = CoverageEngine._instrumented_run
+
+    def recording(self, problem):
+        engines.append(self)
+        return original(self, problem)
+
+    monkeypatch.setattr(CoverageEngine, "_instrumented_run", recording)
+    analysis = find_coverage_gap(problem, problem.architectural[0], _options(engine))
+    assert analysis.fallback_to_hole and analysis.gap_verified
+    assert len({id(instance) for instance in engines}) == 1, engines
+
+
 @pytest.mark.parametrize("design,engine", CELLS)
 def test_seeded_enumeration_finds_the_unseeded_witnesses(design, engine):
     """Seeded with the primary witness, on the engine that found it (BMC's

@@ -3,17 +3,17 @@
 from repro.core import (
     CoverageReport,
     GapAnalysis,
-    PrimaryCoverageResult,
     format_gap_analysis,
     format_report,
     format_table1,
 )
+from repro.engines import EngineVerdict
 from repro.ltl import parse
 
 
 def _covered_analysis():
     formula = parse("G(a -> F b)")
-    primary = PrimaryCoverageResult(problem_name="demo", covered=True)
+    primary = EngineVerdict(problem_name="demo", engine="explicit", covered=True, complete=True)
     return GapAnalysis(
         property_formula=formula,
         covered=True,

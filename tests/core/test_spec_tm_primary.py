@@ -8,10 +8,10 @@ from repro.core import (
     build_tm,
     build_tm_for_modules,
     boolexpr_to_formula,
-    is_covered_with,
     primary_coverage_check,
 )
 from repro.designs import build_cache_logic, build_masking_glue_fig2, expected_gap_property, expected_tm_shape
+from repro.engines import get_engine
 from repro.logic.boolexpr import and_, not_, or_, var
 from repro.ltl import equivalent, evaluate, parse
 from repro.mc import check
@@ -133,10 +133,13 @@ class TestPrimaryCoverage:
         assert not evaluate(mal_gap_problem.architectural_conjunction(), result.witness)
 
     def test_expected_gap_property_closes_the_fig4_gap(self, mal_gap_problem):
-        assert is_covered_with(mal_gap_problem, [expected_gap_property()])
+        engine = get_engine("explicit")
+        assert engine.is_covered_with(mal_gap_problem, [expected_gap_property()])
 
     def test_architectural_property_itself_closes_the_gap(self, mal_gap_problem):
-        assert is_covered_with(mal_gap_problem, [mal_gap_problem.architectural[0]])
+        engine = get_engine("explicit")
+        assert engine.is_covered_with(mal_gap_problem, [mal_gap_problem.architectural[0]])
 
     def test_unrelated_property_does_not_close_the_gap(self, mal_gap_problem):
-        assert not is_covered_with(mal_gap_problem, [parse("G(d2 -> hit)")])
+        engine = get_engine("explicit")
+        assert not engine.is_covered_with(mal_gap_problem, [parse("G(d2 -> hit)")])

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.primary import primary_coverage_check
-from repro.bmc.primary import bmc_primary_coverage
+from repro.engines import get_engine
 from repro.designs.daisy_chain import (
     build_daisy_problem,
     build_grant_datapath,
@@ -58,8 +58,9 @@ class TestCoverage:
 
     @pytest.mark.parametrize("requesters", [2, 3, 4, 5])
     def test_bmc_engine_finds_no_refutation(self, requesters):
-        result = bmc_primary_coverage(build_daisy_problem(requesters), max_bound=4)
-        assert result.covered_up_to_bound
+        verdict = get_engine("bmc", max_bound=4).check_primary(build_daisy_problem(requesters))
+        # Covered up to the bound: no refuting run, and no complete proof.
+        assert verdict.covered and not verdict.complete
 
     def test_dropping_the_priority_property_opens_a_gap(self):
         problem = build_daisy_problem(2)

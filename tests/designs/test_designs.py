@@ -93,9 +93,9 @@ class TestAMBADesign:
         assert evaluate(parse("F G !hgrant2"), witness)
 
     def test_expected_gap_property_closes_starvation_gap(self, amba_problem):
-        from repro.core import is_covered_with
+        from repro.engines import get_engine
 
-        assert is_covered_with(
+        assert get_engine("explicit").is_covered_with(
             amba_problem,
             [expected_gap_property_master2()],
             architectural=architectural_granted_master2(),

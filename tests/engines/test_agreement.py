@@ -11,12 +11,12 @@ import re
 import pytest
 
 from repro.core import CoverageOptions, primary_coverage_check
-from repro.core.primary import is_covered_with
 from repro.designs import get_design
 from repro.engines import (
     BmcEngine,
     ExplicitEngine,
     SymbolicEngine,
+    engine_from_options,
     engine_names,
     get_engine,
 )
@@ -63,10 +63,26 @@ class TestEngineRegistry:
     def test_bmc_bound_forwarding(self):
         assert get_engine("bmc", max_bound=4).max_bound == 4
 
-    def test_symbolic_kwarg_forwarding(self):
-        assert get_engine("symbolic", verify_witness=False).verify_witness is False
-        # Generic call sites pass the whole tuning set; the factory filters.
-        assert get_engine("symbolic", max_bound=4).verify_witness is True
+    def test_symbolic_kwarg_forwarding(self, monkeypatch):
+        import repro.mc.symbolic as symbolic
+        from repro.runner.cache import using_result_cache
+
+        # Generic call sites pass the whole tuning set; the factory keeps
+        # what it knows and filters out what it does not.
+        engine = get_engine("symbolic", max_bound=4, verify_witness=False)
+        assert isinstance(engine, SymbolicEngine)
+        assert engine.max_bound == 4
+        assert not hasattr(engine, "verify_witness")
+        # Every witness is replayed on the simulator before it is reported.
+        replayed = []
+        replay = symbolic._replay_witness
+        monkeypatch.setattr(
+            symbolic, "_replay_witness", lambda *args: replayed.append(replay(*args))
+        )
+        with using_result_cache(None):
+            verdict = engine.check_primary(get_design("mal_fig4").builder())
+        assert not verdict.covered and verdict.witness is not None
+        assert len(replayed) == 1
 
     def test_unknown_engine_raises(self):
         with pytest.raises(KeyError):
@@ -150,8 +166,8 @@ class TestOptionsRouting:
         problem = problems["mal_fig4"]
         options = CoverageOptions(engine=engine, bmc_max_bound=_BMC_BOUND)
         # Adding the architectural intent itself always closes the gap.
-        closes = is_covered_with(
-            problem, [problem.architectural_conjunction()], options=options
+        closes = engine_from_options(options).is_covered_with(
+            problem, [problem.architectural_conjunction()]
         )
         assert closes
 

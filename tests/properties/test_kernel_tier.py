@@ -3,12 +3,15 @@
 Each fast kernel is pinned to a slow reference on the design catalog plus
 seeded random designs:
 
-* incremental (assumption-based) BMC vs the legacy fresh-solver search
-  (``find_run_bmc(incremental=False)``, kept in-tree),
+* incremental (assumption-based) BMC vs a fresh-solver-per-query search
+  (``bmc_reference.py`` beside this file),
 * the memoised bitset product vs a plain dict/list product loop
   (``product_reference.py`` beside this file), on the query sets Algorithm 1
   asks — ``R``, ``R + A``, ``[!A] + R`` with a witness exclusion and a
-  weakened candidate — and the bitset emptiness sweep vs Tarjan,
+  weakened candidate,
+* the bitset emptiness sweep vs Tarjan's SCC algorithm
+  (``emptiness_reference.py`` beside this file), on those products and on
+  sparsely numbered tableaux of catalog and seeded random formulas,
 * the BDD kernel's one-pass ``exists``/``forall``/``and_exists``/``rename``
   vs per-variable references (``bdd_reference.py`` beside this file), on
   random functions and on the symbolic engine's images and preimages.
@@ -32,14 +35,22 @@ from bdd_reference import (
     reference_preimage,
     reference_rename,
 )
+from bmc_reference import reference_find_run_bmc
+from emptiness_reference import reference_accepting_lasso
 from product_reference import reference_product
 from repro.bmc.engine import find_run_bmc
 from repro.core import generate_candidates, primary_coverage_check, push_terms
 from repro.designs import CATALOG
-from repro.designs.random import RandomDesignSpec, random_boolexpr, random_problem
+from repro.designs.random import (
+    RandomDesignSpec,
+    random_boolexpr,
+    random_formula,
+    random_problem,
+)
 from repro.engines import get_engine
 from repro.logic import BDDError, BDDManager
 from repro.ltl.ast import Not
+from repro.ltl.tableau import ltl_to_gba
 from repro.ltl.traces import evaluate
 from repro.ltl.unfold import term_from_trace
 from repro.mc.modelcheck import build_kripke, compile_formulas
@@ -99,13 +110,8 @@ class TestIncrementalBmcEquivalence:
         problem = CATALOG[name].builder()
         module = problem.composed_module()
         for formulas in _query_sets(problem):
-            fast = find_run_bmc(
-                module, formulas, max_bound=6, use_result_cache=False
-            )
-            slow = find_run_bmc(
-                module, formulas, max_bound=6, use_result_cache=False,
-                incremental=False,
-            )
+            fast = find_run_bmc(module, formulas, max_bound=6)
+            slow = reference_find_run_bmc(module, formulas, max_bound=6)
             assert fast.satisfiable == slow.satisfiable, formulas
             if fast.satisfiable:
                 # Witnesses need not be equal; each must satisfy the query.
@@ -118,13 +124,8 @@ class TestIncrementalBmcEquivalence:
             problem = random_problem(spec)
             module = problem.composed_module()
             for formulas in _query_sets(problem):
-                fast = find_run_bmc(
-                    module, formulas, max_bound=5, use_result_cache=False
-                )
-                slow = find_run_bmc(
-                    module, formulas, max_bound=5, use_result_cache=False,
-                    incremental=False,
-                )
+                fast = find_run_bmc(module, formulas, max_bound=5)
+                slow = reference_find_run_bmc(module, formulas, max_bound=5)
                 assert fast.satisfiable == slow.satisfiable, (spec.name, formulas)
                 if fast.satisfiable:
                     for formula in formulas:
@@ -141,23 +142,20 @@ class TestIncrementalBmcEquivalence:
         # counters have to move.
         signal = module.state_signals()[0]
         formulas = [G(atom(signal)), F(Not(atom(signal)))]
-        result = find_run_bmc(
-            module, formulas, max_bound=4, use_result_cache=False,
-        )
+        result = find_run_bmc(module, formulas, max_bound=4)
         assert not result.satisfiable
         stats = result.statistics
         assert stats.bounds_incremental > 0
         assert stats.solver_reused > 0
         assert stats.clauses_reused > 0
-        # The legacy path must keep all three at zero.
-        legacy = find_run_bmc(
-            module, formulas, max_bound=4, use_result_cache=False,
-            incremental=False,
-        )
-        assert not legacy.satisfiable
-        assert legacy.statistics.bounds_incremental == 0
-        assert legacy.statistics.solver_reused == 0
-        assert legacy.statistics.clauses_reused == 0
+        # The fresh-solver reference must keep all three at zero, and ask
+        # the same number of SAT queries.
+        reference = reference_find_run_bmc(module, formulas, max_bound=4)
+        assert not reference.satisfiable
+        assert reference.statistics.bounds_incremental == 0
+        assert reference.statistics.solver_reused == 0
+        assert reference.statistics.clauses_reused == 0
+        assert reference.statistics.sat_calls == stats.sat_calls
 
     def test_incremental_solver_matches_fresh_solves(self):
         """add_clause + solve(assumptions) == fresh solver on the same CNF."""
@@ -202,8 +200,7 @@ class TestIncrementalBmcEquivalence:
             "    problem = CATALOG[name].builder()\n"
             "    module = problem.composed_module()\n"
             "    formulas = list(problem.rtl_properties)\n"
-            "    result = find_run_bmc(module, formulas, max_bound=4,\n"
-            "                          use_result_cache=False)\n"
+            "    result = find_run_bmc(module, formulas, max_bound=4)\n"
             "    out[name] = [result.satisfiable, result.bound, result.loop_start]\n"
             "print(json.dumps(out, sort_keys=True))\n"
         )
@@ -258,26 +255,62 @@ class TestBitsetProductDifferential:
         assert largest >= 45, largest
 
     def test_emptiness_agrees_and_lassos_are_valid(self):
+        checked = sparse = 0
+        for name, automaton in self._emptiness_cases():
+            fast = automaton.accepting_lasso()
+            slow = reference_accepting_lasso(automaton)
+            assert (fast is None) == (slow is None), name
+            for lasso in (fast, slow):
+                if lasso is not None:
+                    _assert_valid_lasso(automaton, lasso, name)
+            # Both assemble the lasso inside the fair SCC they found; in the
+            # same SCC, the sorted renumbering of a sparse automaton must
+            # make the same tie-breaks as Tarjan's path over state names.
+            if fast is not None and set(fast.loop) & set(slow.loop):
+                assert fast == slow, name
+            checked += 1
+            sparse += not _densely_numbered(automaton)
+        # The tableaux must actually exercise the renumbering path.
+        assert sparse >= 20, (sparse, checked)
+
+    def _emptiness_cases(self):
+        """Products of the query sets, then tableaux of single formulas.
+
+        The tableau numbers states by its node counter, so its automata are
+        the sparsely numbered ones: every catalog RTL property, every negated
+        architectural property and seeded random formulas.
+        """
         for name, problem in _problems():
             for formulas in _query_sets(problem):
-                fast = kripke_automata_product(*self._inputs(problem, formulas))
-                bitset_lasso = fast.accepting_lasso()
-                tarjan_lasso = fast._accepting_lasso_tarjan()
-                assert (bitset_lasso is None) == (tarjan_lasso is None), name
-                for lasso in (bitset_lasso, tarjan_lasso):
-                    if lasso is None:
-                        continue
-                    states = list(lasso.states()) + [lasso.loop[0]]
-                    if lasso.stem:
-                        assert lasso.stem[0] in fast.initial
-                    else:
-                        assert lasso.loop[0] in fast.initial
-                    for source, target in zip(states, states[1:]):
-                        assert target in fast.transitions.get(source, set()), (
-                            name, lasso,
-                        )
-                    for accept_set in fast.acceptance:
-                        assert accept_set & set(lasso.loop), (name, lasso)
+                yield name, kripke_automata_product(*self._inputs(problem, formulas))
+        for name in sorted(CATALOG):
+            problem = CATALOG[name].builder()
+            for formula in problem.rtl_properties:
+                yield (name, str(formula)), ltl_to_gba(formula)
+            for formula in problem.architectural:
+                yield (name, str(Not(formula))), ltl_to_gba(Not(formula))
+        rng = random.Random(1907)
+        for index in range(200):
+            formula = random_formula(rng, ["p", "q", "r"], rng.randint(2, 6))
+            yield ("random", index, str(formula)), ltl_to_gba(formula)
+
+
+def _densely_numbered(automaton) -> bool:
+    count = len(automaton.labels)
+    return all(0 <= state < count for state in automaton.labels)
+
+
+def _assert_valid_lasso(automaton, lasso, name):
+    """The stem starts at an initial state, every step is a transition, and
+    the loop meets every acceptance set."""
+    assert lasso.loop, (name, lasso)
+    first = lasso.stem[0] if lasso.stem else lasso.loop[0]
+    assert first in automaton.initial, (name, lasso)
+    states = list(lasso.states()) + [lasso.loop[0]]
+    for source, target in zip(states, states[1:]):
+        assert target in automaton.transitions.get(source, set()), (name, lasso)
+    for accept_set in automaton.acceptance:
+        assert accept_set & set(lasso.loop), (name, lasso)
 
 
 class TestBddKernelReference:

@@ -4,10 +4,9 @@ The plugin is loaded by file path — the same mechanism ``specmatcher serve
 --preload`` uses — so these tests never depend on ``tests/`` being
 importable as a package.  Registration happens in an autouse fixture (not at
 conftest import time, which runs during collection) scoped to each test
-module of this directory and undone on its teardown, together with the
-process-wide result cache a started daemon installs, so the engine registry
-and the active cache stay pristine for every test run after the service
-tests.
+module of this directory and undone on its teardown, so the engine registry
+stays pristine for every test run after the service tests.  (Each daemon's
+``drain()`` reinstalls the result cache its ``start()`` replaced.)
 """
 
 from __future__ import annotations
@@ -28,9 +27,6 @@ def sleepy_engine():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     from repro.engines import unregister_engine
-    from repro.runner.cache import active_result_cache, set_result_cache
 
-    previous_cache = active_result_cache()
     yield
     unregister_engine("sleepy")
-    set_result_cache(previous_cache)

@@ -302,6 +302,27 @@ class TestSpecMatcherFacade:
         )
         assert matcher.primary_coverage().covered
 
+    def test_primary_coverage_runs_on_the_configured_engine(self, mal_covered_problem):
+        matcher = SpecMatcher("bounded", CoverageOptions(engine="bmc", bmc_max_bound=4))
+        matcher.problem = mal_covered_problem
+        verdict = matcher.primary_coverage()
+        assert verdict.engine == "bmc"
+        # Covered up to the bound only: no complete proof on BMC.
+        assert verdict.covered and not verdict.complete
+        assert verdict.bound == 4
+
+    @pytest.mark.parametrize("minimize", [True, False])
+    def test_coverage_hole_builds_tm_with_the_configured_guards(self, mal_gap_problem, minimize):
+        from repro.core import coverage_hole
+
+        matcher = SpecMatcher("guards", CoverageOptions(minimize_tm_guards=minimize))
+        matcher.problem = mal_gap_problem
+        hole = matcher.coverage_hole()
+        assert hole.tm_formula == coverage_hole(mal_gap_problem, minimize_guards=minimize).tm_formula
+        # The two settings give different T_M formulas on this design.
+        other = coverage_hole(mal_gap_problem, minimize_guards=not minimize)
+        assert hole.tm_formula != other.tm_formula
+
 
 @pytest.mark.slow
 class TestEndToEnd:
