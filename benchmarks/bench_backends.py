@@ -9,13 +9,13 @@ catalogued design and checks them against the catalogue; the per-cell
 timings show the trade-offs (the explicit engine is complete; BMC pays
 per-bound SAT calls but touches only the behaviour up to the bound; the
 symbolic engine is complete and scales with BDD width rather than state
-count).  None of the engines queries the propositional backends of
-:mod:`repro.engines.prop`; in the pipeline those only decide the constant
-folds of ``T_M`` construction.
+count).  None of the engines asks a propositional decision; in the pipeline
+those only fold ``T_M``'s constant nets, on one BDD per net.
 
-Separate micro-benchmarks certify the point of the ``auto`` policy's
-delegates: on a wide (≥ 12-variable) equivalence query the BDD or SAT
-backend beats the exhaustive truth-table sweep outright.
+A separate micro-benchmark certifies why those decisions use BDDs: on a
+wide (≥ 12-variable) equivalence query the BDD decision of
+:func:`~repro.logic.boolexpr.expr_equivalent` beats the exhaustive
+truth-table sweep outright.
 
 CI quick mode
 -------------
@@ -44,8 +44,8 @@ import time
 
 import pytest
 
-from repro.engines import AutoBackend, BddBackend, SatBackend, TruthTableBackend, get_engine
-from repro.logic.boolexpr import and_, not_, or_, var
+from repro.engines import get_engine
+from repro.logic.boolexpr import and_, enumerate_equivalent, expr_equivalent, not_, or_, var
 
 _DESIGNS = ["mal_fig2", "mal_fig4", "paper_example", "intel_like", "telemetry_bank"]
 _QUICK_DESIGNS = ["mal_fig2", "mal_fig4", "paper_example", "telemetry_bank"]
@@ -118,26 +118,17 @@ def _wide_equivalent_pair(width: int):
 
 
 def test_wide_equivalence_beats_truth_table():
-    """BDD or SAT must beat exhaustive enumeration on a ≥ 12-variable query."""
+    """The BDD decision must beat exhaustive enumeration on a ≥ 12-variable query."""
     left, right = _wide_equivalent_pair(8)  # 16 variables, 65536 rows for the table
     assert len(left.variables() | right.variables()) >= 12
 
     timings = {}
-    for backend in (TruthTableBackend(), BddBackend(), SatBackend()):
+    for name, decide in (("bdd", expr_equivalent), ("table", enumerate_equivalent)):
         start = time.perf_counter()
-        assert backend.equivalent(left, right)
-        timings[backend.name] = time.perf_counter() - start
+        assert decide(left, right)
+        timings[name] = time.perf_counter() - start
 
-    assert min(timings["bdd"], timings["sat"]) < timings["table"], timings
-
-
-def test_auto_policy_skips_enumeration_above_cutoff():
-    """The auto policy must not route wide queries to the truth-table backend."""
-    auto = AutoBackend()
-    left, right = _wide_equivalent_pair(8)
-    joint = len(left.variables() | right.variables())
-    assert not isinstance(auto.pick(joint), TruthTableBackend)
-    assert auto.equivalent(left, right)
+    assert timings["bdd"] < timings["table"], timings
 
 
 # -- CI quick mode -------------------------------------------------------------

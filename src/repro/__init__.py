@@ -20,9 +20,8 @@ The package layers are:
   cone-of-influence slice, memoized property automata, free/observed signal
   partition and structural fingerprint, built once per query shape and
   consumed by every engine,
-* :mod:`repro.engines` — the unified decision-backend layer: propositional
-  backends (truth table / BDD / SAT / auto) and coverage engines
-  (explicit / bmc / symbolic / portfolio) behind string-keyed registries,
+* :mod:`repro.engines` — the coverage engines (explicit / bmc / symbolic /
+  portfolio / auto) behind one string-keyed registry,
 * :mod:`repro.core` — the paper's contribution: the intent-coverage problem,
   the ``T_M`` construction, the primary coverage question (Theorem 1), the
   coverage hole (Theorem 2), the gap-presentation Algorithm 1 and the

@@ -42,8 +42,8 @@ class BMCStatistics:
     decisions: int = 0
     propagations: int = 0
     restarts: int = 0
-    #: Wall seconds spent at each explored bound, indexed from ``min_bound``
-    #: — the per-bound cost curve a learned bound scheduler needs.
+    #: Wall seconds spent at each explored bound, from bound 0 up — the
+    #: per-bound cost curve a learned bound scheduler needs.
     per_bound_seconds: List[float] = field(default_factory=list)
     #: SAT queries answered by a solver that was already warm (had clauses or
     #: learned facts from an earlier query) instead of a fresh instance.
@@ -115,7 +115,6 @@ def find_run_bmc(
     formulas: Sequence[Formula],
     *,
     max_bound: int = 12,
-    min_bound: int = 0,
     extra_free: Sequence[str] = (),
     session: Optional[BMCSession] = None,
 ) -> BMCResult:
@@ -143,7 +142,7 @@ def find_run_bmc(
         session = BMCSession(module, free_atoms)
 
     result = BMCResult(False, max_bound, statistics=statistics)
-    for bound in range(min_bound, max_bound + 1):
+    for bound in range(max_bound + 1):
         bound_start = time.perf_counter()
         with span("bmc_bound", bound=bound) as sp:
             if session.queries > 0:

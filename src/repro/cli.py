@@ -39,7 +39,7 @@ import argparse
 import sys
 from typing import List, Optional
 
-from .core import CoverageOptions, analyze_problem, format_report, format_table1
+from .core import CoverageOptions, analyze_problem, format_table1
 from .engines import engine_names
 from .designs import (
     build_full_mal_fig2,
@@ -478,11 +478,22 @@ def _cmd_check(design: str, args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(design: str, args: argparse.Namespace) -> int:
-    entry = get_design(design)
-    problem = entry.builder()
-    options = _options_from_args(args, max_witnesses=args.max_witnesses, unfold_depth=args.depth)
-    report = analyze_problem(problem, options)
-    print(format_report(report, show_witnesses=not args.no_witnesses))
+    # The service's analyze job, run in-process, so `specmatcher submit
+    # analyze` serves the same report.  The daemon's request ceilings exist
+    # to protect the daemon, so a one-shot run is not validated against them.
+    from .service import JobRequest, execute_job
+
+    request = JobRequest(
+        kind="analyze",
+        design=design,
+        engine=args.engine,
+        bound=args.bound,
+        slicing=_slicing_from_args(args),
+        max_witnesses=args.max_witnesses,
+        depth=args.depth,
+        witnesses=not args.no_witnesses,
+    )
+    print(execute_job(request)["report"])
     return 0
 
 

@@ -45,7 +45,6 @@ __all__ = [
     "CoverageReport",
     "find_coverage_gap",
     "analyze_problem",
-    "result_cache_context",
 ]
 
 
@@ -66,31 +65,22 @@ class CoverageOptions:
     formulas' atoms (plus the observed ``APR`` signals); disable it only for
     differential testing.
 
-    ``cache_dir`` installs a persistent decision-result cache
-    (:mod:`repro.runner.cache`) for the duration of the analysis, so repeated
-    runs — and overlapping queries within one run — replay decided queries
-    instead of re-deciding them.  ``use_cache=False`` disables caching
-    entirely (including a process-wide active cache); the default ``None``
-    directory with ``use_cache=True`` keeps whatever cache is already active.
+    The analysis consults whatever decision-result cache is active
+    (:mod:`repro.runner.cache`); install one around it with
+    ``using_result_cache(cache_for_dir(...))``, or mask it with
+    ``using_result_cache(None)``.
     """
 
     max_witnesses: int = 3
     unfold_depth: int = 5
-    max_candidates: int = 48
     max_closure_checks: int = 20
     max_reported_gaps: int = 3
-    include_negated_literals: bool = True
-    verify_closure: bool = True
-    minimize_tm_guards: bool = True
-    restrict_to_free_signals: bool = True
     engine: str = "explicit"
     bmc_max_bound: int = 12
     #: ``True`` always slices, ``False`` never; the default ``"auto"`` slices
     #: only when the cone of influence drops a meaningful share of the design
     #: (skipping slice construction on near-full cones).
     slicing: object = "auto"
-    cache_dir: Optional[str] = None
-    use_cache: bool = True
 
 
 @dataclass
@@ -194,37 +184,10 @@ def find_coverage_gap(
     selected by ``options``.
     """
     options = options or CoverageOptions()
-    with result_cache_context(options):
-        return _find_coverage_gap(problem, architectural, options)
-
-
-def result_cache_context(options: "CoverageOptions"):
-    """The result-cache context selected by a :class:`CoverageOptions`.
-
-    ``use_cache=False`` masks any active cache; ``cache_dir`` installs the
-    process-wide cache bound to that directory; otherwise the currently active
-    cache (installed by the suite runner or a caller) is kept as-is.
-    """
-    from ..runner.cache import cache_for_dir, using_result_cache
-
-    if not options.use_cache:
-        return using_result_cache(None)
-    if options.cache_dir:
-        return using_result_cache(cache_for_dir(options.cache_dir))
-    from contextlib import nullcontext
-
-    return nullcontext()
-
-
-def _find_coverage_gap(
-    problem: CoverageProblem,
-    architectural: Formula,
-    options: CoverageOptions,
-) -> GapAnalysis:
     # Step 1: T_M and the exact hole.
     tm_start = time.perf_counter()
     with span("tm_build", problem=problem.name):
-        hole = coverage_hole(problem, architectural=architectural, options=options)
+        hole = coverage_hole(problem, architectural=architectural)
     tm_seconds = time.perf_counter() - tm_start
 
     # Resolve the engine once per analysis: the primary check, the witness
@@ -265,20 +228,17 @@ def _find_coverage_gap(
         push = push_terms(architectural, terms.terms)
         # Step 2(d): weaken and keep the weakest closing candidates.
         # Suggestions whose new literal is a signal *driven* by the concrete
-        # modules are dropped by default: such literals merely restate the RTL
-        # and lead to candidates equivalent to the original property.  Free
-        # signals (module inputs and the signals of the property-specified
-        # sub-modules) are where genuine environment/scenario restrictions
-        # live.
-        suggestions = push.suggestions
-        if options.restrict_to_free_signals:
-            driven = set(problem.composed_module().assigns) | set(
-                problem.composed_module().registers
-            )
-            free_suggestions = [s for s in suggestions if s.literal_name not in driven]
-            if free_suggestions:
-                suggestions = free_suggestions
-        candidates = generate_candidates(architectural, suggestions, options=options)
+        # modules are dropped when any other remains: such literals merely
+        # restate the RTL and lead to candidates equivalent to the original
+        # property.  Free signals (module inputs and the signals of the
+        # property-specified sub-modules) are where genuine
+        # environment/scenario restrictions live.
+        module = problem.composed_module()
+        driven = set(module.assigns) | set(module.registers)
+        suggestions = [s for s in push.suggestions if s.literal_name not in driven]
+        if not suggestions:
+            suggestions = push.suggestions
+        candidates = generate_candidates(architectural, suggestions)
         # Cheap necessary-condition filter before the expensive closure
         # checks: a candidate can only close the gap if every collected
         # witness run violates it (otherwise that witness remains admissible
@@ -297,26 +257,22 @@ def _find_coverage_gap(
         def closes(candidate: Formula) -> bool:
             return engine.is_covered_with(problem, [candidate], architectural=architectural)
 
-        gap_properties = select_weakest(architectural, candidates, closes, options=options)
+        gap_properties = select_weakest(
+            architectural, candidates, closes, max_reported=options.max_reported_gaps
+        )
 
-        fallback = False
-        if not gap_properties:
-            # No structure-preserving weakening closes the hole; fall back to
-            # the exact hole formula of Theorem 2 (always closes by
-            # construction).
-            fallback = True
+        # With no closing weakening, fall back to the exact hole formula of
+        # Theorem 2 (it closes by construction) and check that it does.
+        fallback = not gap_properties
+        if gap_properties:
+            # select_weakest reports only candidates closes() accepted, and
+            # Theorem 1 with a reported property added is exactly the query
+            # closes() answered for it on this engine.
+            gap_verified = True
+        else:
+            from .hole import hole_closes_gap
 
-        gap_verified = False
-        if options.verify_closure:
-            if gap_properties:
-                # select_weakest reports only candidates closes() accepted,
-                # and Theorem 1 with a reported property added is exactly
-                # the query closes() answered for it on this engine.
-                gap_verified = True
-            else:
-                from .hole import hole_closes_gap
-
-                gap_verified = hole_closes_gap(problem, hole, engine=engine)
+            gap_verified = hole_closes_gap(problem, hole, engine=engine)
     gap_seconds = time.perf_counter() - gap_start
 
     return GapAnalysis(

@@ -25,7 +25,6 @@ from .tm import TMResult, build_tm_for_modules
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..engines.coverage import CoverageEngine
-    from .coverage import CoverageOptions
 
 __all__ = ["CoverageHole", "coverage_hole", "hole_closes_gap"]
 
@@ -63,21 +62,11 @@ def coverage_hole(
     problem: CoverageProblem,
     *,
     architectural: Optional[Formula] = None,
-    minimize_guards: Optional[bool] = None,
-    options: Optional["CoverageOptions"] = None,
 ) -> CoverageHole:
-    """Compute the exact coverage hole of Theorem 2 for the problem.
-
-    ``options`` (when given) supplies ``minimize_tm_guards``; an explicitly
-    passed ``minimize_guards`` wins over ``options``.
-    """
+    """Compute the exact coverage hole of Theorem 2 for the problem."""
     problem.validate()
-    if minimize_guards is None:
-        minimize_guards = options.minimize_tm_guards if options else True
     target = architectural if architectural is not None else problem.architectural_conjunction()
-    tm_formula, tm_results, tm_seconds = build_tm_for_modules(
-        problem.concrete_modules, minimize_guards=minimize_guards
-    )
+    tm_formula, tm_results, tm_seconds = build_tm_for_modules(problem.concrete_modules)
     return CoverageHole(
         problem_name=problem.name,
         architectural=target,

@@ -89,12 +89,8 @@ class SpecMatcher:
         return primary_coverage_check(self.problem, options=self.options)
 
     def coverage_hole(self) -> CoverageHole:
-        """Theorem 2: the exact (unreduced) coverage hole.
-
-        ``T_M`` is built with ``self.options.minimize_tm_guards``, as in
-        :meth:`run`.
-        """
-        return coverage_hole(self.problem, options=self.options)
+        """Theorem 2: the exact (unreduced) coverage hole."""
+        return coverage_hole(self.problem)
 
     def analyze_property(self, formula: FormulaLike) -> GapAnalysis:
         """Run Algorithm 1 for a single architectural property."""

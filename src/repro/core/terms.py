@@ -21,16 +21,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional
+from typing import List, Optional
 
-from ..engines.coverage import CoverageEngine, engine_from_options
+from ..engines.coverage import CoverageEngine, get_engine
 from ..ltl.ast import Formula, Not
 from ..ltl.traces import LassoTrace
 from ..ltl.unfold import TemporalTerm, term_from_trace
 from .spec import CoverageProblem
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .coverage import CoverageOptions
 
 __all__ = ["UncoveredTerms", "collect_gap_witnesses", "uncovered_terms"]
 
@@ -54,7 +51,6 @@ def collect_gap_witnesses(
     architectural: Optional[Formula] = None,
     max_witnesses: int = 4,
     depth: int = 5,
-    options: Optional["CoverageOptions"] = None,
     engine: Optional[CoverageEngine] = None,
     first_witness: Optional[LassoTrace] = None,
 ) -> List[LassoTrace]:
@@ -63,11 +59,9 @@ def collect_gap_witnesses(
     Each new query excludes the bounded prefixes of the witnesses found so
     far, so the enumeration keeps producing genuinely different scenarios
     until either no further run exists or ``max_witnesses`` is reached.
-    The existential queries run on ``engine``, or else on the engine
-    selected by ``options`` (explicit-state by default; ``options.engine``
-    picks any registered engine — ``"bmc"`` for the bounded SAT search,
-    ``"symbolic"`` for the BDD fixpoint, both of which return the same
-    witness-lasso shape).
+    The existential queries run on ``engine`` (any registered engine
+    returns the same witness-lasso shape), or else on the explicit-state
+    engine.
 
     ``first_witness`` is an answer to the first query, which has no
     exclusions and is therefore the primary coverage question itself.
@@ -76,7 +70,7 @@ def collect_gap_witnesses(
     witnesses, and finds the ones it would have found after asking the first
     query itself.  ``None`` asks the first query too.
     """
-    engine = engine or engine_from_options(options)
+    engine = engine or get_engine("explicit")
     target = architectural if architectural is not None else problem.architectural_conjunction()
     base_formulas: List[Formula] = [Not(target)] + problem.all_rtl_formulas()
     module = problem.composed_module()
@@ -110,7 +104,6 @@ def uncovered_terms(
     architectural: Optional[Formula] = None,
     max_witnesses: int = 4,
     depth: int = 5,
-    options: Optional["CoverageOptions"] = None,
     engine: Optional[CoverageEngine] = None,
     first_witness: Optional[LassoTrace] = None,
 ) -> UncoveredTerms:
@@ -125,7 +118,6 @@ def uncovered_terms(
         architectural=architectural,
         max_witnesses=max_witnesses,
         depth=depth,
-        options=options,
         engine=engine,
         first_witness=first_witness,
     )

@@ -28,10 +28,11 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..logic.bdd import BDDManager
 from ..logic.boolexpr import FALSE as BOOL_FALSE, TRUE as BOOL_TRUE, AndExpr, BoolExpr, Const, NotExpr, OrExpr, Var, XorExpr
-from ..logic.boolexpr import is_contradiction, is_tautology
 from ..logic.cube import Cover, Cube
 from ..ltl.ast import FALSE, TRUE, Always, Atom, Formula, Iff, Next, Not, conj, disj
+from ..obs import metrics
 from ..rtl.fsm import FSM, extract_fsm
 from ..rtl.netlist import Module
 
@@ -89,15 +90,18 @@ def _fold_constant(expr: BoolExpr) -> BoolExpr:
 
     A driven net whose function is a tautology (or contradiction) in disguise
     yields ``G(net <-> 1)`` / ``G(net <-> 0)`` instead of dragging the whole
-    syntactic expression into ``T_M``; the decision goes through the
-    :mod:`repro.engines.prop` ``auto`` policy, so it stays cheap for wide
-    supports (BDD/SAT instead of a truth-table sweep).
+    syntactic expression into ``T_M``.  One ROBDD over the net's support
+    answers both questions (its root is a terminal exactly when the function
+    is constant), and it stays cheap on wide supports, where a truth-table
+    sweep would not.
     """
     if not expr.variables():
         return expr
-    if is_tautology(expr):
+    metrics().inc("prop.bdd.queries")
+    function = BDDManager(sorted(expr.variables())).from_expr(expr)
+    if function.is_true():
         return BOOL_TRUE
-    if is_contradiction(expr):
+    if function.is_false():
         return BOOL_FALSE
     return expr
 
@@ -113,7 +117,7 @@ def _output_constraints(module: Module) -> List[Formula]:
     return constraints
 
 
-def build_tm(module: Module, *, minimize_guards: bool = True) -> TMResult:
+def build_tm(module: Module) -> TMResult:
     """Build the characteristic formula ``T_M`` of one concrete module."""
     start = time.perf_counter()
     module.validate(allow_undriven=True)
@@ -135,7 +139,7 @@ def build_tm(module: Module, *, minimize_guards: bool = True) -> TMResult:
             elapsed_seconds=time.perf_counter() - start,
         )
 
-    fsm = extract_fsm(module, minimize_guards=minimize_guards)
+    fsm = extract_fsm(module)
     initial_label = cube_to_formula(fsm.label(fsm.initial_state))
     transition_disjuncts: List[Formula] = []
     for transition in fsm.transitions:
@@ -161,17 +165,15 @@ def build_tm(module: Module, *, minimize_guards: bool = True) -> TMResult:
     )
 
 
-# T_M is a function of the modules' structure and the guard-minimisation
-# flag alone, so builds are memoized structurally: a gap analysis over N
-# architectural properties builds T_M once, not N times.
+# T_M is a function of the modules' structure alone, so builds are memoized
+# structurally: a gap analysis over N architectural properties builds T_M
+# once, not N times.
 _TM_CACHE: Dict[Tuple, Tuple[Formula, Tuple[TMResult, ...], float]] = {}
 _TM_CACHE_LIMIT = 128
 
 
 def build_tm_for_modules(
     modules: Sequence[Module],
-    *,
-    minimize_guards: bool = True,
 ) -> Tuple[Formula, List[TMResult], float]:
     """``T_M`` for a set of concurrent modules: the conjunction of each ``T_Mi``.
 
@@ -181,10 +183,7 @@ def build_tm_for_modules(
     """
     from ..runner.cache import module_fingerprint
 
-    key = (
-        tuple(module_fingerprint(module) for module in modules),
-        bool(minimize_guards),
-    )
+    key = tuple(module_fingerprint(module) for module in modules)
     cached = _TM_CACHE.get(key)
     if cached is not None:
         formula, results, total = cached
@@ -195,7 +194,7 @@ def build_tm_for_modules(
     results: List[TMResult] = []
     start = time.perf_counter()
     for module in modules:
-        results.append(build_tm(module, minimize_guards=minimize_guards))
+        results.append(build_tm(module))
     total = time.perf_counter() - start
     formula = conj(*(result.formula for result in results)) if results else TRUE
     if len(_TM_CACHE) >= _TM_CACHE_LIMIT:

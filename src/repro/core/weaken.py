@@ -14,7 +14,8 @@ This is exactly the paper's ``phi' / phi''`` construction: the two polarities
 of the candidate literal give the two conjuncts whose conjunction is the
 original property, and the one that is still uncovered is reported as the gap.
 
-Every candidate is then
+At most :data:`MAX_CANDIDATES` candidates are built.  Every candidate is
+then
 
 1. checked to be genuinely *weaker* than ``F_A`` (an LTL implication check),
 2. checked to *close the gap* — Theorem 1 with the candidate added to the RTL
@@ -26,10 +27,7 @@ Every candidate is then
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .coverage import CoverageOptions
+from typing import Callable, List, Sequence
 
 from ..ltl.ast import And, Atom, Formula, Next, Not, Or
 from ..ltl.printer import to_str
@@ -38,6 +36,9 @@ from ..ltl.sat import implies as ltl_implies
 from .push import WeakeningSuggestion
 
 __all__ = ["GapCandidate", "apply_weakening", "generate_candidates", "select_weakest"]
+
+#: Cap on the candidates :func:`generate_candidates` builds from one push.
+MAX_CANDIDATES = 48
 
 
 @dataclass(frozen=True)
@@ -74,30 +75,17 @@ def apply_weakening(formula: Formula, suggestion: WeakeningSuggestion) -> Formul
 def generate_candidates(
     formula: Formula,
     suggestions: Sequence[WeakeningSuggestion],
-    *,
-    include_negated_literals: Optional[bool] = None,
-    max_candidates: Optional[int] = None,
-    options: Optional["CoverageOptions"] = None,
 ) -> List[GapCandidate]:
-    """Build candidate gap properties from the suggestions.
+    """Build up to :data:`MAX_CANDIDATES` candidate gap properties.
 
-    For every suggestion the observed literal polarity is tried first; with
-    ``include_negated_literals`` the opposite polarity is also generated (the
-    paper's ``phi'``/``phi''`` pair) so that whichever half is uncovered can be
-    reported.  A :class:`CoverageOptions` can be passed instead of the
-    individual tunables; an explicitly passed tunable wins over ``options``.
+    For every suggestion the observed literal polarity is tried first, then
+    the opposite one (the paper's ``phi'``/``phi''`` pair), so that whichever
+    half is uncovered can be reported.
     """
-    if include_negated_literals is None:
-        include_negated_literals = options.include_negated_literals if options else True
-    if max_candidates is None:
-        max_candidates = options.max_candidates if options else 64
     candidates: List[GapCandidate] = []
     seen = set()
     for suggestion in suggestions:
-        polarities = [suggestion.literal_value]
-        if include_negated_literals:
-            polarities.append(not suggestion.literal_value)
-        for value in polarities:
+        for value in (suggestion.literal_value, not suggestion.literal_value):
             adjusted = WeakeningSuggestion(
                 instance=suggestion.instance,
                 literal_name=suggestion.literal_name,
@@ -116,7 +104,7 @@ def generate_candidates(
                     description=adjusted.describe(),
                 )
             )
-            if len(candidates) >= max_candidates:
+            if len(candidates) >= MAX_CANDIDATES:
                 return candidates
     return candidates
 
@@ -126,30 +114,23 @@ def select_weakest(
     candidates: Sequence[GapCandidate],
     closes_gap: Callable[[Formula], bool],
     *,
-    require_weaker: bool = True,
-    max_reported: Optional[int] = None,
-    options: Optional["CoverageOptions"] = None,
+    max_reported: int = 3,
 ) -> List[GapCandidate]:
-    """Filter candidates to the weakest ones that close the coverage gap.
+    """Filter candidates to the ``max_reported`` weakest that close the gap.
 
     ``closes_gap`` is the model-relative Theorem-1 check supplied by the
     coverage driver.  Candidates that are not implied by the original property
-    are discarded when ``require_weaker`` is set (they would strengthen the
-    intent rather than decompose it).  ``max_reported`` falls back to
-    ``options.max_reported_gaps`` when not passed explicitly.
+    are discarded (they would strengthen the intent rather than decompose it).
     """
-    if max_reported is None:
-        max_reported = options.max_reported_gaps if options else 4
     closing: List[GapCandidate] = []
     for candidate in candidates:
-        if require_weaker:
-            if not ltl_implies(original, candidate.formula):
-                continue
-            # A candidate equivalent to the original is useless as a gap
-            # property (the original always closes its own gap); Definition 3
-            # asks for something strictly weaker.
-            if ltl_implies(candidate.formula, original):
-                continue
+        if not ltl_implies(original, candidate.formula):
+            continue
+        # A candidate equivalent to the original is useless as a gap
+        # property (the original always closes its own gap); Definition 3
+        # asks for something strictly weaker.
+        if ltl_implies(candidate.formula, original):
+            continue
         if closes_gap(candidate.formula):
             closing.append(candidate)
 

@@ -14,7 +14,8 @@ Uses
 * the coverage-suite runner (``specmatcher suite --random N --seed S``)
   shards random designs next to the built-in catalog,
 * the property-based differential tests cross-check the explicit and BMC
-  engines (and the propositional backends) on inputs nobody hand-picked, and
+  engines (and the BDD-decided propositional predicates) on inputs nobody
+  hand-picked, and
 * :func:`register_random_designs` adds entries to the global catalog so every
   design-generic tool (``check``/``analyze``/``list``) works on them.
 

@@ -19,9 +19,9 @@ holds up to the bound); it is kept as a fallback and reported — with
 Losing members are stopped through cooperative cancellation
 (:mod:`repro.engines.cancel`): the winner trips the shared token and the
 search loops of the losers (Kripke enumeration, product construction, CDCL
-decisions, BMC bounds, symbolic images) unwind at their next poll.  When
-threads are unavailable (``parallel=False`` or thread creation fails) the
-members run as a **serial ladder** in order, first decisive verdict wins.
+decisions, BMC bounds, symbolic images) unwind at their next poll.  With
+one member, or when a member's thread cannot be started, the members run
+as a **serial ladder** in order, first decisive verdict wins.
 
 The winning member is recorded on the result (``winner``) and flows into
 :class:`~repro.engines.coverage.EngineVerdict`, suite shard rows, cached
@@ -89,9 +89,8 @@ class PortfolioEngine(CoverageEngine):
     """Race the explicit / bmc / symbolic engines per query.
 
     ``members`` selects the racing engines (base-engine names; nesting a
-    portfolio is rejected).  ``parallel=False`` forces the serial-ladder
-    fallback, which is also used automatically when a worker thread cannot
-    be started.
+    portfolio is rejected).  A single member, or a worker thread that cannot
+    be started, runs the serial-ladder fallback instead of a race.
     """
 
     name = "portfolio"
@@ -105,7 +104,6 @@ class PortfolioEngine(CoverageEngine):
         max_bound: int = 12,
         slicing="auto",
         members: Sequence[str] = DEFAULT_MEMBERS,
-        parallel: bool = True,
     ):
         super().__init__(slicing=slicing, max_bound=max_bound)
         if not members:
@@ -113,7 +111,6 @@ class PortfolioEngine(CoverageEngine):
         if any(name in ("portfolio", "auto") for name in members):
             raise ValueError("portfolio members must be base engines")
         self.members = tuple(members)
-        self.parallel = parallel
 
     def _cache_bound(self) -> Optional[int]:
         # The bounded member's reach is part of the race's identity: its
@@ -141,10 +138,10 @@ class PortfolioEngine(CoverageEngine):
     def _find_run(self, problem: "CompiledProblem"):
         start = time.perf_counter()
         engines = self._member_engines()
-        if self.parallel and len(engines) > 1:
+        if len(engines) > 1:
             try:
                 return self._race(problem, engines, start)
-            except _ThreadsUnavailable:  # pragma: no cover - thread creation failed
+            except _ThreadsUnavailable:
                 pass
         return self._ladder(problem, engines, start)
 
@@ -196,7 +193,7 @@ class PortfolioEngine(CoverageEngine):
                 for thread in threads:
                     thread.start()
                     started.append(thread)
-            except RuntimeError as exc:  # pragma: no cover - thread creation failed
+            except RuntimeError as exc:
                 # Only start() failures select the serial ladder; everything
                 # else (including _settle's "every member failed") propagates.
                 # Members already racing must be stopped first, or they would

@@ -4,7 +4,8 @@ The BDD manager provides canonical boolean function representation used by:
 
 * :mod:`repro.mc.symbolic`, whose images are relational products
   (:meth:`BDD.and_exists`) over a partitioned transition relation,
-* :mod:`repro.engines.prop` to decide ``T_M`` constant folds,
+* :mod:`repro.core.tm` to fold ``T_M``'s constant nets, and the
+  :mod:`repro.logic.boolexpr` validity and equivalence predicates,
 * equivalence checks between combinational blocks and their specifications.
 
 The implementation is a classic hash-consed ITE-based manager with

@@ -18,11 +18,10 @@ evaluation, substitution, cofactoring, constant-propagation simplification and
 truth-table utilities.
 
 Decision procedures (:func:`is_tautology`, :func:`is_contradiction`,
-:func:`expr_equivalent`) are decided by the ``auto`` policy of
-:mod:`repro.engines.prop` — truth-table enumeration, BDDs or CDCL SAT by
-support size.  The raw enumerating reference implementations remain
-available as :func:`enumerate_is_tautology` etc. and back the ``table``
-backend.
+:func:`expr_equivalent`) each build one ROBDD (:mod:`repro.logic.bdd`) over
+the support and read its root.  The exhaustive truth-table implementations
+remain available as :func:`enumerate_is_tautology` etc., the reference the
+tests compare the BDD answers against.
 """
 
 from __future__ import annotations
@@ -598,10 +597,9 @@ def truth_table(expr: BoolExpr, names: Sequence[str] | None = None) -> Dict[Tupl
 
 # -- decision procedures ------------------------------------------------------
 #
-# The module-level predicates route through the ``auto`` policy of
-# :mod:`repro.engines.prop`: truth-table enumeration for small supports,
-# BDDs or SAT beyond.  The ``enumerate_*`` functions are the exhaustive
-# reference implementations; the ``table`` backend delegates to them.
+# The module-level predicates build one ROBDD over the support and read its
+# root.  The ``enumerate_*`` functions are the exhaustive reference
+# implementations.
 
 
 def enumerate_equivalent(left: BoolExpr, right: BoolExpr) -> bool:
@@ -625,25 +623,31 @@ def enumerate_is_contradiction(expr: BoolExpr) -> bool:
     return not any(expr.evaluate(assignment) for assignment in all_assignments(names))
 
 
-def expr_equivalent(left: BoolExpr, right: BoolExpr) -> bool:
-    """Semantic equivalence, decided by the ``auto`` propositional policy."""
-    from ..engines.prop import AUTO
+def _bdd_manager(*exprs: BoolExpr):
+    """A fresh BDD manager over the joint support of ``exprs``: one decision."""
+    from ..obs import metrics
+    from .bdd import BDDManager
 
-    return AUTO.equivalent(left, right)
+    metrics().inc("prop.bdd.queries")
+    return BDDManager(sorted(frozenset().union(*(expr.variables() for expr in exprs))))
+
+
+def expr_equivalent(left: BoolExpr, right: BoolExpr) -> bool:
+    """Semantic equivalence: both sides reduce to the same BDD root."""
+    if left is right:
+        return True
+    manager = _bdd_manager(left, right)
+    return manager.from_expr(left).root == manager.from_expr(right).root
 
 
 def is_tautology(expr: BoolExpr) -> bool:
-    """Validity, decided by the ``auto`` propositional policy."""
-    from ..engines.prop import AUTO
-
-    return AUTO.is_tautology(expr)
+    """Validity: the expression's BDD is the TRUE terminal."""
+    return _bdd_manager(expr).from_expr(expr).is_true()
 
 
 def is_contradiction(expr: BoolExpr) -> bool:
-    """Unsatisfiability, decided by the ``auto`` propositional policy."""
-    from ..engines.prop import AUTO
-
-    return not AUTO.is_sat(expr)
+    """Unsatisfiability: the expression's BDD is the FALSE terminal."""
+    return _bdd_manager(expr).from_expr(expr).is_false()
 
 
 def minterms(expr: BoolExpr, names: Sequence[str] | None = None) -> Iterator[Dict[str, bool]]:

@@ -284,8 +284,9 @@ def minimize_cover(cover: Cover, names: Sequence[str] | None = None) -> Cover:
     remaining = set(minterm_cubes)
     chosen: List[Cube] = []
     prime_list = sorted(primes, key=lambda c: (len(c), c.literals))
-    # Essential primes first: minterms covered by exactly one prime.
-    for minterm in list(remaining):
+    # Essential primes first: minterms covered by exactly one prime, taken
+    # in minterm order so the cover is the same in every process.
+    for minterm in minterm_cubes:
         covering = [prime for prime in prime_list if prime.contains(minterm)]
         if len(covering) == 1 and covering[0] not in chosen:
             chosen.append(covering[0])

@@ -116,7 +116,7 @@ class FSM:
         )
 
 
-def extract_fsm(module: Module, *, minimize_guards: bool = True) -> FSM:
+def extract_fsm(module: Module) -> FSM:
     """Extract the reachable FSM of a module by explicit enumeration.
 
     Inputs of the FSM are the module's declared inputs plus any referenced but
@@ -167,7 +167,7 @@ def extract_fsm(module: Module, *, minimize_guards: bool = True) -> FSM:
 
     for (source, target), cubes in sorted(raw_guards.items()):
         cover = Cover(cubes)
-        if minimize_guards and input_names:
+        if input_names:
             cover = minimize_cover(cover, input_names)
         fsm.transitions.append(FSMTransition(source, target, cover))
 

@@ -25,9 +25,8 @@ mutable, so its fingerprint is recomputed every time, from the cached
 fingerprints of its drivers.
 
 Engines consult the process-wide *active* cache through
-:func:`active_result_cache`, and the suite runner /
-:class:`~repro.core.coverage.CoverageOptions` install one via
-:func:`set_result_cache` / :func:`using_result_cache`.
+:func:`active_result_cache`; the suite runner, the daemon and library
+callers install one via :func:`set_result_cache` / :func:`using_result_cache`.
 """
 
 from __future__ import annotations
@@ -349,17 +348,6 @@ class CacheStats:
     stores: int = 0
     evictions: int = 0
 
-    def snapshot(self) -> "CacheStats":
-        return CacheStats(self.hits, self.misses, self.stores, self.evictions)
-
-    def delta(self, earlier: "CacheStats") -> "CacheStats":
-        return CacheStats(
-            self.hits - earlier.hits,
-            self.misses - earlier.misses,
-            self.stores - earlier.stores,
-            self.evictions - earlier.evictions,
-        )
-
     @property
     def lookups(self) -> int:
         return self.hits + self.misses
@@ -423,6 +411,7 @@ class ResultCache:
                 self._memory.popitem(last=False)
                 self.stats.evictions += 1
                 metrics().inc("result_cache.evictions")
+                _count_lookup("evictions")
 
     def get(self, key: str) -> Optional[dict]:
         """The stored payload for ``key``, or ``None`` (counted as hit/miss)."""
@@ -482,9 +471,9 @@ class ResultCache:
 # -- per-job lookup counts ----------------------------------------------------
 #
 # ``ResultCache.stats`` counts every thread's lookups, so around one job it
-# also counts whatever other jobs of a daemon did meanwhile.  A job installs
-# its own counter here instead; helper threads working for the job (portfolio
-# members) install the same counter.
+# also counts whatever other jobs of a daemon did meanwhile.  A job (or a
+# suite shard) installs its own counter here instead; helper threads working
+# for it (portfolio members) install the same counter.
 
 _LOOKUPS = threading.local()
 _LOOKUPS_LOCK = threading.Lock()
@@ -497,7 +486,7 @@ def active_lookup_counter() -> Optional[CacheStats]:
 
 @contextmanager
 def counting_lookups(stats: Optional[CacheStats]) -> Iterator[Optional[CacheStats]]:
-    """Also count this thread's cache hits, misses and stores into ``stats``."""
+    """Also count this thread's cache hits, misses, stores and evictions into ``stats``."""
     previous = getattr(_LOOKUPS, "stats", None)
     _LOOKUPS.stats = stats
     try:

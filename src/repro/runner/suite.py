@@ -19,7 +19,8 @@ with
   the suite;
 * **result caching**: every worker installs the shared persistent
   :class:`~repro.runner.cache.ResultCache`, so overlapping shards and repeated
-  suite runs replay decided queries (per-shard hit/miss deltas are reported).
+  suite runs replay decided queries (each shard reports its own hits and
+  misses, not those of whatever else shares the cache meanwhile).
 
 Shard kinds
 -----------
@@ -50,7 +51,14 @@ from ..engines.cancel import Cancelled, active_cancel_token, cancel_after, check
 from ..engines.coverage import get_engine
 from ..ltl.ast import Atom, Eventually
 from ..obs import PhaseAggregator
-from .cache import CacheStats, ResultCache, cache_for_dir, set_result_cache, using_result_cache
+from .cache import (
+    CacheStats,
+    ResultCache,
+    cache_for_dir,
+    counting_lookups,
+    set_result_cache,
+    using_result_cache,
+)
 
 __all__ = [
     "CoverageJob",
@@ -210,7 +218,6 @@ def expand_jobs(
     include_signals: bool = True,
     random_count: int = 0,
     random_seed: int = 0,
-    random_sizes: Optional[dict] = None,
 ) -> List[CoverageJob]:
     """Expand the catalog (plus random designs) into independent shards.
 
@@ -241,7 +248,7 @@ def expand_jobs(
     for name in names:
         spec = get_design(name).random_spec
         add_design(name, _build_problem(name, spec), spec)
-    for entry in random_design_entries(random_count, random_seed, **(random_sizes or {})):
+    for entry in random_design_entries(random_count, random_seed):
         add_design(entry.name, _build_problem(entry.name, entry.random_spec), entry.random_spec)
 
     return sorted(jobs, key=CoverageJob.sort_key)
@@ -318,8 +325,9 @@ def execute_shard(job: CoverageJob, timeout: Optional[float] = None) -> ShardRes
     (a served suite job past its timeout) ends the whole run, so it
     propagates instead of being recorded against the shard.
     """
-    cache = _current_cache()
-    before = cache.stats.snapshot() if cache else CacheStats()
+    # This shard's own lookups (its portfolio members' included), not the
+    # shared cache's counters, which a daemon's other requests move too.
+    lookups = CacheStats()
     start = time.perf_counter()
     status, verdict, complete, detail, winner = "ok", None, True, "", None
     features: Optional[dict] = None
@@ -330,7 +338,11 @@ def execute_shard(job: CoverageJob, timeout: Optional[float] = None) -> ShardRes
         # The aggregator collects every span closed while this shard
         # decides — engine phases, compile, SAT — into the per-query
         # ``timings`` record, with or without a --trace exporter.
-        with cancel_after(timeout) if armed else nullcontext(), PhaseAggregator() as phases:
+        with (
+            cancel_after(timeout) if armed else nullcontext(),
+            PhaseAggregator() as phases,
+            counting_lookups(lookups),
+        ):
             verdict, complete, detail, winner, features = _answer(job)
         timings = phases.timings()
     except Cancelled:
@@ -340,17 +352,16 @@ def execute_shard(job: CoverageJob, timeout: Optional[float] = None) -> ShardRes
     except Exception as exc:  # noqa: BLE001 - a shard failure must not kill the suite
         status, detail = "error", f"{type(exc).__name__}: {exc}"
     elapsed = time.perf_counter() - start
-    delta = cache.stats.delta(before) if cache else CacheStats()
     return ShardResult(
         job=job,
         status=status,
         verdict=verdict if status == "ok" else None,
         complete=complete,
         elapsed_seconds=elapsed,
-        cache_hits=delta.hits,
-        cache_misses=delta.misses,
-        cache_stores=delta.stores,
-        cache_evictions=delta.evictions,
+        cache_hits=lookups.hits,
+        cache_misses=lookups.misses,
+        cache_stores=lookups.stores,
+        cache_evictions=lookups.evictions,
         detail=detail,
         worker_pid=os.getpid(),
         winner=winner if status == "ok" else None,
@@ -359,19 +370,13 @@ def execute_shard(job: CoverageJob, timeout: Optional[float] = None) -> ShardRes
     )
 
 
-def _current_cache() -> Optional[ResultCache]:
-    from .cache import active_result_cache
-
-    return active_result_cache()
-
-
 def _select_cache(cache_dir: Optional[str], use_cache: bool) -> Optional[ResultCache]:
     """The cache a suite run (or worker) should use.
 
-    Without a directory, an already-active cache is *reused* (matching
-    :func:`repro.core.coverage.result_cache_context` semantics: a caller who
-    installed a cache keeps its warm entries) and only falls back to a fresh
-    in-memory cache when none is active.
+    Without a directory, an already-active cache is *reused*, even while it
+    is still empty (a caller who installed a cache keeps the shards'
+    entries), and only falls back to a fresh in-memory cache when none is
+    active.
     """
     if not use_cache:
         return None
@@ -379,7 +384,8 @@ def _select_cache(cache_dir: Optional[str], use_cache: bool) -> Optional[ResultC
         return cache_for_dir(cache_dir)
     from .cache import active_result_cache
 
-    return active_result_cache() or ResultCache()
+    active = active_result_cache()
+    return active if active is not None else ResultCache()
 
 
 def _worker_init(

@@ -5,8 +5,8 @@
 * the HTTP daemon (:mod:`repro.service.server`) calls it from a handler
   thread with the server's warm caches installed and its
   :class:`ProblemMemo`, so each design is built once per daemon;
-* the one-shot ``specmatcher check --json`` path calls it directly, with a
-  fresh memo.
+* the one-shot ``specmatcher check`` and ``specmatcher analyze`` commands
+  call it directly, with a fresh memo.
 
 Because both produce the *same* payload from the same code, a verdict served
 over HTTP byte-matches the one-shot CLI's (modulo the volatile

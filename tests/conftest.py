@@ -21,7 +21,6 @@ def fast_options() -> CoverageOptions:
     return CoverageOptions(
         max_witnesses=2,
         unfold_depth=4,
-        max_candidates=24,
         max_closure_checks=6,
         max_reported_gaps=2,
     )

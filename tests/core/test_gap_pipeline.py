@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import (
+    CoverageOptions,
     analyze_problem,
     apply_weakening,
     atom_instance_table,
@@ -17,6 +18,7 @@ from repro.core import (
     uncovered_terms,
 )
 from repro.core.push import WeakeningSuggestion
+from repro.core.weaken import MAX_CANDIDATES
 from repro.designs import expected_gap_property
 from repro.ltl import TemporalTerm, equivalent, evaluate, implies, parse
 
@@ -117,6 +119,43 @@ class TestWeaken:
         for candidate in chosen:
             assert implies(intent, candidate.formula)
             assert not equivalent(candidate.formula, intent)
+
+    def test_generate_candidates_stops_at_max_candidates(self):
+        intent = parse("G(req -> F grant)")
+        grant = next(i for i in atom_instance_table(intent) if i.name == "grant")
+        suggestions = [WeakeningSuggestion(grant, f"s{k}", True, 0) for k in range(30)]
+        candidates = generate_candidates(intent, suggestions)
+        # 60 distinct candidates exist (both polarities of 30 literals).
+        assert MAX_CANDIDATES == 48
+        assert len(candidates) == MAX_CANDIDATES
+        assert len({c.formula for c in candidates}) == MAX_CANDIDATES
+
+    def test_select_weakest_reports_as_many_as_the_options_default(self):
+        intent = parse("G(req -> F grant)")
+        grant = next(i for i in atom_instance_table(intent) if i.name == "grant")
+        # Five pairwise-incomparable weakenings, all closing.
+        candidates = generate_candidates(
+            intent, [WeakeningSuggestion(grant, f"s{k}", True, 0) for k in range(5)]
+        )[0::2]
+        assert len(candidates) == 5
+        chosen = select_weakest(intent, candidates, closes_gap=lambda f: True)
+        assert len(chosen) == CoverageOptions().max_reported_gaps == 3
+        assert chosen == candidates[:3]
+
+
+class TestOptions:
+    def test_coverage_options_fields(self):
+        from dataclasses import fields
+
+        assert [f.name for f in fields(CoverageOptions)] == [
+            "max_witnesses",
+            "unfold_depth",
+            "max_closure_checks",
+            "max_reported_gaps",
+            "engine",
+            "bmc_max_bound",
+            "slicing",
+        ]
 
 
 class TestAlgorithm1:

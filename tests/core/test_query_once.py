@@ -22,6 +22,7 @@ from repro.designs import CATALOG
 from repro.designs.random import RandomDesignSpec, random_problem
 from repro.engines.coverage import CoverageEngine, engine_from_options
 from repro.ltl.printer import to_str
+from repro.runner.cache import using_result_cache
 
 #: The reduced Algorithm-1 options of the benchmark's ``gap_analysis`` workload.
 GAP_OPTIONS = dict(max_witnesses=2, unfold_depth=3, max_closure_checks=2, bmc_max_bound=6)
@@ -63,8 +64,14 @@ EXPECTED = {
 
 
 def _options(engine: str) -> CoverageOptions:
-    # No result cache: a repeated query must reach the engine to be counted.
-    return CoverageOptions(engine=engine, use_cache=False, **GAP_OPTIONS)
+    return CoverageOptions(engine=engine, **GAP_OPTIONS)
+
+
+@pytest.fixture(autouse=True)
+def no_result_cache():
+    """No result cache: a repeated query must reach the engine to be counted."""
+    with using_result_cache(None):
+        yield
 
 
 @pytest.fixture
@@ -152,7 +159,7 @@ def test_seed_is_used_without_a_query_and_zero_witnesses_stay_zero(decided):
     for count, expected in ((0, []), (1, [witness])):
         found = collect_gap_witnesses(
             problem, architectural=target, max_witnesses=count, depth=3,
-            options=options, first_witness=witness,
+            engine=engine_from_options(options), first_witness=witness,
         )
         assert found == expected
     assert decided == []
@@ -165,7 +172,7 @@ def test_gap_reports_identical_across_hash_seeds():
         "from repro.designs import CATALOG\n"
         "problem = CATALOG['mal_fig4'].builder()\n"
         "for engine in ('explicit', 'bmc'):\n"
-        f"    options = CoverageOptions(engine=engine, use_cache=False, **{GAP_OPTIONS!r})\n"
+        f"    options = CoverageOptions(engine=engine, **{GAP_OPTIONS!r})\n"
         "    analysis = find_coverage_gap(problem, problem.architectural[0], options)\n"
         "    print(analysis.describe())\n"
         "    print([str(term.to_formula()) for term in analysis.terms.terms])\n"

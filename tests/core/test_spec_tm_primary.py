@@ -90,9 +90,8 @@ class TestTM:
 
     def test_semantically_constant_nets_fold_to_constants(self):
         # A net function that is a contradiction (or tautology) in disguise
-        # must fold to G(net <-> false) / G(net <-> true) via the active
-        # propositional backend instead of crashing or dragging the full
-        # syntactic expression into T_M.
+        # must fold to G(net <-> false) / G(net <-> true) instead of
+        # dragging the full syntactic expression into T_M.
         module = Module("fold")
         module.add_input("x")
         module.add_input("y")
@@ -104,6 +103,39 @@ class TestTM:
         result = build_tm(module)
         assert result.combinational
         assert equivalent(result.formula, parse("G(!never) & G(always)"))
+
+    def test_tm_is_the_same_under_every_hash_seed(self):
+        """Minimised guards list their cubes in a fixed order, so ``T_M`` (and
+        every result-cache key built from it) does not vary by process."""
+        import os
+        import subprocess
+        import sys
+
+        # telemetry_bank is left out: its T_M is an Or chain too deep for the
+        # recursive fingerprint.
+        script = (
+            "from repro.core import coverage_hole\n"
+            "from repro.designs import CATALOG, build_mal_with_gap\n"
+            "from repro.runner.cache import formula_fingerprint\n"
+            "problems = [build_mal_with_gap()] + [\n"
+            "    CATALOG[name].builder() for name in sorted(CATALOG) if name != 'telemetry_bank'\n"
+            "]\n"
+            "for problem in problems:\n"
+            "    print(problem.name, formula_fingerprint(coverage_hole(problem).tm_formula))\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        outputs = set()
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                [src] + env.get("PYTHONPATH", "").split(os.pathsep)
+            )
+            proc = subprocess.run(
+                [sys.executable, "-c", script],
+                capture_output=True, text=True, check=True, env=env,
+            )
+            outputs.add(proc.stdout)
+        assert len(outputs) == 1, "T_M depends on PYTHONHASHSEED"
 
     def test_tm_for_modules_conjunction(self):
         formula, results, elapsed = build_tm_for_modules(

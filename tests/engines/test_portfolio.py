@@ -17,6 +17,22 @@ _BMC_BOUND = 6
 _DESIGNS = ["mal_fig2", "mal_fig4", "paper_example", "telemetry_bank"]
 
 
+@pytest.fixture
+def no_race_threads(monkeypatch):
+    """No portfolio member thread can start, so every race falls back to the
+    serial ladder (the path a thread-starved process takes)."""
+    import threading
+
+    real_start = threading.Thread.start
+
+    def failing_start(self):
+        if self.name.startswith("portfolio-"):
+            raise RuntimeError("can't start new thread")
+        return real_start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", failing_start)
+
+
 def _primary_run(engine, problem):
     """The engine's raw result on a design's primary coverage query."""
     from repro.ltl.ast import Not
@@ -129,11 +145,9 @@ class TestVerdicts:
         if not verdict.covered:
             assert verdict.witness is not None
 
-    def test_serial_ladder_agrees(self, design):
+    def test_serial_ladder_agrees(self, design, no_race_threads):
         entry = get_design(design)
-        verdict = PortfolioEngine(max_bound=_BMC_BOUND, parallel=False).check_primary(
-            entry.builder()
-        )
+        verdict = PortfolioEngine(max_bound=_BMC_BOUND).check_primary(entry.builder())
         assert verdict.covered == entry.expected_covered
         assert verdict.winner in ("explicit", "bmc", "symbolic")
 
@@ -142,7 +156,7 @@ class TestDecisiveness:
     def test_witness_from_bounded_member_is_decisive(self):
         # A gap design: bmc's satisfiable verdict is concrete and final.
         problem = get_design("mal_fig4").builder()
-        engine = PortfolioEngine(max_bound=_BMC_BOUND, members=("bmc",), parallel=False)
+        engine = PortfolioEngine(max_bound=_BMC_BOUND, members=("bmc",))
         verdict = engine.check_primary(problem)
         assert not verdict.covered
         assert verdict.winner == "bmc"
@@ -152,17 +166,15 @@ class TestDecisiveness:
         # A covered design with only the bounded member: the race has no
         # decisive verdict and must fall back to the bounded one, saying so.
         problem = get_design("mal_fig2").builder()
-        engine = PortfolioEngine(max_bound=_BMC_BOUND, members=("bmc",), parallel=False)
+        engine = PortfolioEngine(max_bound=_BMC_BOUND, members=("bmc",))
         verdict = engine.check_primary(problem)
         assert verdict.covered
         assert verdict.winner == "bmc"
         assert not verdict.complete
 
-    def test_complete_member_beats_bounded_fallback(self):
+    def test_complete_member_beats_bounded_fallback(self, no_race_threads):
         problem = get_design("mal_fig2").builder()
-        engine = PortfolioEngine(
-            max_bound=_BMC_BOUND, members=("bmc", "explicit"), parallel=False
-        )
+        engine = PortfolioEngine(max_bound=_BMC_BOUND, members=("bmc", "explicit"))
         verdict = engine.check_primary(problem)
         assert verdict.covered
         assert verdict.winner == "explicit"
@@ -187,7 +199,7 @@ class TestCaching:
         cache = ResultCache()
         with using_result_cache(cache):
             bounded = PortfolioEngine(
-                max_bound=_BMC_BOUND, members=("bmc",), parallel=False
+                max_bound=_BMC_BOUND, members=("bmc",)
             ).check_primary(problem)
             stores = cache.stats.stores
             full = get_engine("portfolio", max_bound=_BMC_BOUND).check_primary(problem)
@@ -216,16 +228,18 @@ class TestMode:
         )
         assert result.mode == "race"
 
-    def test_ladder_records_mode(self):
+    def test_ladder_records_mode(self, no_race_threads):
         result = _primary_run(
-            PortfolioEngine(max_bound=_BMC_BOUND, parallel=False),
-            get_design("mal_fig2").builder(),
+            PortfolioEngine(max_bound=_BMC_BOUND), get_design("mal_fig2").builder()
         )
         assert result.mode == "ladder"
 
-    @pytest.mark.parametrize("parallel,mode", [(True, "race"), (False, "ladder")])
-    def test_race_span_records_mode(self, parallel, mode):
+    @pytest.mark.parametrize("mode", ["race", "ladder"])
+    def test_race_span_records_mode(self, mode, request):
         from repro.obs import add_sink, remove_sink
+
+        if mode == "ladder":
+            request.getfixturevalue("no_race_threads")
 
         class Sink:
             def __init__(self):
@@ -238,8 +252,7 @@ class TestMode:
         add_sink(sink)
         try:
             result = _primary_run(
-                PortfolioEngine(max_bound=_BMC_BOUND, parallel=parallel),
-                get_design("mal_fig2").builder(),
+                PortfolioEngine(max_bound=_BMC_BOUND), get_design("mal_fig2").builder()
             )
         finally:
             remove_sink(sink)
@@ -254,17 +267,17 @@ class TestLadderWinner:
     parallel race does — on the verdict, in suite rows and in cache payloads
     (including the bounded-fallback rung)."""
 
-    def test_ladder_winner_on_verdict(self):
+    def test_ladder_winner_on_verdict(self, no_race_threads):
         for design in _DESIGNS:
             entry = get_design(design)
-            engine = PortfolioEngine(max_bound=_BMC_BOUND, parallel=False)
+            engine = PortfolioEngine(max_bound=_BMC_BOUND)
             verdict = engine.check_primary(entry.builder())
             assert verdict.winner in ("explicit", "bmc", "symbolic"), design
             assert _primary_run(engine, entry.builder()).mode == "ladder", design
 
     def test_ladder_bounded_fallback_still_names_winner(self):
         problem = get_design("mal_fig2").builder()
-        engine = PortfolioEngine(max_bound=_BMC_BOUND, members=("bmc",), parallel=False)
+        engine = PortfolioEngine(max_bound=_BMC_BOUND, members=("bmc",))
         # The primary coverage query of a covered design: unsatisfiable, so
         # the bounded member can only answer "unsat up to the bound".
         result = _primary_run(engine, problem)
@@ -273,9 +286,9 @@ class TestLadderWinner:
         assert result.mode == "ladder"
         assert result.outcomes["bmc"] == "won"
 
-    def test_ladder_winner_survives_cache_replay(self):
+    def test_ladder_winner_survives_cache_replay(self, no_race_threads):
         problem = get_design("mal_fig2").builder()
-        engine = PortfolioEngine(max_bound=_BMC_BOUND, parallel=False)
+        engine = PortfolioEngine(max_bound=_BMC_BOUND)
         with using_result_cache(ResultCache()):
             first = _primary_run(engine, problem)
             second = _primary_run(engine, problem)

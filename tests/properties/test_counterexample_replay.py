@@ -134,8 +134,7 @@ class TestRandomCounterexamples:
 
         problem = get_design("mal_fig4").builder()
         options = CoverageOptions(
-            max_witnesses=2, unfold_depth=4, max_closure_checks=2,
-            max_reported_gaps=1, verify_closure=False,
+            max_witnesses=2, unfold_depth=4, max_closure_checks=2, max_reported_gaps=1
         )
         analysis = find_coverage_gap(problem, problem.architectural[0], options)
         assert not analysis.covered

@@ -1,4 +1,4 @@
-"""Property-based differential tests: backends and engines must agree.
+"""Property-based differential tests: decisions and engines must agree.
 
 Seeded random inputs (never the global RNG) make every case reproducible; the
 generators come from :mod:`repro.designs.random`, the same ones the coverage
@@ -13,11 +13,26 @@ import random
 import pytest
 
 from repro.designs import CATALOG
-from repro.designs.random import RandomDesignSpec, random_boolexpr, random_problem
-from repro.engines import AutoBackend, BddBackend, SatBackend, TruthTableBackend, get_engine
-from repro.logic.boolexpr import FALSE, TRUE, and_, not_, or_, var
+from repro.designs.random import RandomDesignSpec, random_boolexpr, random_module, random_problem
+from repro.engines import get_engine
+from repro.logic.bdd import BDDManager
+from repro.logic.boolexpr import (
+    FALSE,
+    TRUE,
+    and_,
+    enumerate_equivalent,
+    enumerate_is_contradiction,
+    enumerate_is_tautology,
+    expr_equivalent,
+    is_contradiction,
+    is_tautology,
+    not_,
+    or_,
+    var,
+)
+from repro.sat.solver import solve
+from repro.sat.tseitin import encode_constraint
 
-BACKENDS = (TruthTableBackend(), BddBackend(), SatBackend())
 NAMES = ("a", "b", "c", "d", "e", "f")
 #: Catalog designs whose concrete modules drive combinational nets.
 _DESIGNS_WITH_NETS = [
@@ -33,71 +48,95 @@ def _cases(seed: int, count: int, depth: int = 3):
 
 
 class TestBackendAgreement:
-    """table / bdd / sat must decide identically on random BoolExprs."""
+    """The BDD-decided predicates, and the models the BDD and SAT stacks
+    give, must match exhaustive enumeration."""
 
     @pytest.mark.parametrize("seed", [101, 202, 303])
-    def test_is_sat_and_is_tautology_agree(self, seed):
+    def test_tautology_and_contradiction_match_enumeration(self, seed):
         for expr in _cases(seed, 120):
-            sat_votes = [backend.is_sat(expr) for backend in BACKENDS]
-            taut_votes = [backend.is_tautology(expr) for backend in BACKENDS]
-            assert len(set(sat_votes)) == 1, f"is_sat disagreement on {expr}"
-            assert len(set(taut_votes)) == 1, f"is_tautology disagreement on {expr}"
+            assert is_tautology(expr) == enumerate_is_tautology(expr), expr
+            assert is_contradiction(expr) == enumerate_is_contradiction(expr), expr
 
     @pytest.mark.parametrize("seed", [404, 505])
-    def test_equivalent_agrees(self, seed):
+    def test_equivalent_matches_enumeration(self, seed):
         cases = _cases(seed, 120)
         for left, right in zip(cases[0::2], cases[1::2]):
-            votes = [backend.equivalent(left, right) for backend in BACKENDS]
-            assert len(set(votes)) == 1, f"equivalent disagreement on {left} / {right}"
+            assert expr_equivalent(left, right) == enumerate_equivalent(left, right), (left, right)
             # Metamorphic check: x is always equivalent to !!x, never to !x.
-            assert all(backend.equivalent(left, not_(not_(left))) for backend in BACKENDS)
-            negated = not_(left)
-            assert not any(backend.equivalent(left, negated) for backend in BACKENDS)
+            assert expr_equivalent(left, not_(not_(left)))
+            assert not expr_equivalent(left, not_(left))
 
     @pytest.mark.parametrize("seed", [606, 707])
     def test_models_actually_satisfy(self, seed):
+        """A model read off the BDD's paths, and one from the CDCL solver
+        over the Tseitin encoding (the SAT stack BMC runs on), satisfies the
+        expression, and either exists exactly when enumeration finds one."""
         for expr in _cases(seed, 80):
-            for backend in BACKENDS:
-                model = backend.model(expr)
-                if model is None:
-                    assert not backend.is_sat(expr)
-                else:
-                    full = {name: False for name in expr.variables()}
-                    full.update(model)
-                    assert expr.evaluate(full), f"{backend.name} model does not satisfy {expr}"
+            satisfiable = not enumerate_is_contradiction(expr)
+            function = BDDManager(sorted(expr.variables())).from_expr(expr)
+            cube = next(function.satisfying_cubes(), None)
+            result = solve(encode_constraint(expr))
+            assert (cube is not None) == result.satisfiable == satisfiable, expr
+            if not satisfiable:
+                continue
+            path_model = {name: False for name in expr.variables()}
+            path_model.update(dict(cube))
+            assert expr.evaluate(path_model), f"BDD path model does not satisfy {expr}"
+            sat_model = {name: result.value(name) for name in expr.variables()}
+            assert expr.evaluate(sat_model), f"SAT model does not satisfy {expr}"
 
     @pytest.mark.parametrize("design", _DESIGNS_WITH_NETS)
-    def test_tm_folds_agree_across_backends(self, design, monkeypatch):
-        """``T_M`` constant folding, the pipeline's one use of the
-        propositional policy, folds every net of the design, and a disguised
-        tautology and contradiction over each, the same under every delegate
-        (the rest of ``T_M`` construction never asks a backend)."""
+    def test_tm_folds_match_enumeration(self, design):
+        """``T_M`` constant folding, the pipeline's one propositional
+        decision, folds every net of the design, and a disguised tautology
+        and contradiction over each, as the truth table says."""
         from repro.core.tm import _fold_constant
-        from repro.engines import prop
 
-        cases, expected = [], []
-        for module in CATALOG[design].builder().concrete_modules:
-            for net in module.assigns.values():
-                cases.append(net)
-                expected.append(net)
-                literal = var(sorted(net.variables())[0]) if net.variables() else TRUE
-                cases += [
-                    or_(and_(net, literal), not_(net), not_(literal)),
-                    and_(or_(net, literal), not_(net), not_(literal)),
-                ]
-                expected += [TRUE, FALSE]
-        # Catalog nets are not constant: only the disguised cases fold.
+        cases = _fold_cases(CATALOG[design].builder().concrete_modules)
+        expected = [_table_fold(expr) for expr in cases]
         assert [_fold_constant(expr) for expr in cases] == expected
-        for backend in BACKENDS:
-            monkeypatch.setattr(prop, "AUTO", backend)
-            assert [_fold_constant(expr) for expr in cases] == expected, backend.name
+        # Catalog nets are not constant: only the disguised cases fold.
+        assert expected[0::3] == cases[0::3]
+        assert set(expected[1::3]) == {TRUE} and set(expected[2::3]) == {FALSE}
 
-    def test_auto_matches_the_concrete_backends(self):
-        auto = AutoBackend()
-        table = TruthTableBackend()
-        for expr in _cases(808, 100):
-            assert auto.is_sat(expr) == table.is_sat(expr)
-            assert auto.is_tautology(expr) == table.is_tautology(expr)
+    @pytest.mark.parametrize("seed", [1, 7, 11, 42, 1001, 5311])
+    def test_random_design_folds_match_enumeration(self, seed):
+        """The same check on the nets of default-size random designs, whose
+        random net functions may themselves be constant."""
+        from repro.core.tm import _fold_constant
+
+        modules = [random_module(RandomDesignSpec(seed=seed, index=index)) for index in range(3)]
+        cases = _fold_cases(modules)
+        assert cases
+        assert [_fold_constant(expr) for expr in cases] == [_table_fold(expr) for expr in cases]
+        assert set(_fold_constant(expr) for expr in cases[1::3]) == {TRUE}
+        assert set(_fold_constant(expr) for expr in cases[2::3]) == {FALSE}
+
+
+def _fold_cases(modules):
+    """Every net of ``modules``, each followed by a disguised tautology and a
+    disguised contradiction over it."""
+    cases = []
+    for module in modules:
+        for net in module.assigns.values():
+            literal = var(sorted(net.variables())[0]) if net.variables() else TRUE
+            cases += [
+                net,
+                or_(and_(net, literal), not_(net), not_(literal)),
+                and_(or_(net, literal), not_(net), not_(literal)),
+            ]
+    return cases
+
+
+def _table_fold(expr):
+    """The constant fold decided by the truth table."""
+    if not expr.variables():
+        return expr
+    if enumerate_is_tautology(expr):
+        return TRUE
+    if enumerate_is_contradiction(expr):
+        return FALSE
+    return expr
 
 
 def _primary_verdicts(problem, engine_name: str, bound: int):

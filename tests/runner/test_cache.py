@@ -214,37 +214,32 @@ class TestEngineIntegration:
         assert verdict.covered is True
 
 
-class TestOptionsThreading:
+class TestAnalysisCaching:
     def test_analyze_with_cache_dir_warm_rerun(self, tmp_path):
         from repro.core import CoverageOptions, analyze_problem
         from repro.designs import build_paper_example
 
         options = CoverageOptions(
-            max_witnesses=1,
-            unfold_depth=3,
-            max_closure_checks=2,
-            max_reported_gaps=1,
-            verify_closure=False,
-            cache_dir=str(tmp_path / "cache"),
+            max_witnesses=1, unfold_depth=3, max_closure_checks=2, max_reported_gaps=1
         )
         problem = build_paper_example()
-        cold = analyze_problem(problem, options)
         cache = cache_for_dir(str(tmp_path / "cache"))
-        stores = cache.stats.stores
-        warm = analyze_problem(problem, options)
+        with using_result_cache(cache):
+            cold = analyze_problem(problem, options)
+            stores = cache.stats.stores
+            warm = analyze_problem(problem, options)
         assert [a.covered for a in cold.analyses] == [a.covered for a in warm.analyses]
         assert stores > 0
         # The warm run decided everything from the cache: no new stores.
         assert cache.stats.stores == stores
 
-    def test_use_cache_false_masks_active_cache(self):
+    def test_masked_cache_sees_no_lookups(self):
         from repro.core import CoverageOptions, find_coverage_gap
         from repro.designs import build_mal
 
         problem = build_mal()
-        options = CoverageOptions(
-            max_witnesses=1, unfold_depth=3, use_cache=False, verify_closure=False
-        )
+        options = CoverageOptions(max_witnesses=1, unfold_depth=3)
         with using_result_cache(ResultCache()) as cache:
-            find_coverage_gap(problem, problem.architectural[0], options)
+            with using_result_cache(None):
+                find_coverage_gap(problem, problem.architectural[0], options)
             assert cache.stats.lookups == 0

@@ -130,6 +130,61 @@ class TestExecution:
         assert result.cache_hits == 0
         assert result.cache_misses == 0
 
+    def test_shard_counts_only_its_own_lookups(self):
+        """A suite sharing an active cache with another thread (a daemon's
+        in-process suite job) counts only its shards' lookups."""
+        import threading
+
+        from repro.designs import get_design
+        from repro.engines import get_engine
+        from repro.runner.cache import ResultCache, using_result_cache
+
+        jobs = expand_jobs(["mal_fig2"])
+        problem = get_design("paper_example").builder()
+        warm, stop = threading.Event(), threading.Event()
+
+        def other_requests():
+            engine = get_engine("explicit")
+            while not stop.is_set():
+                engine.check_primary(problem)
+                warm.set()
+
+        with using_result_cache(ResultCache()):
+            thread = threading.Thread(target=other_requests, daemon=True)
+            thread.start()
+            try:
+                assert warm.wait(timeout=60)
+                result = run_suite(jobs, workers=1)
+            finally:
+                stop.set()
+                thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert result.succeeded
+        # Every shard asks a query of its own, once.
+        assert [(s.cache_hits, s.cache_misses) for s in result.shards] == [(0, 1)] * len(jobs)
+
+    def test_suite_stores_into_an_installed_empty_cache(self):
+        from repro.runner.cache import ResultCache, using_result_cache
+
+        jobs = expand_jobs(["mal_fig2"])
+        with using_result_cache(ResultCache()) as cache:
+            assert len(cache) == 0
+            result = run_suite(jobs, workers=1)
+        assert result.succeeded
+        assert cache.stats.stores == len(cache) == len(jobs)
+
+    def test_shard_counts_the_evictions_its_stores_cause(self):
+        from repro.runner.cache import ResultCache, using_result_cache
+
+        jobs = expand_jobs(["mal_fig2"])
+        with using_result_cache(ResultCache(memory_limit=1)) as cache:
+            result = run_suite(jobs, workers=1)
+        assert result.succeeded
+        # One entry fits: each shard's store evicts the previous shard's.
+        assert [s.cache_stores for s in result.shards] == [1] * len(jobs)
+        assert [s.cache_evictions for s in result.shards] == [0] + [1] * (len(jobs) - 1)
+        assert cache.stats.evictions == len(jobs) - 1
+
     def test_error_shard_does_not_kill_the_suite(self):
         bad = CoverageJob(design="no_such_design", kind="primary", target="0", index=0)
         jobs = expand_jobs(designs=[], random_count=1, random_seed=11) + [bad]

@@ -2,12 +2,14 @@
 
 The load-bearing contract: `submit check` output byte-matches
 `check --json` once the volatile envelope fields (elapsed_seconds, timings,
-cache) are stripped — both front doors share ``execute_job``.
+cache) are stripped, and `analyze` prints the `report` that `submit analyze`
+serves, apart from its timing lines — both front doors share ``execute_job``.
 """
 
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -56,6 +58,33 @@ def test_submit_check_byte_matches_one_shot_json(capsys, served_port, design, en
     assert json.dumps(served, indent=2, sort_keys=True) == json.dumps(
         oneshot, indent=2, sort_keys=True
     )
+
+
+#: The report's three wall-clock lines, the only ones allowed to differ.
+_TIMING_LINE = re.compile(r"^  (primary coverage question|T_M building|gap finding) +: ")
+
+
+def without_timings(text: str) -> str:
+    return "".join(
+        line for line in text.splitlines(keepends=True) if not _TIMING_LINE.match(line)
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mal_fig2", "--no-witnesses", "--no-slice"],
+        ["paper_example", "--engine", "bmc", "--bound", "4", "--max-witnesses", "1", "--depth", "2"],
+    ],
+)
+def test_one_shot_analyze_prints_the_served_report(capsys, served_port, argv):
+    code_oneshot, out_oneshot, _ = run_cli(capsys, ["analyze"] + argv)
+    code_served, out_served, _ = run_cli(
+        capsys, ["submit", "analyze"] + argv + ["--port", str(served_port)]
+    )
+    assert code_oneshot == code_served == 0
+    served_report = json.loads(out_served)["report"]
+    assert without_timings(out_oneshot) == without_timings(served_report + "\n")
 
 
 def test_one_shot_json_exit_code_tracks_expectation(capsys):

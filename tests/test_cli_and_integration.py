@@ -311,17 +311,24 @@ class TestSpecMatcherFacade:
         assert verdict.covered and not verdict.complete
         assert verdict.bound == 4
 
-    @pytest.mark.parametrize("minimize", [True, False])
-    def test_coverage_hole_builds_tm_with_the_configured_guards(self, mal_gap_problem, minimize):
+    def test_coverage_hole_builds_tm_with_minimised_guards(self, mal_gap_problem):
         from repro.core import coverage_hole
+        from repro.logic.cube import minimize_cover
 
-        matcher = SpecMatcher("guards", CoverageOptions(minimize_tm_guards=minimize))
+        matcher = SpecMatcher("guards", CoverageOptions())
         matcher.problem = mal_gap_problem
         hole = matcher.coverage_hole()
-        assert hole.tm_formula == coverage_hole(mal_gap_problem, minimize_guards=minimize).tm_formula
-        # The two settings give different T_M formulas on this design.
-        other = coverage_hole(mal_gap_problem, minimize_guards=not minimize)
-        assert hole.tm_formula != other.tm_formula
+        assert hole.tm_formula == coverage_hole(mal_gap_problem).tm_formula
+        # Every transition guard is a minimised cover, and on this design
+        # minimising merges input minterms into wider cubes.
+        fsms = [result.fsm for result in hole.tm_results if result.fsm is not None]
+        assert fsms
+        merged = False
+        for fsm in fsms:
+            for transition in fsm.transitions:
+                assert minimize_cover(transition.guard, list(fsm.inputs)) == transition.guard
+                merged |= any(len(cube) < len(fsm.inputs) for cube in transition.guard)
+        assert merged
 
 
 @pytest.mark.slow
