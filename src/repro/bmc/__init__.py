@@ -30,7 +30,7 @@ The primary coverage question itself is asked through the engine layer:
 sessions and caches decided queries.
 """
 
-from .engine import BMCResult, check_bmc, find_run_bmc
+from .engine import BMCResult, find_run_bmc
 from .induction import InductionResult, prove_invariant
 from .ltl_bmc import LTLBoundedEncoder
 from .unroll import UnrolledModule
@@ -38,7 +38,6 @@ from .unroll import UnrolledModule
 __all__ = [
     "BMCResult",
     "find_run_bmc",
-    "check_bmc",
     "InductionResult",
     "prove_invariant",
     "LTLBoundedEncoder",

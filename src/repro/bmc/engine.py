@@ -7,8 +7,8 @@ the bound until a witness appears or ``max_bound`` is exhausted.  There is one
 search: every query runs on an incremental
 :class:`~repro.bmc.incremental.BMCSession`, and decided queries are cached by
 the engine layer (:meth:`repro.engines.coverage.CoverageEngine.find_run`),
-not here.  :func:`check_bmc` is the universal counterpart (property +
-assumptions).
+not here.  A universal check of property ``p`` is a search for a run of
+``Not(p)``.
 
 Witnesses are returned as :class:`~repro.ltl.traces.LassoTrace` objects, the
 same shape the explicit-state engine produces, so downstream reporting and
@@ -21,13 +21,13 @@ import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
-from ..ltl.ast import Formula, Not, atoms_of
+from ..ltl.ast import Formula, atoms_of
 from ..ltl.traces import LassoTrace
 from ..obs import metrics, span
 from ..rtl.netlist import Module
 from .incremental import BMCSession
 
-__all__ = ["BMCResult", "BMCStatistics", "bmc_free_atoms", "find_run_bmc", "check_bmc"]
+__all__ = ["BMCResult", "BMCStatistics", "bmc_free_atoms", "find_run_bmc"]
 
 
 @dataclass
@@ -199,20 +199,3 @@ def _search_bound(
             states = session.decode_witness(result, bound)
             return loop_start, LassoTrace.from_states(states, loop_start)
     return None
-
-
-def check_bmc(
-    module: Module,
-    property_formula: Formula,
-    *,
-    assumptions: Sequence[Formula] = (),
-    max_bound: int = 12,
-) -> BMCResult:
-    """Look for a counterexample to ``property_formula`` within the bound.
-
-    A satisfiable result means the property is *violated* (the witness is the
-    counterexample lasso); an unsatisfiable result means no counterexample of
-    length up to ``max_bound`` exists.
-    """
-    formulas = [Not(property_formula)] + list(assumptions)
-    return find_run_bmc(module, formulas, max_bound=max_bound)

@@ -45,18 +45,6 @@ class CoverageHole:
         """``R_H`` exactly as characterised by Theorem 2."""
         return simplify(Or(self.architectural, Not(conj(self.rtl_conjunction, self.tm_formula))))
 
-    def uncovered_intent_formula(self) -> Formula:
-        """The uncovered architectural intent (Definition 5), unreduced.
-
-        The weakest property over ``APA`` closing the hole is obtained from
-        ``R_H`` by universally quantifying the non-architectural signals; the
-        quantifier-free legible approximation is produced by the gap-analysis
-        pipeline (:mod:`repro.core.terms` / :mod:`repro.core.weaken`).  Here we
-        return the architectural disjunct of the hole, which is always a sound
-        upper bound: adding ``A`` itself trivially closes the gap.
-        """
-        return self.architectural
-
 
 def coverage_hole(
     problem: CoverageProblem,

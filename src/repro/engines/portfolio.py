@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from ..ltl.traces import LassoTrace
-from ..obs import metrics, span
+from ..obs import active_aggregators, aggregating, metrics, span
 from ..runner.cache import active_lookup_counter, counting_lookups
 from .cancel import CancelToken, Cancelled, check_cancelled, using_cancel_token
 from .coverage import CoverageEngine, get_engine, register_engine
@@ -152,12 +152,17 @@ class PortfolioEngine(CoverageEngine):
         lock = threading.Lock()
         finished: List[Tuple[str, object]] = []  # (name, result) in completion order
         outcomes: dict = {}
-        # Members count their cache lookups toward the caller's job.
+        # Members count their cache lookups and phases toward the caller's job.
         lookups = active_lookup_counter()
+        aggregators = active_aggregators()
 
         def work(engine: CoverageEngine) -> None:
             try:
-                with using_cancel_token(token, member=engine.name), counting_lookups(lookups):
+                with (
+                    using_cancel_token(token, member=engine.name),
+                    counting_lookups(lookups),
+                    aggregating(aggregators),
+                ):
                     # Members run their own find_run, so the shared result
                     # cache is consulted — and populated — under each
                     # member's own key.

@@ -169,23 +169,6 @@ class Cover:
     def union(self, other: "Cover") -> "Cover":
         return Cover(list(self.cubes) + list(other.cubes))
 
-    def remove_redundant(self) -> "Cover":
-        """Drop cubes contained in other cubes of the cover."""
-        kept: List[Cube] = []
-        for cube in self.cubes:
-            if any(other is not cube and other.contains(cube) for other in self.cubes):
-                # keep the larger cube instead; ties broken by first occurrence
-                if any(other.contains(cube) and not cube.contains(other) for other in self.cubes):
-                    continue
-                if any(
-                    other is not cube and other.contains(cube) and cube.contains(other)
-                    and self.cubes.index(other) < self.cubes.index(cube)
-                    for other in self.cubes
-                ):
-                    continue
-            kept.append(cube)
-        return Cover(kept)
-
     def to_expr(self) -> BoolExpr:
         if not self.cubes:
             return FALSE

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
-__all__ = ["Literal", "GeneralizedBuchi", "BuchiAutomaton", "AcceptingLasso"]
+__all__ = ["Literal", "GeneralizedBuchi", "AcceptingLasso"]
 
 # A literal is (atom name, polarity).
 Literal = Tuple[str, bool]
@@ -251,134 +251,6 @@ class GeneralizedBuchi:
         entry, stem = _shortest_path_to(self.initial, component, self.transitions)
         loop = _fair_cycle(entry, component, self.acceptance, self.transitions)
         return AcceptingLasso(tuple(stem), tuple(loop))
-
-    # -- transformations --------------------------------------------------------------
-    def degeneralize(self) -> "BuchiAutomaton":
-        """Counter construction turning generalized acceptance into plain Büchi.
-
-        States of the result are ``(state, layer)`` pairs where the layer
-        tracks which acceptance sets have been visited since the last time all
-        of them were seen.  Layer 0 is the accepting layer.
-        """
-        acceptance: List[Set[int]] = [set(acc) for acc in self.acceptance]
-        result = BuchiAutomaton()
-        mapping: Dict[Tuple[int, int], int] = {}
-
-        def get(state: int, layer: int) -> int:
-            key = (state, layer)
-            if key not in mapping:
-                new_id = len(mapping)
-                mapping[key] = new_id
-                result.add_state(
-                    new_id,
-                    self.labels[state],
-                    accepting=(layer == 0),
-                    annotation=self.annotations.get(state),
-                )
-            return mapping[key]
-
-        queue: List[Tuple[int, int]] = []
-        for state in self.initial:
-            layer = _next_layer(0, state, acceptance)
-            ident = get(state, layer)
-            result.initial.add(ident)
-            queue.append((state, layer))
-        visited = set(queue)
-        while queue:
-            state, layer = queue.pop()
-            source_id = get(state, layer)
-            for target in self.transitions.get(state, set()):
-                target_layer = _next_layer(layer, target, acceptance)
-                target_id = get(target, target_layer)
-                result.add_transition(source_id, target_id)
-                if (target, target_layer) not in visited:
-                    visited.add((target, target_layer))
-                    queue.append((target, target_layer))
-        return result
-
-
-def _next_layer(layer: int, state: int, acceptance: List[Set[int]]) -> int:
-    """Layer update for the degeneralisation counter construction.
-
-    Layer ``i > 0`` means "waiting to see a state of acceptance set ``i-1``";
-    layer 0 is the accepting layer and restarts the scan.  Entering ``state``
-    advances through every consecutive acceptance set it belongs to.
-    """
-    count = len(acceptance)
-    if count == 0:
-        return 0
-    scanning = 0 if layer == 0 else layer - 1
-    while scanning < count and state in acceptance[scanning]:
-        scanning += 1
-    if scanning >= count:
-        return 0
-    return scanning + 1
-
-
-@dataclass
-class BuchiAutomaton:
-    """Plain (single acceptance set) state-labelled Büchi automaton."""
-
-    labels: Dict[int, FrozenSet[Literal]] = field(default_factory=dict)
-    initial: Set[int] = field(default_factory=set)
-    transitions: Dict[int, Set[int]] = field(default_factory=dict)
-    accepting: Set[int] = field(default_factory=set)
-    annotations: Dict[int, object] = field(default_factory=dict)
-
-    def add_state(
-        self,
-        state: int,
-        label: Iterable[Literal] = (),
-        initial: bool = False,
-        accepting: bool = False,
-        annotation: object = None,
-    ) -> int:
-        self.labels[state] = frozenset(label)
-        self.transitions.setdefault(state, set())
-        if initial:
-            self.initial.add(state)
-        if accepting:
-            self.accepting.add(state)
-        if annotation is not None:
-            self.annotations[state] = annotation
-        return state
-
-    def add_transition(self, source: int, target: int) -> None:
-        self.transitions.setdefault(source, set()).add(target)
-        self.transitions.setdefault(target, set())
-
-    @property
-    def states(self) -> Tuple[int, ...]:
-        return tuple(self.labels.keys())
-
-    def state_count(self) -> int:
-        return len(self.labels)
-
-    def transition_count(self) -> int:
-        return sum(len(targets) for targets in self.transitions.values())
-
-    def to_generalized(self) -> GeneralizedBuchi:
-        """View as a GBA with a single acceptance set."""
-        gba = GeneralizedBuchi()
-        for state, label in self.labels.items():
-            gba.add_state(
-                state,
-                label,
-                initial=state in self.initial,
-                annotation=self.annotations.get(state),
-            )
-        for source, targets in self.transitions.items():
-            for target in targets:
-                gba.add_transition(source, target)
-        gba.acceptance = [frozenset(self.accepting)]
-        return gba
-
-    def is_empty(self) -> bool:
-        return self.accepting_lasso() is None
-
-    def accepting_lasso(self) -> Optional[AcceptingLasso]:
-        """Accepting lasso via the shared SCC-based engine."""
-        return self.to_generalized().accepting_lasso()
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,7 @@
 """Pretty-printing of LTL formulas.
 
-Two output syntaxes are provided:
-
-* :func:`to_str` — the library's own compact ASCII syntax, re-parsable by
-  :mod:`repro.ltl.parser` (round-trip property is tested), and
-* :func:`to_spin` — SPIN/NuSMV flavoured output (``[]``, ``<>``, ``&&``)
-  useful when cross-checking formulas against external tools.
+:func:`to_str` renders the library's own compact ASCII syntax, re-parsable by
+:mod:`repro.ltl.parser` (round-trip property is tested).
 """
 
 from __future__ import annotations
@@ -28,7 +24,7 @@ from .ast import (
     WeakUntil,
 )
 
-__all__ = ["to_str", "to_spin"]
+__all__ = ["to_str"]
 
 # Binding strength: higher binds tighter.
 _PRECEDENCE = {
@@ -104,38 +100,3 @@ def _binary(formula: Formula, symbol: str, right_associative: bool = False) -> s
     left = _wrap(left_text, formula.left, precedence, strict=right_associative)
     right = _wrap(right_text, formula.right, precedence, strict=not right_associative)
     return f"{left} {symbol} {right}"
-
-
-def to_spin(formula: Formula) -> str:
-    """Render in SPIN-style syntax (``[]`` for G, ``<>`` for F, ``&&``/``||``)."""
-    if isinstance(formula, Atom):
-        return formula.name
-    if isinstance(formula, TrueFormula):
-        return "true"
-    if isinstance(formula, FalseFormula):
-        return "false"
-    if isinstance(formula, Not):
-        return f"!({to_spin(formula.operand)})"
-    if isinstance(formula, Next):
-        return f"X ({to_spin(formula.operand)})"
-    if isinstance(formula, Eventually):
-        return f"<> ({to_spin(formula.operand)})"
-    if isinstance(formula, Always):
-        return f"[] ({to_spin(formula.operand)})"
-    if isinstance(formula, And):
-        return f"({to_spin(formula.left)}) && ({to_spin(formula.right)})"
-    if isinstance(formula, Or):
-        return f"({to_spin(formula.left)}) || ({to_spin(formula.right)})"
-    if isinstance(formula, Implies):
-        return f"({to_spin(formula.left)}) -> ({to_spin(formula.right)})"
-    if isinstance(formula, Iff):
-        return f"({to_spin(formula.left)}) <-> ({to_spin(formula.right)})"
-    if isinstance(formula, Until):
-        return f"({to_spin(formula.left)}) U ({to_spin(formula.right)})"
-    if isinstance(formula, Release):
-        return f"({to_spin(formula.left)}) V ({to_spin(formula.right)})"
-    if isinstance(formula, WeakUntil):
-        left = to_spin(formula.left)
-        right = to_spin(formula.right)
-        return f"(({left}) U ({right})) || ([] ({left}))"
-    raise TypeError(f"cannot print formula of type {type(formula).__name__}")

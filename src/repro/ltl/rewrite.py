@@ -8,13 +8,13 @@ automaton layer:
 * :func:`simplify` applies cheap semantics-preserving rules so that formulas
   produced mechanically (e.g. the coverage hole ``A | !(R & T_M)``) stay
   readable,
-* :func:`substitute_atoms` supports the weakening heuristics of Algorithm 1
-  which replace individual *atom instances* inside a property.
+* :func:`substitute_atom_instance` replaces one *atom instance* inside a
+  property, for the weakening heuristics of Algorithm 1.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .ast import (
     FALSE,
@@ -35,7 +35,6 @@ from .ast import (
     Until,
     WeakUntil,
     conj,
-    disj,
 )
 
 __all__ = [
@@ -43,15 +42,11 @@ __all__ = [
     "nnf",
     "simplify",
     "remove_derived_operators",
-    "substitute_atoms",
     "substitute_atom_instance",
-    "atom_instances",
     "conjuncts",
-    "disjuncts",
     "expanded_conjuncts",
     "has_complementary_conjuncts",
     "big_and",
-    "big_or",
 ]
 
 
@@ -286,44 +281,6 @@ def _simplify(formula: Formula) -> Formula:
     raise TypeError(f"unknown formula type {type(formula).__name__}")
 
 
-def substitute_atoms(formula: Formula, mapping: Mapping[str, Formula]) -> Formula:
-    """Replace every occurrence of the named atoms by the given formulas."""
-    if isinstance(formula, Atom):
-        return mapping.get(formula.name, formula)
-    if isinstance(formula, (TrueFormula, FalseFormula)):
-        return formula
-    if isinstance(formula, Not):
-        return Not(substitute_atoms(formula.operand, mapping))
-    if isinstance(formula, (Next, Eventually, Always)):
-        return type(formula)(substitute_atoms(formula.operand, mapping))
-    if isinstance(formula, (And, Or, Implies, Iff, Until, Release, WeakUntil)):
-        return type(formula)(
-            substitute_atoms(formula.left, mapping),
-            substitute_atoms(formula.right, mapping),
-        )
-    raise TypeError(f"unknown formula type {type(formula).__name__}")
-
-
-def atom_instances(formula: Formula) -> Tuple[Tuple[Tuple[int, ...], str], ...]:
-    """Enumerate every atom *instance* as ``(path, name)`` pairs.
-
-    The path is the sequence of child indices from the root to the atom, so
-    distinct occurrences of the same atom get distinct paths.  Used by the
-    weakening heuristics which must modify one occurrence at a time.
-    """
-    instances = []
-
-    def walk(node: Formula, path: Tuple[int, ...]) -> None:
-        if isinstance(node, Atom):
-            instances.append((path, node.name))
-            return
-        for index, child in enumerate(node.children()):
-            walk(child, path + (index,))
-
-    walk(formula, ())
-    return tuple(instances)
-
-
 def substitute_atom_instance(
     formula: Formula, path: Tuple[int, ...], replacement: Formula
 ) -> Formula:
@@ -357,15 +314,6 @@ def conjuncts(formula: Formula) -> Tuple[Formula, ...]:
     if isinstance(formula, And):
         return conjuncts(formula.left) + conjuncts(formula.right)
     if isinstance(formula, TrueFormula):
-        return ()
-    return (formula,)
-
-
-def disjuncts(formula: Formula) -> Tuple[Formula, ...]:
-    """Flatten nested disjunctions into a tuple of disjuncts."""
-    if isinstance(formula, Or):
-        return disjuncts(formula.left) + disjuncts(formula.right)
-    if isinstance(formula, FalseFormula):
         return ()
     return (formula,)
 
@@ -420,8 +368,3 @@ def has_complementary_conjuncts(parts: Sequence[Formula]) -> bool:
 def big_and(formulas: Sequence[Formula]) -> Formula:
     """Conjunction of a sequence (``true`` for the empty sequence)."""
     return conj(*formulas)
-
-
-def big_or(formulas: Sequence[Formula]) -> Formula:
-    """Disjunction of a sequence (``false`` for the empty sequence)."""
-    return disj(*formulas)

@@ -1,4 +1,4 @@
-"""Expansion laws, bounded unfolding and temporal terms.
+"""Bounded temporal terms: the uncovered terms of Algorithm 1 step 2(a).
 
 Step 2(a) of the paper's Algorithm 1 unfolds the coverage-hole formula "up to
 its fixpoint" to obtain a set of *uncovered terms* — bounded conjunctions of
@@ -6,162 +6,23 @@ its fixpoint" to obtain a set of *uncovered terms* — bounded conjunctions of
 
     !r1 & X r2 & X X !hit & X d1
 
-This module provides the two ingredients used by :mod:`repro.core.terms`:
-
-* the classic LTL expansion laws (``p U q == q | (p & X(p U q))`` …) and a
-  bounded unfolder that rewrites a formula into X-normal form up to a depth,
-  and
-* :class:`TemporalTerm`, the bounded-term data structure (one cube per time
-  offset) with projection onto signal alphabets, conversion back to a formula
-  and evaluation on trace prefixes.
+:mod:`repro.core.terms` computes these terms from witness runs of the hole.
+This module holds :class:`TemporalTerm`, the bounded-term data structure (one
+cube per time offset) with projection onto signal alphabets, conversion back
+to a formula and evaluation on trace prefixes, and the constructors
+:func:`term_from_states` and :func:`term_from_trace`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..logic.cube import Cube
-from .ast import (
-    TRUE,
-    Always,
-    And,
-    Atom,
-    Eventually,
-    FalseFormula,
-    Formula,
-    Iff,
-    Implies,
-    Next,
-    Not,
-    Or,
-    Release,
-    TrueFormula,
-    Until,
-    WeakUntil,
-    Xn,
-    conj,
-)
-from .rewrite import nnf, simplify
+from .ast import TRUE, Atom, Formula, Not, Xn, conj
 from .traces import LassoTrace
 
-__all__ = [
-    "expand_once",
-    "xnf",
-    "unfold",
-    "TemporalTerm",
-    "term_from_states",
-    "term_from_trace",
-    "bounded_terms",
-]
-
-
-def expand_once(formula: Formula) -> Formula:
-    """Apply the LTL expansion law at the root of the formula (one step).
-
-    * ``p U q  ->  q | (p & X(p U q))``
-    * ``p R q  ->  q & (p | X(p R q))``
-    * ``p W q  ->  q | (p & X(p W q))``
-    * ``G p    ->  p & X G p``
-    * ``F p    ->  p | X F p``
-
-    Other operators are returned unchanged.
-    """
-    if isinstance(formula, Until):
-        return Or(formula.right, And(formula.left, Next(formula)))
-    if isinstance(formula, Release):
-        return And(formula.right, Or(formula.left, Next(formula)))
-    if isinstance(formula, WeakUntil):
-        return Or(formula.right, And(formula.left, Next(formula)))
-    if isinstance(formula, Always):
-        return And(formula.operand, Next(formula))
-    if isinstance(formula, Eventually):
-        return Or(formula.operand, Next(formula))
-    return formula
-
-
-def xnf(formula: Formula) -> Formula:
-    """X-normal form: no ``U/R/W/G/F`` operator outside the scope of an ``X``.
-
-    Obtained by applying the expansion laws once at every level above the
-    first ``X``.  The result is equivalent to the input.
-    """
-    if isinstance(formula, (Atom, TrueFormula, FalseFormula)):
-        return formula
-    if isinstance(formula, Not):
-        return Not(xnf(formula.operand))
-    if isinstance(formula, Next):
-        return formula
-    if isinstance(formula, And):
-        return And(xnf(formula.left), xnf(formula.right))
-    if isinstance(formula, Or):
-        return Or(xnf(formula.left), xnf(formula.right))
-    if isinstance(formula, Implies):
-        return Implies(xnf(formula.left), xnf(formula.right))
-    if isinstance(formula, Iff):
-        return Iff(xnf(formula.left), xnf(formula.right))
-    if isinstance(formula, (Until, Release, WeakUntil, Always, Eventually)):
-        expanded = expand_once(formula)
-        if isinstance(expanded, And):
-            return And(xnf(expanded.left), _xnf_shallow(expanded.right))
-        if isinstance(expanded, Or):
-            return Or(xnf(expanded.left), _xnf_shallow(expanded.right))
-        return expanded
-    raise TypeError(f"unknown formula type {type(formula).__name__}")
-
-
-def _xnf_shallow(formula: Formula) -> Formula:
-    """Helper: normalise the non-recurring half of an expansion."""
-    if isinstance(formula, And):
-        return And(_xnf_shallow(formula.left), _xnf_shallow(formula.right))
-    if isinstance(formula, Or):
-        return Or(_xnf_shallow(formula.left), _xnf_shallow(formula.right))
-    if isinstance(formula, Next):
-        return formula
-    return xnf(formula)
-
-
-def unfold(formula: Formula, depth: int) -> Formula:
-    """Unfold the formula ``depth`` times using the expansion laws.
-
-    The result is equivalent to the input; temporal obligations beyond the
-    unfolding depth remain guarded by ``depth`` nested ``X`` operators.  This
-    is the syntactic core of Algorithm 1 step 2(a).
-    """
-    if depth <= 0:
-        return formula
-    return _unfold(formula, depth)
-
-
-def _unfold(formula: Formula, depth: int) -> Formula:
-    if isinstance(formula, (Atom, TrueFormula, FalseFormula)):
-        return formula
-    if isinstance(formula, Not):
-        return Not(_unfold(formula.operand, depth))
-    if isinstance(formula, Next):
-        if depth <= 1:
-            return formula
-        return Next(_unfold(formula.operand, depth - 1))
-    if isinstance(formula, (And, Or, Implies, Iff)):
-        return type(formula)(_unfold(formula.left, depth), _unfold(formula.right, depth))
-    if isinstance(formula, (Until, Release, WeakUntil, Always, Eventually)):
-        expanded = expand_once(formula)
-        return _unfold_expansion(expanded, depth)
-    raise TypeError(f"unknown formula type {type(formula).__name__}")
-
-
-def _unfold_expansion(expanded: Formula, depth: int) -> Formula:
-    """Unfold the result of :func:`expand_once` without re-expanding the guard."""
-    if isinstance(expanded, (And, Or)):
-        return type(expanded)(
-            _unfold_expansion(expanded.left, depth),
-            _unfold_expansion(expanded.right, depth),
-        )
-    if isinstance(expanded, Next):
-        if depth <= 1:
-            return expanded
-        return Next(_unfold(expanded.operand, depth - 1))
-    return _unfold(expanded, depth)
+__all__ = ["TemporalTerm", "term_from_states", "term_from_trace"]
 
 
 @dataclass(frozen=True)
@@ -216,9 +77,6 @@ class TemporalTerm:
         names = set(names)
         return TemporalTerm([cube.drop(names) for cube in self.cubes])
 
-    def truncate(self, depth: int) -> "TemporalTerm":
-        return TemporalTerm(list(self.cubes[:depth]))
-
     def strip_trailing_empty(self) -> "TemporalTerm":
         cubes = list(self.cubes)
         while cubes and cubes[-1].is_true():
@@ -240,16 +98,6 @@ class TemporalTerm:
         for offset, cube in enumerate(self.cubes):
             state = trace.state_at(position + offset)
             if not cube.satisfied_by(state):
-                return False
-        return True
-
-    def subsumes(self, other: "TemporalTerm") -> bool:
-        """True when every word satisfying ``other`` satisfies ``self``."""
-        depth = max(self.depth(), other.depth())
-        for offset in range(depth):
-            mine = self.cubes[offset] if offset < self.depth() else Cube()
-            theirs = other.cubes[offset] if offset < other.depth() else Cube()
-            if not mine.contains(theirs):
                 return False
         return True
 
@@ -289,82 +137,3 @@ def term_from_trace(
     """Extract the first ``depth`` cycles of a lasso as a bounded term."""
     states = [trace.state_at(i) for i in range(depth)]
     return term_from_states(states, signals)
-
-
-def bounded_terms(formula: Formula, depth: int, max_terms: int = 256) -> List[TemporalTerm]:
-    """Enumerate bounded terms (timed cubes) implying the unfolded formula.
-
-    The formula is unfolded to ``depth`` using the expansion laws and brought
-    to a DNF over *timed literals*; disjuncts that still carry obligations
-    beyond the unfolding depth (i.e. contain residual temporal operators) are
-    dropped.  The surviving disjuncts are exactly the bounded scenarios the
-    paper pushes into the architectural property's parse tree.
-
-    The enumeration is capped at ``max_terms`` disjuncts to keep the
-    worst-case exponential DNF expansion under control; a cap hit simply means
-    fewer (still sound) terms are reported.
-    """
-    unfolded = simplify(nnf(unfold(formula, depth)))
-    disjuncts = _timed_dnf(unfolded, 0, max_terms)
-    terms = []
-    for timed_literals in disjuncts:
-        if timed_literals is None:
-            continue
-        cubes: Dict[int, Dict[str, bool]] = {}
-        consistent = True
-        for offset, name, value in timed_literals:
-            slot = cubes.setdefault(offset, {})
-            if name in slot and slot[name] != value:
-                consistent = False
-                break
-            slot[name] = value
-        if not consistent:
-            continue
-        max_offset = max(cubes.keys(), default=-1)
-        term = TemporalTerm([Cube(cubes.get(i, {})) for i in range(max_offset + 1)])
-        terms.append(term)
-    # Remove terms subsumed by more general ones.
-    kept: List[TemporalTerm] = []
-    for term in terms:
-        if any(other.subsumes(term) and other != term for other in terms):
-            continue
-        if term not in kept:
-            kept.append(term)
-    return kept
-
-
-def _timed_dnf(
-    formula: Formula, offset: int, max_terms: int
-) -> List[Optional[List[Tuple[int, str, bool]]]]:
-    """DNF over timed literals; ``None`` marks disjuncts with residual obligations."""
-    if isinstance(formula, TrueFormula):
-        return [[]]
-    if isinstance(formula, FalseFormula):
-        return []
-    if isinstance(formula, Atom):
-        return [[(offset, formula.name, True)]]
-    if isinstance(formula, Not) and isinstance(formula.operand, Atom):
-        return [[(offset, formula.operand.name, False)]]
-    if isinstance(formula, Next):
-        inner = _timed_dnf(formula.operand, offset + 1, max_terms)
-        return inner
-    if isinstance(formula, Or):
-        left = _timed_dnf(formula.left, offset, max_terms)
-        right = _timed_dnf(formula.right, offset, max_terms)
-        combined = left + right
-        return combined[:max_terms]
-    if isinstance(formula, And):
-        left = _timed_dnf(formula.left, offset, max_terms)
-        right = _timed_dnf(formula.right, offset, max_terms)
-        combined: List[Optional[List[Tuple[int, str, bool]]]] = []
-        for lhs in left:
-            for rhs in right:
-                if lhs is None or rhs is None:
-                    combined.append(None)
-                else:
-                    combined.append(lhs + rhs)
-                if len(combined) >= max_terms:
-                    return combined
-        return combined
-    # Residual temporal operator beyond the unfolding depth.
-    return [None]

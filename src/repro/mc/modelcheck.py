@@ -25,6 +25,7 @@ from ..ltl.ast import Formula, Not
 from ..ltl.buchi import GeneralizedBuchi
 from ..ltl.traces import LassoTrace
 from ..obs import metrics, span
+from ..problem.ir import compiled_automata
 from ..rtl.kripke import KripkeStructure, kripke_from_module
 from ..rtl.netlist import Module
 from .counterexample import lasso_to_signal_trace
@@ -36,7 +37,6 @@ __all__ = [
     "find_run",
     "check",
     "build_kripke",
-    "compile_formulas",
 ]
 
 ModelLike = Union[Module, KripkeStructure]
@@ -86,20 +86,6 @@ def build_kripke(
     return kripke_from_module(model, extra_free=property_atoms)
 
 
-def compile_formulas(formulas: Sequence[Formula]) -> List[GeneralizedBuchi]:
-    """Compile formulas into automata, splitting top-level conjunctions first.
-
-    This is the one formula→automaton pipeline shared by the explicit product
-    and the symbolic engine (:mod:`repro.mc.symbolic`); both must compose the
-    *same* automata or cross-engine agreement would be an accident.  The
-    per-conjunct compilation is delegated to — and memoized by — the compiled
-    problem IR layer (:func:`repro.problem.compiled_automata`).
-    """
-    from ..problem.ir import compiled_automata
-
-    return list(compiled_automata(formulas))
-
-
 def find_run(
     model: ModelLike,
     formulas: Sequence[Formula],
@@ -116,7 +102,7 @@ def find_run(
     start = time.perf_counter()
     with span("explicit_kripke"):
         kripke = build_kripke(model, formulas, extra_free)
-        automata = list(automata) if automata is not None else compile_formulas(formulas)
+        automata = list(automata if automata is not None else compiled_automata(formulas))
     statistics = ProductStatistics()
     with span("explicit_product"):
         product = kripke_automata_product(kripke, automata, statistics=statistics)
@@ -150,7 +136,7 @@ def check(
     start = time.perf_counter()
     formulas = [Not(property_formula)] + list(assumptions)
     kripke = build_kripke(model, list(formulas) + [property_formula], extra_free)
-    automata = compile_formulas(formulas)
+    automata = list(compiled_automata(formulas))
     statistics = ProductStatistics()
     product = kripke_automata_product(kripke, automata, statistics=statistics)
     lasso = product.accepting_lasso()

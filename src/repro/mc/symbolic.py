@@ -62,6 +62,7 @@ from ..ltl.buchi import GeneralizedBuchi
 from ..ltl.traces import LassoTrace
 from ..ltl.traces import evaluate as evaluate_on_trace
 from ..obs import metrics, span
+from ..problem.ir import compiled_automata
 from ..rtl.netlist import Module
 
 __all__ = [
@@ -167,9 +168,7 @@ class SymbolicProduct:
 
         # -- automata (the same pipeline the explicit product composes) -----
         if automata is None:
-            from .modelcheck import compile_formulas
-
-            automata = compile_formulas(formulas)
+            automata = compiled_automata(formulas)
         self.automata: List[GeneralizedBuchi] = list(automata)
         self.statistics.automata = len(self.automata)
         self.statistics.automata_states = sum(a.state_count() for a in self.automata)

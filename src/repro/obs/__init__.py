@@ -22,7 +22,9 @@ from .metrics import Metrics, metrics, set_metrics
 from .trace import (
     PhaseAggregator,
     SpanRecord,
+    active_aggregators,
     add_sink,
+    aggregating,
     remove_sink,
     span,
     tracing_active,
@@ -35,7 +37,9 @@ __all__ = [
     "set_metrics",
     "PhaseAggregator",
     "SpanRecord",
+    "active_aggregators",
     "add_sink",
+    "aggregating",
     "remove_sink",
     "span",
     "tracing_active",

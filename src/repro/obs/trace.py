@@ -15,16 +15,17 @@ Each finished span carries wall-clock *and* thread-CPU time, so a blocked
 phase (a losing race member waiting on the GIL) is distinguishable from a
 computing one.
 
-Recording is **sink-based and off by default**: when no sink is installed,
-:func:`span` returns a shared no-op object and the cost of an instrumented
-phase is one truthiness check — the hot paths stay untraced-speed.  Sinks are
-installed process-wide:
+Recording is **sink-based and off by default**: when no sink is installed
+and the thread has entered no aggregator, :func:`span` returns a shared no-op
+object — the hot paths stay untraced-speed.  There are two kinds of sink:
 
-* :class:`PhaseAggregator` (here) folds spans into a ``name -> seconds``
-  table — the suite runner wraps every shard in one to produce the per-query
-  ``timings`` record;
-* ``JsonlExporter`` (:mod:`repro.obs.export`) streams every span as one JSON
-  line — the CLI installs it for ``--trace <file>``.
+* :class:`PhaseAggregator` (here) folds the spans of the thread that entered
+  it, and of helper threads that join it with :func:`aggregating` (portfolio
+  race members), into a ``name -> seconds`` table — the ``timings`` record of
+  a job, a suite shard or a cached engine run;
+* ``JsonlExporter`` (:mod:`repro.obs.export`) is installed process-wide
+  (:func:`add_sink`) and streams every thread's spans as JSON lines — the CLI
+  installs it for ``--trace <file>``.
 """
 
 from __future__ import annotations
@@ -32,8 +33,9 @@ from __future__ import annotations
 import os
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 __all__ = [
     "SpanRecord",
@@ -42,6 +44,8 @@ __all__ = [
     "add_sink",
     "remove_sink",
     "PhaseAggregator",
+    "active_aggregators",
+    "aggregating",
 ]
 
 
@@ -63,6 +67,8 @@ class SpanRecord:
 _SINKS: List[object] = []
 _SINKS_LOCK = threading.Lock()
 _STACK = threading.local()
+# The PhaseAggregators this thread's spans also go to (``.entered``).
+_AGGREGATORS = threading.local()
 
 
 def add_sink(sink: object) -> None:
@@ -82,8 +88,28 @@ def remove_sink(sink: object) -> None:
 
 
 def tracing_active() -> bool:
-    """True when at least one sink is installed (spans are being recorded)."""
-    return bool(_SINKS)
+    """True when this thread's spans are being recorded by some sink."""
+    return bool(_SINKS) or bool(active_aggregators())
+
+
+def active_aggregators() -> Tuple["PhaseAggregator", ...]:
+    """The aggregators this thread's spans also go to (innermost last)."""
+    return getattr(_AGGREGATORS, "entered", ())
+
+
+@contextmanager
+def aggregating(aggregators: Sequence["PhaseAggregator"]) -> Iterator[None]:
+    """Also fold this thread's spans into ``aggregators`` inside the block.
+
+    A helper thread working for a job passes the job thread's
+    :func:`active_aggregators`, so the job's ``timings`` include its phases.
+    """
+    previous = active_aggregators()
+    _AGGREGATORS.entered = previous + tuple(aggregators)
+    try:
+        yield
+    finally:
+        _AGGREGATORS.entered = previous
 
 
 class _NullSpan:
@@ -153,6 +179,7 @@ class _LiveSpan:
         )
         with _SINKS_LOCK:
             sinks = list(_SINKS)
+        sinks.extend(active_aggregators())
         for sink in sinks:
             try:
                 sink.record(record)
@@ -164,11 +191,12 @@ class _LiveSpan:
 def span(name: str, **attrs):
     """Open a span named ``name`` (context manager).
 
-    Free when tracing is off: without an installed sink this returns a shared
-    no-op object immediately.  ``attrs`` become the span's attributes; more
-    can be attached with ``.set(...)`` while the span is open.
+    Free when tracing is off: without an installed sink or an aggregator on
+    this thread this returns a shared no-op object immediately.  ``attrs``
+    become the span's attributes; more can be attached with ``.set(...)``
+    while the span is open.
     """
-    if not _SINKS:
+    if not _SINKS and not getattr(_AGGREGATORS, "entered", None):
         return _NULL_SPAN
     return _LiveSpan(name, attrs)
 
@@ -176,10 +204,10 @@ def span(name: str, **attrs):
 class PhaseAggregator:
     """A sink folding spans into per-phase totals (wall / CPU / count).
 
-    Used as a context manager: installs itself on entry, removes itself on
-    exit.  Aggregation is by span *name*, across every thread that records
-    while the aggregator is installed — exactly what a suite shard wants (a
-    racing portfolio's member phases all land in the shard's table).
+    Used as a context manager: from entry to exit it receives the spans the
+    entering thread closes, and those of helper threads that join it with
+    :func:`aggregating` (a racing portfolio's members, so their phases land
+    in the job's table).  Aggregation is by span *name*.
     """
 
     def __init__(self) -> None:
@@ -221,9 +249,9 @@ class PhaseAggregator:
             }
 
     def __enter__(self) -> "PhaseAggregator":
-        add_sink(self)
+        _AGGREGATORS.entered = active_aggregators() + (self,)
         return self
 
     def __exit__(self, *exc) -> bool:
-        remove_sink(self)
+        _AGGREGATORS.entered = tuple(a for a in active_aggregators() if a is not self)
         return False

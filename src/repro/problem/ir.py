@@ -18,10 +18,12 @@ intermediate representation that fixes both:
 * the **free/observed signal partition** — the environment signals of the
   slice, the formula atoms the slice does not drive, and any extra observed
   signals, in the canonical order every engine (simulator, Kripke builder,
-  BMC unroller, symbolic encoder) must agree on;
-* a **structural fingerprint** of the slice + formulas + partition, which the
-  result cache (:mod:`repro.runner.cache`) keys on — structurally identical
-  cones hit the cache across designs and across suite shards.
+  BMC unroller, symbolic encoder) must agree on.
+
+The result cache keys each query on :func:`repro.runner.cache.query_key` of
+the slice, the formulas and the partition (:meth:`CompiledProblem.cache_extra`),
+so structurally identical cones hit the cache across designs and across suite
+shards.
 
 :func:`compile_problem` is memoized on the structural identity of its inputs:
 the gap-analysis pipeline (primary question, witness enumeration, closure
@@ -31,7 +33,6 @@ constantly, and each one compiles exactly once per process.
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -66,8 +67,7 @@ class CompiledProblem:
     ``module`` is the cone-of-influence slice (or the full module when
     slicing is disabled); ``automata`` are the compiled property automata in
     formula order; ``free_signals`` is the canonical environment partition of
-    the slice; ``fingerprint`` is the structural identity the result cache
-    keys on.
+    the slice, which :meth:`cache_extra` adds to the result-cache key.
     """
 
     module: Module
@@ -75,7 +75,6 @@ class CompiledProblem:
     automata: Tuple[GeneralizedBuchi, ...]
     free_signals: Tuple[str, ...]
     observed: Tuple[str, ...]
-    fingerprint: str
     sliced: bool
     source_name: str
     dropped_assigns: int = 0
@@ -233,17 +232,6 @@ def _free_partition(
     return tuple(free)
 
 
-def _problem_fingerprint(
-    module: Module, formulas: Sequence[Formula], free_signals: Sequence[str]
-) -> str:
-    from ..runner.cache import formula_fingerprint, module_fingerprint
-
-    parts = [f"module={module_fingerprint(module)}"]
-    parts.extend(f"formula={formula_fingerprint(formula)}" for formula in formulas)
-    parts.append("free=" + ",".join(free_signals))
-    return hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()
-
-
 def _should_slice(module: Module, cone, slicing) -> bool:
     """Resolve a slicing mode against the measured cone.
 
@@ -322,7 +310,6 @@ def compile_problem(
             automata=compiled_automata(formulas),
             free_signals=free_signals,
             observed=observed,
-            fingerprint=_problem_fingerprint(sliced, formulas, free_signals),
             sliced=do_slice,
             source_name=module.name,
             dropped_assigns=len(module.assigns) - len(sliced.assigns),

@@ -2,9 +2,9 @@
 
 from .netlist import Module, Register, NetlistError
 from .hdl import parse_hdl, parse_module, parse_expr, module_to_hdl, HDLError
-from .elaborate import compose, rename_signals, hide_signals
+from .elaborate import compose
 from .simulator import Stimulus, SimulationTrace, Simulator, simulate
-from .waveform import render_waveform, render_table, render_vcd
+from .waveform import render_waveform, render_table
 from .fsm import FSM, FSMState, FSMTransition, extract_fsm
 from .kripke import KripkeStructure, kripke_from_module
 
@@ -18,15 +18,12 @@ __all__ = [
     "module_to_hdl",
     "HDLError",
     "compose",
-    "rename_signals",
-    "hide_signals",
     "Stimulus",
     "SimulationTrace",
     "Simulator",
     "simulate",
     "render_waveform",
     "render_table",
-    "render_vcd",
     "FSM",
     "FSMState",
     "FSMTransition",

@@ -17,11 +17,11 @@ hierarchy) makes name-based composition the natural choice.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Sequence, Set
+from typing import Dict, Sequence, Set
 
 from .netlist import Module, NetlistError
 
-__all__ = ["compose", "rename_signals", "hide_signals"]
+__all__ = ["compose"]
 
 
 def compose(modules: Sequence[Module], name: str = "composition") -> Module:
@@ -69,41 +69,3 @@ def compose(modules: Sequence[Module], name: str = "composition") -> Module:
     composed._eval_order = None
     composed.validate(allow_undriven=False)
     return composed
-
-
-def rename_signals(module: Module, mapping: Dict[str, str], name: str | None = None) -> Module:
-    """Return a copy of the module with signals renamed everywhere."""
-    from ..logic.boolexpr import var
-
-    def rename(signal: str) -> str:
-        return mapping.get(signal, signal)
-
-    substitution = {old: var(new) for old, new in mapping.items()}
-    renamed = Module(name or module.name)
-    for signal in module.inputs:
-        renamed.add_input(rename(signal))
-    for signal in module.outputs:
-        renamed.add_output(rename(signal))
-    for signal, expr in module.assigns.items():
-        renamed.add_assign(rename(signal), expr.substitute(substitution))
-    for signal, register in module.registers.items():
-        renamed.add_register(
-            rename(signal), register.next_value.substitute(substitution), register.init
-        )
-    return renamed
-
-
-def hide_signals(module: Module, signals: Iterable[str], name: str | None = None) -> Module:
-    """Return a copy with the given signals removed from the output list.
-
-    The signals remain in the netlist (they may drive other logic); hiding only
-    affects the interface, which matters for alphabet computations
-    (``APR`` excludes purely internal nets).
-    """
-    hidden = set(signals)
-    copy = Module(name or module.name)
-    copy.inputs = list(module.inputs)
-    copy.outputs = [signal for signal in module.outputs if signal not in hidden]
-    copy.assigns = dict(module.assigns)
-    copy.registers = dict(module.registers)
-    return copy

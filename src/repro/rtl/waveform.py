@@ -14,11 +14,11 @@ reproduction directly from a simulation trace::
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import List, Mapping, Optional, Sequence
 
 from .simulator import SimulationTrace
 
-__all__ = ["render_waveform", "render_table", "render_vcd"]
+__all__ = ["render_waveform", "render_table"]
 
 _HIGH = "▔▔▔▔"
 _LOW = "____"
@@ -97,40 +97,4 @@ def render_table(
             value = bool(values[cycle]) if cycle < len(values) else False
             cells.append(" 1" if value else " 0")
         lines.append(name.ljust(width) + " ".join(cells))
-    return "\n".join(lines)
-
-
-def render_vcd(
-    trace: SimulationTrace,
-    signals: Optional[Sequence[str]] = None,
-    timescale: str = "1ns",
-) -> str:
-    """Render a (minimal) VCD dump of the trace for external waveform viewers."""
-    if signals is None:
-        signals = trace.signals()
-    identifiers = {}
-    # VCD identifier characters: printable ASCII starting at '!'.
-    for index, name in enumerate(signals):
-        identifiers[name] = chr(33 + index)
-    lines = [
-        "$date reproduction run $end",
-        f"$timescale {timescale} $end",
-        f"$scope module {trace.module_name} $end",
-    ]
-    for name in signals:
-        lines.append(f"$var wire 1 {identifiers[name]} {name} $end")
-    lines.append("$upscope $end")
-    lines.append("$enddefinitions $end")
-    previous: Dict[str, Optional[bool]] = {name: None for name in signals}
-    for cycle in range(len(trace)):
-        changes = []
-        for name in signals:
-            value = trace.value(name, cycle)
-            if previous[name] != value:
-                changes.append(f"{1 if value else 0}{identifiers[name]}")
-                previous[name] = value
-        if changes or cycle == 0:
-            lines.append(f"#{cycle}")
-            lines.extend(changes)
-    lines.append(f"#{len(trace)}")
     return "\n".join(lines)

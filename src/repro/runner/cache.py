@@ -213,9 +213,8 @@ def module_fingerprint(module) -> str:
     structurally identical modules key identically across processes.  The
     module *name* is deliberately excluded.
 
-    Not cached: ``compose``, ``hide_signals`` and ``Module.slice_for``
-    assign a module's fields directly, and a stale digest would be a stale
-    cache key.  Each driver's expression fingerprint is cached on the
+    Not cached: ``compose`` and ``Module.slice_for`` assign a module's
+    fields directly, and a stale digest would be a stale cache key.  Each driver's expression fingerprint is cached on the
     expression, so this is one join and one SHA-256.
     """
     lines = [

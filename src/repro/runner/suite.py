@@ -335,9 +335,10 @@ def execute_shard(job: CoverageJob, timeout: Optional[float] = None) -> ShardRes
     caller = active_cancel_token()
     armed = timeout is not None and timeout > 0
     try:
-        # The aggregator collects every span closed while this shard
-        # decides — engine phases, compile, SAT — into the per-query
-        # ``timings`` record, with or without a --trace exporter.
+        # The aggregator collects every span this shard's thread (and its
+        # portfolio members) closes while it decides — engine phases,
+        # compile, SAT — into the per-query ``timings`` record, with or
+        # without a --trace exporter.
         with (
             cancel_after(timeout) if armed else nullcontext(),
             PhaseAggregator() as phases,

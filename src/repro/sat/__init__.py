@@ -10,15 +10,12 @@ transition relation.  This package provides the pieces of that reduction:
   :class:`~repro.logic.boolexpr.BoolExpr` circuits to equisatisfiable CNF,
 * :mod:`repro.sat.solver` — a conflict-driven clause-learning (CDCL) solver
   with two-watched-literal propagation, VSIDS-style branching and restarts,
-  plus a brute-force reference solver used by the test-suite,
-* :mod:`repro.sat.dimacs` — DIMACS CNF import/export for interoperability
-  with external solvers.
+  plus a brute-force reference solver used by the test-suite.
 """
 
 from .cnf import CNF, Clause, Literal, VariablePool
-from .dimacs import from_dimacs, to_dimacs
 from .solver import SatResult, SatSolver, solve, solve_brute_force
-from .tseitin import TseitinEncoder, encode_circuit, encode_constraint
+from .tseitin import TseitinEncoder, encode_constraint
 
 __all__ = [
     "CNF",
@@ -30,8 +27,5 @@ __all__ = [
     "solve",
     "solve_brute_force",
     "TseitinEncoder",
-    "encode_circuit",
     "encode_constraint",
-    "to_dimacs",
-    "from_dimacs",
 ]

@@ -9,9 +9,9 @@ larger.
 
 Two entry points are provided:
 
-* :func:`encode_circuit` — returns the literal representing the root of the
-  expression (the caller decides what to do with it, e.g. tie several roots
-  together),
+* :meth:`TseitinEncoder.literal_for` — returns the literal representing the
+  root of the expression (the caller decides what to do with it, e.g. tie
+  several roots together),
 * :func:`encode_constraint` — additionally asserts the root to a fixed value
   (the common case: "this expression must hold").
 """
@@ -31,7 +31,7 @@ from ..logic.boolexpr import (
 )
 from .cnf import CNF, CNFError, Literal
 
-__all__ = ["TseitinEncoder", "encode_circuit", "encode_constraint"]
+__all__ = ["TseitinEncoder", "encode_constraint"]
 
 
 class TseitinEncoder:
@@ -157,18 +157,6 @@ class TseitinEncoder:
         self.cnf.add_clause(output, -a, b)
         self.cnf.add_clause(output, a, -b)
         return output
-
-
-def encode_circuit(
-    expr: BoolExpr,
-    cnf: Optional[CNF] = None,
-    *,
-    rename: Optional[Mapping[str, str]] = None,
-) -> Tuple[CNF, Literal]:
-    """Encode ``expr`` into CNF; return the formula and the root literal."""
-    encoder = TseitinEncoder(cnf)
-    literal = encoder.literal_for(expr, rename)
-    return encoder.cnf, literal
 
 
 def encode_constraint(

@@ -6,11 +6,12 @@ import pytest
 from repro.designs.mal import build_cache_logic, build_mal, build_mal_with_gap, build_paper_example
 from repro.designs.simple_latch import build_simple_latch
 from repro.logic.boolexpr import implies, not_, var
+from repro.ltl.ast import Not
 from repro.ltl.parser import parse
 from repro.ltl.traces import evaluate
 from repro.mc.modelcheck import check, find_run
 from repro.rtl.netlist import Module
-from repro.bmc.engine import check_bmc, find_run_bmc
+from repro.bmc.engine import find_run_bmc
 from repro.bmc.induction import prove_invariant
 from repro.engines import get_engine
 
@@ -56,15 +57,17 @@ class TestFindRunBMC:
 
 
 class TestCheckBMC:
+    """A universal check of ``p`` is a search for a run of ``Not(p)``."""
+
     def test_violated_property_yields_counterexample(self):
-        result = check_bmc(build_toggle(), parse("G !q"), max_bound=4)
+        result = find_run_bmc(build_toggle(), [Not(parse("G !q"))], max_bound=4)
         assert result.satisfiable
         assert evaluate(parse("F q"), result.witness)
 
     def test_property_with_assumption(self):
         # Under G(!en) the toggle never rises, so G !q has no counterexample.
-        result = check_bmc(
-            build_toggle(), parse("G !q"), assumptions=[parse("G !en")], max_bound=5
+        result = find_run_bmc(
+            build_toggle(), [Not(parse("G !q")), parse("G !en")], max_bound=5
         )
         assert not result.satisfiable
 
@@ -102,8 +105,8 @@ class TestCrossCheckWithExplicitEngine:
         latch = build_simple_latch()
         formula = parse(text)
         explicit = check(latch, formula)
-        bounded = check_bmc(latch, formula, max_bound=5)
-        # check_bmc finding a counterexample == explicit check failing.
+        bounded = find_run_bmc(latch, [Not(formula)], max_bound=5)
+        # A run of the negation (a counterexample) == explicit check failing.
         assert explicit.holds == (not bounded.satisfiable)
 
     def test_mal_glue_cache_agreement_on_gap_run(self):

@@ -22,7 +22,7 @@ from repro.designs import CATALOG
 from repro.designs.random import RandomDesignSpec, random_problem
 from repro.engines.coverage import CoverageEngine, engine_from_options
 from repro.ltl.printer import to_str
-from repro.runner.cache import using_result_cache
+from repro.runner.cache import query_key, using_result_cache
 
 #: The reduced Algorithm-1 options of the benchmark's ``gap_analysis`` workload.
 GAP_OPTIONS = dict(max_witnesses=2, unfold_depth=3, max_closure_checks=2, bmc_max_bound=6)
@@ -76,23 +76,31 @@ def no_result_cache():
 
 @pytest.fixture
 def decided(monkeypatch):
-    """Fingerprints of the compiled queries the engines decide, in order."""
-    fingerprints = []
+    """Result-cache keys of the queries the engines decide, in order."""
+    keys = []
     original = CoverageEngine._instrumented_run
 
     def recording(self, problem):
-        fingerprints.append(problem.fingerprint)
+        # The key CoverageEngine.find_run stores this query under.
+        keys.append(query_key(
+            "engine-run",
+            problem.module,
+            problem.formulas,
+            engine=self.name,
+            bound=self._cache_bound(),
+            extra=problem.cache_extra() + self._cache_extra(),
+        ))
         return original(self, problem)
 
     monkeypatch.setattr(CoverageEngine, "_instrumented_run", recording)
-    return fingerprints
+    return keys
 
 
 @pytest.mark.parametrize("design,engine", CELLS)
 def test_no_query_is_decided_twice_and_the_report_is_pinned(design, engine, decided):
     problem = CATALOG[design].builder()
     analysis = find_coverage_gap(problem, problem.architectural[0], _options(engine))
-    repeated = {fingerprint: n for fingerprint, n in Counter(decided).items() if n > 1}
+    repeated = {key: n for key, n in Counter(decided).items() if n > 1}
     assert decided and not repeated, repeated
     report, apa_terms = EXPECTED[design, engine]
     assert analysis.describe() == report

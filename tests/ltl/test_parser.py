@@ -19,7 +19,6 @@ from repro.ltl import (
     Until,
     WeakUntil,
     parse,
-    to_spin,
     to_str,
 )
 
@@ -115,11 +114,12 @@ class TestPrinting:
         formula = parse(text)
         assert parse(to_str(formula)) == formula
 
-    def test_to_spin_shapes(self):
-        assert to_spin(parse("G p")) == "[] (p)"
-        assert to_spin(parse("F p")) == "<> (p)"
-        assert "&&" in to_spin(parse("p & q"))
-        assert "U" in to_spin(parse("p U q"))
+    def test_to_str_operator_shapes(self):
+        assert to_str(parse("G p")) == "G p"
+        assert to_str(parse("F p")) == "F p"
+        assert to_str(parse("p & q")) == "p & q"
+        assert to_str(parse("p U q")) == "p U q"
+        assert to_str(parse("G(p -> F q)")) == "G (p -> F q)"
 
     def test_str_dunder(self):
         assert str(parse("G(p -> X q)")) == "G (p -> X q)"

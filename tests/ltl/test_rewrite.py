@@ -5,19 +5,17 @@ import pytest
 from repro.ltl import (
     Atom,
     Not,
-    atom_instances,
     atoms_of,
     conjuncts,
-    disjuncts,
     equivalent,
     formula_size,
     nnf,
     parse,
     simplify,
     substitute_atom_instance,
-    substitute_atoms,
     temporal_depth,
 )
+from repro.core.push import atom_instance_table
 from repro.ltl.ast import Always, Eventually, Release
 from repro.ltl.rewrite import remove_derived_operators
 
@@ -100,22 +98,25 @@ class TestSimplify:
 
 class TestSubstitution:
     def test_substitute_atoms(self):
+        # Every instance of ``a``, each by its path in the atom-instance table.
         formula = parse("G(a -> X a)")
-        replaced = substitute_atoms(formula, {"a": parse("b & c")})
+        replaced = formula
+        for instance in atom_instance_table(formula):
+            if instance.name == "a":
+                replaced = substitute_atom_instance(replaced, instance.path, parse("b & c"))
         assert replaced == parse("G((b & c) -> X (b & c))")
 
     def test_atom_instances_paths_are_distinct(self):
-        formula = parse("G(a -> X a)")
-        instances = atom_instances(formula)
+        instances = atom_instance_table(parse("G(a -> X a)"))
         assert len(instances) == 2
-        assert instances[0][0] != instances[1][0]
-        assert all(name == "a" for _, name in instances)
+        assert instances[0].path != instances[1].path
+        assert all(instance.name == "a" for instance in instances)
 
     def test_substitute_single_instance(self):
         formula = parse("G(a -> X a)")
-        instances = atom_instances(formula)
+        instances = atom_instance_table(formula)
         # Replace only the second occurrence.
-        replaced = substitute_atom_instance(formula, instances[1][0], parse("a & b"))
+        replaced = substitute_atom_instance(formula, instances[1].path, parse("a & b"))
         assert replaced == parse("G(a -> X (a & b))")
 
     def test_substitute_instance_invalid_path(self):
@@ -126,7 +127,6 @@ class TestSubstitution:
 class TestStructure:
     def test_conjuncts_and_disjuncts(self):
         assert len(conjuncts(parse("a & b & c"))) == 3
-        assert len(disjuncts(parse("a | b | c"))) == 3
         assert conjuncts(parse("a | b")) == (parse("a | b"),)
 
     def test_atoms_of(self):

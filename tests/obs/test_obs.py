@@ -6,11 +6,15 @@ import threading
 
 import pytest
 
+from repro.designs import get_design
+from repro.engines import get_engine
 from repro.obs import (
     JsonlExporter,
     Metrics,
     PhaseAggregator,
+    active_aggregators,
     add_sink,
+    aggregating,
     install_trace_exporter,
     metrics,
     remove_sink,
@@ -19,6 +23,7 @@ from repro.obs import (
     tracing_active,
 )
 from repro.obs.trace import _NULL_SPAN
+from repro.runner.cache import using_result_cache
 
 
 class _ListSink:
@@ -162,6 +167,36 @@ class TestPhaseAggregator:
         with span("late"):
             pass
         assert "late" not in phases.timings()
+
+    def test_folds_only_its_own_threads_spans(self):
+        """Another request's phases, closed while this one runs, stay out."""
+
+        def other_request():
+            with span("other_request_phase"):
+                pass
+
+        with using_result_cache(None), PhaseAggregator() as phases:
+            other = threading.Thread(target=other_request)
+            other.start()
+            get_engine("explicit").check_primary(get_design("mal_fig2").builder())
+            other.join()
+        timings = phases.timings()
+        assert "other_request_phase" not in timings
+        assert {"engine_run", "explicit_product"} <= set(timings)
+
+    def test_aggregating_joins_a_helper_thread(self):
+        with PhaseAggregator() as phases:
+            joined = active_aggregators()
+
+            def helper():
+                with aggregating(joined), span("helper_phase"):
+                    pass
+
+            thread = threading.Thread(target=helper)
+            thread.start()
+            thread.join()
+        assert active_aggregators() == ()
+        assert "helper_phase" in phases.timings()
 
 
 class TestJsonlExporter:

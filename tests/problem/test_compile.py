@@ -7,6 +7,7 @@ from repro.ltl.parser import parse
 from repro.logic.boolexpr import and_, not_, var
 from repro.problem import clear_compile_caches, compile_cache_stats, compile_problem, compiled_automata
 from repro.rtl.netlist import Module
+from repro.runner.cache import query_key
 
 
 def _two_channel_module(name="two", extra_prefix=""):
@@ -77,20 +78,28 @@ class TestCompileProblem:
 
     def test_identical_cones_fingerprint_identically_across_designs(self):
         # Two different designs whose cones for the same query are
-        # structurally identical must produce the same fingerprint — that is
-        # what lets the result cache share entries across designs.
+        # structurally identical must produce the same result-cache key —
+        # that is what lets the result cache share entries across designs.
         small = _two_channel_module(name="small")
         big = _two_channel_module(name="big")
         big.add_register("extra", and_(var("extra"), not_(var("o2"))))
         big.add_assign("dbg", var("extra"))
         big.add_output("dbg")
+
+        def cache_key(problem):
+            """The key ``CoverageEngine.find_run`` stores an explicit run under."""
+            return query_key(
+                "engine-run", problem.module, problem.formulas,
+                engine="explicit", extra=problem.cache_extra(),
+            )
+
         p_small = compile_problem(small, (parse("F o1"),))
         p_big = compile_problem(big, (parse("F o1"),))
-        assert p_small.fingerprint == p_big.fingerprint
-        # Unsliced, the two modules differ and so must the fingerprints.
+        assert cache_key(p_small) == cache_key(p_big)
+        # Unsliced, the two modules differ and so must the keys.
         u_small = compile_problem(small, (parse("F o1"),), slicing=False)
         u_big = compile_problem(big, (parse("F o1"),), slicing=False)
-        assert u_small.fingerprint != u_big.fingerprint
+        assert cache_key(u_small) != cache_key(u_big)
 
     def test_automata_are_shared_between_queries(self):
         clear_compile_caches()

@@ -53,9 +53,10 @@ from repro.ltl.ast import Not
 from repro.ltl.tableau import ltl_to_gba
 from repro.ltl.traces import evaluate
 from repro.ltl.unfold import term_from_trace
-from repro.mc.modelcheck import build_kripke, compile_formulas
+from repro.mc.modelcheck import build_kripke
 from repro.mc.product import kripke_automata_product
 from repro.mc.symbolic import SymbolicProduct
+from repro.problem import compiled_automata
 from repro.sat.cnf import CNF
 from repro.sat.solver import SatSolver, solve
 
@@ -225,7 +226,7 @@ class TestBitsetProductDifferential:
 
     def _inputs(self, problem, formulas):
         kripke = build_kripke(problem.composed_module(), formulas)
-        return kripke, compile_formulas(formulas)
+        return kripke, list(compiled_automata(formulas))
 
     def _assert_matches_reference(self, problem, formulas, name):
         kripke, automata = self._inputs(problem, formulas)

@@ -1,9 +1,9 @@
-"""Round-trip fuzzing: LTL parse/print and DIMACS write/read.
+"""Round-trip fuzzing: LTL parse/print and circuit -> CNF -> named model.
 
 ``parse(to_str(f)) == f`` is the contract that makes every printed report
-re-ingestable; ``from_dimacs(to_dimacs(cnf))`` is what lets BMC queries be
-cross-checked against external SAT solvers.  Both are exercised on seeded
-random instances far beyond the hand-written fixtures.
+re-ingestable; a SAT model read back by signal name must satisfy the circuit
+that was encoded, which is how BMC turns a model into a witness trace.  Both
+are exercised on seeded random instances far beyond the hand-written fixtures.
 """
 
 from __future__ import annotations
@@ -12,7 +12,8 @@ import random
 
 import pytest
 
-from repro.designs.random import random_formula
+from repro.designs.random import random_boolexpr, random_formula
+from repro.logic.boolexpr import minterms
 from repro.ltl.ast import (
     FALSE,
     TRUE,
@@ -26,8 +27,8 @@ from repro.ltl.ast import (
 )
 from repro.ltl.parser import parse
 from repro.ltl.printer import to_str
-from repro.sat.cnf import CNF, Literal
-from repro.sat.dimacs import from_dimacs, to_dimacs
+from repro.sat.solver import SatSolver, solve
+from repro.sat.tseitin import encode_constraint
 
 NAMES = ("req", "ack", "g1", "busy", "hit", "w0")
 
@@ -65,52 +66,40 @@ class TestLtlRoundTrip:
             assert to_str(parse(printed)) == printed
 
 
-def _random_cnf(rng: random.Random, variables: int, clauses: int) -> CNF:
-    cnf = CNF()
-    names = [f"sig_{index}" for index in range(variables)]
-    for name in names:
-        cnf.pool.variable(name)
-    for _ in range(clauses):
-        width = rng.randint(1, 4)
-        literals = [
-            Literal(cnf.pool.variable(rng.choice(names)), rng.random() < 0.5)
-            for _ in range(width)
-        ]
-        cnf.add_clause(*literals)
-    return cnf
-
-
-class TestDimacsRoundTrip:
+class TestSatModelRoundTrip:
     @pytest.mark.parametrize("seed", [11, 12, 13])
-    def test_write_read_round_trip_random(self, seed):
+    def test_named_model_satisfies_the_circuit(self, seed):
         rng = random.Random(seed)
+        satisfiable = 0
         for _ in range(25):
-            cnf = _random_cnf(rng, rng.randint(2, 8), rng.randint(1, 20))
-            restored = from_dimacs(to_dimacs(cnf))
-            original_clauses = [
-                tuple(int(literal) for literal in clause.literals) for clause in cnf.clauses
-            ]
-            restored_clauses = [
-                tuple(int(literal) for literal in clause.literals)
-                for clause in restored.clauses
-            ]
-            assert restored_clauses == original_clauses
-            assert restored.variable_count() >= cnf.variable_count()
-            for index in range(1, cnf.variable_count() + 1):
-                assert restored.pool.name_of(index) == cnf.pool.name_of(index)
+            expr = random_boolexpr(rng, NAMES, depth=4)
+            result = solve(encode_constraint(expr))
+            assert result.satisfiable == any(True for _ in minterms(expr)), expr
+            if result.satisfiable:
+                satisfiable += 1
+                inputs = {name: result.value(name) for name in expr.variables()}
+                assert expr.evaluate(inputs), expr
+        assert satisfiable > 0
 
-    def test_round_trip_preserves_solver_verdict(self):
-        """The restored instance must be equisatisfiable (same formula!)."""
-        from repro.sat.solver import solve
-
+    def test_blocking_clauses_enumerate_every_model(self):
+        """Excluding each named model in turn, on one incremental solver,
+        visits exactly the circuit's models."""
         rng = random.Random(99)
-        for _ in range(10):
-            cnf = _random_cnf(rng, 5, 12)
-            assert solve(cnf).satisfiable == solve(from_dimacs(to_dimacs(cnf))).satisfiable
-
-    def test_double_round_trip_is_stable(self):
-        rng = random.Random(7)
-        cnf = _random_cnf(rng, 6, 15)
-        once = to_dimacs(from_dimacs(to_dimacs(cnf)))
-        twice = to_dimacs(from_dimacs(once))
-        assert once == twice
+        for _ in range(15):
+            expr = random_boolexpr(rng, NAMES[:4], depth=3)
+            names = sorted(expr.variables())
+            cnf = encode_constraint(expr)
+            solver = SatSolver(cnf)
+            found = set()
+            while True:
+                result = solver.solve()
+                if not result.satisfiable:
+                    break
+                model = tuple(result.value(name) for name in names)
+                assert model not in found, expr
+                found.add(model)
+                solver.add_clause(
+                    *(cnf.pool.literal(name, not value) for name, value in zip(names, model))
+                )
+            expected = {tuple(m[name] for name in names) for m in minterms(expr, names)}
+            assert found == expected, expr

@@ -10,11 +10,8 @@ from repro.rtl import (
     Stimulus,
     compose,
     extract_fsm,
-    hide_signals,
     kripke_from_module,
-    rename_signals,
     render_table,
-    render_vcd,
     render_waveform,
     simulate,
 )
@@ -59,12 +56,17 @@ class TestCompose:
         with pytest.raises(NetlistError):
             compose([one, two])
 
-    def test_rename_and_hide(self):
-        module = build_simple_latch()
-        renamed = rename_signals(module, {"c": "latched"})
-        assert "latched" in renamed.registers
-        hidden = hide_signals(module, ["c"])
-        assert hidden.outputs == []
+    def test_compose_keeps_registers(self):
+        consumer = Module("consumer")
+        consumer.add_input("c")
+        consumer.add_output("y")
+        consumer.add_assign("y", not_(var("c")))
+        combined = compose([build_simple_latch(), consumer], "combined")
+        assert set(combined.registers) == {"c"}
+        assert combined.inputs == ["a", "b"]
+        trace = simulate(combined, Stimulus.from_vectors(a=[1, 0], b=[1, 1]), cycles=3)
+        assert trace.signal("c") == [False, True, False]
+        assert trace.signal("y") == [True, False, True]
 
 
 class TestSimulator:
@@ -120,15 +122,19 @@ class TestWaveform:
         text = render_waveform(trace, ["a", "b", "c"], ascii_only=True)
         assert "a" in text and "c" in text and "clk" in text
 
+    def test_render_table_of_simulation_trace(self):
+        trace = simulate(build_simple_latch(), Stimulus.from_vectors(a=[1, 0], b=[1, 1]), cycles=2)
+        lines = render_table(trace, ["a", "b", "c"]).splitlines()
+        assert lines[0].split() == ["0", "1"]
+        assert [line.split() for line in lines[1:]] == [
+            ["a", "1", "0"],
+            ["b", "1", "1"],
+            ["c", "0", "1"],
+        ]
+
     def test_render_table_zero_one(self):
         text = render_table({"x": [True, False]})
         assert " 1" in text and " 0" in text
-
-    def test_render_vcd_structure(self):
-        trace = simulate(build_simple_latch(), Stimulus.from_vectors(a=[1], b=[1]), cycles=2)
-        vcd = render_vcd(trace, ["a", "b", "c"])
-        assert "$enddefinitions" in vcd
-        assert "#0" in vcd
 
 
 class TestFSMExtraction:

@@ -90,6 +90,26 @@ class TestAssumptions:
         assert not result.satisfiable
 
 
+class TestIncremental:
+    def test_assumptions_are_retracted_after_solve(self):
+        solver = SatSolver(_cnf_from_ints([[1, 2]]))
+        assert not solver.solve(assumptions=[Literal(1, False), Literal(2, False)]).satisfiable
+        result = solver.solve()
+        assert result.satisfiable
+        assert result.value("v1") or result.value("v2")
+
+    def test_clause_added_between_solves_takes_effect(self):
+        cnf = _cnf_from_ints([[1, 2]])
+        solver = SatSolver(cnf)
+        assert solver.solve().satisfiable
+        solver.add_clause(Literal(1, False))
+        result = solver.solve()
+        assert result.satisfiable and result.value("v2") is True
+        solver.add_clause(Literal(2, False))
+        assert not solver.solve().satisfiable
+        assert cnf.clause_count() == 3
+
+
 class TestPigeonhole:
     def _pigeonhole(self, pigeons, holes):
         """PHP(p, h): p pigeons into h holes, variable (p-1)*holes + h."""

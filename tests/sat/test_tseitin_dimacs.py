@@ -1,14 +1,12 @@
-"""Tests for the Tseitin transformation and DIMACS import/export."""
+"""Tests for the Tseitin transformation."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.logic.boolexpr import and_, const, iff, implies, mux, not_, or_, var, xor
-from repro.sat.cnf import CNFError
-from repro.sat.dimacs import from_dimacs, to_dimacs
 from repro.sat.solver import solve
-from repro.sat.tseitin import TseitinEncoder, encode_circuit, encode_constraint
+from repro.sat.tseitin import TseitinEncoder, encode_constraint
 
 a, b, c, d = var("a"), var("b"), var("c"), var("d")
 
@@ -75,9 +73,10 @@ class TestTseitinCorrectness:
         assert models == {(False, False), (False, True), (True, False)}
 
     def test_encode_circuit_returns_root_literal(self):
-        cnf, root = encode_circuit(or_(a, b))
-        cnf.add_unit(-root)
-        models = _models_of_cnf(cnf, ["a", "b"])
+        encoder = TseitinEncoder()
+        root = encoder.literal_for(or_(a, b))
+        encoder.cnf.add_unit(-root)
+        models = _models_of_cnf(encoder.cnf, ["a", "b"])
         assert models == {(False, False)}
 
     def test_rename_substitutes_variable_names(self):
@@ -106,36 +105,6 @@ class TestTseitinCorrectness:
         expr = and_(*leaves)
         cnf = encode_constraint(expr)
         assert cnf.clause_count() <= 3 * 64 + 10
-
-
-class TestDimacs:
-    def test_round_trip_preserves_satisfiability_and_names(self):
-        cnf = encode_constraint(and_(or_(a, b), or_(not_(a), c)))
-        text = to_dimacs(cnf, comments=["example export"])
-        restored = from_dimacs(text)
-        assert restored.clause_count() == cnf.clause_count()
-        assert restored.variable_count() == cnf.variable_count()
-        assert solve(restored).satisfiable == solve(cnf).satisfiable
-        assert set(cnf.pool.names()) == set(restored.pool.names())
-
-    def test_header_counts(self):
-        cnf = encode_constraint(or_(a, b))
-        text = to_dimacs(cnf)
-        header = next(line for line in text.splitlines() if line.startswith("p "))
-        _, _, nvars, nclauses = header.split()
-        assert int(nvars) == cnf.variable_count()
-        assert int(nclauses) == cnf.clause_count()
-
-    def test_parse_plain_dimacs_without_name_comments(self):
-        text = "c random instance\np cnf 3 2\n1 -2 0\n2 3 0\n"
-        cnf = from_dimacs(text)
-        assert cnf.clause_count() == 2
-        assert cnf.variable_count() == 3
-        assert solve(cnf).satisfiable
-
-    def test_malformed_problem_line_raises(self):
-        with pytest.raises(CNFError):
-            from_dimacs("p dnf 3 2\n1 2 0\n")
 
 
 # -- property-based: Tseitin encoding is equisatisfiable with the circuit -----

@@ -2,8 +2,8 @@
 
 Covers :class:`repro.service.ProblemMemo` (one built ``CoverageProblem`` per
 catalog entry object, ``service.designs_built``), the per-job ``cache`` block
-of a payload under concurrent jobs, and job timeouts of the racing
-``portfolio`` engine.
+and ``timings`` of a payload under concurrent jobs, and job timeouts of the
+racing ``portfolio`` engine.
 """
 
 from __future__ import annotations
@@ -197,6 +197,46 @@ def test_serial_portfolio_block_matches_the_shared_counters():
     # The race's own key plus at least one member's.
     assert cold["cache"]["misses"] >= 2
     assert warm["cache"] == {"hits": 1, "misses": 0, "stores": 0}
+
+
+# -- per-job timings ------------------------------------------------------------------
+
+
+def test_timings_hold_only_the_jobs_own_phases():
+    """Other jobs' bmc phases, run while an explicit job waits, stay out of it."""
+    _HeldExplicit.entered.clear()
+    _HeldExplicit.release.clear()
+    register_engine("held_explicit", _HeldExplicit)
+    outcome = {}
+    try:
+        with using_result_cache(None):
+            slow = threading.Thread(
+                target=lambda: outcome.setdefault(
+                    "payload",
+                    execute_job(JobRequest(kind="check", design="mal_fig2", engine="held_explicit")),
+                )
+            )
+            slow.start()
+            assert _HeldExplicit.entered.wait(timeout=30)
+            other = execute_job(JobRequest(kind="check", design="mal_fig4", engine="bmc", bound=4))
+            _HeldExplicit.release.set()
+            slow.join(timeout=60)
+            assert not slow.is_alive()
+    finally:
+        _HeldExplicit.release.set()
+        unregister_engine("held_explicit")
+    assert "bmc_bound" in other["timings"]
+    assert "explicit_product" in outcome["payload"]["timings"]
+    assert "bmc_bound" not in outcome["payload"]["timings"]
+
+
+def test_portfolio_members_phases_land_in_the_jobs_timings():
+    request = JobRequest(kind="check", design="mal_fig2", engine="portfolio", bound=4)
+    with using_result_cache(None):
+        payload = execute_job(request)
+    # mal_fig2 is covered, so a complete member wins, in its own thread.
+    winner_phase = {"explicit": "explicit_product", "symbolic": "symbolic_encode"}
+    assert {"portfolio_race", winner_phase[payload["winner"]]} <= set(payload["timings"])
 
 
 # -- portfolio timeouts ----------------------------------------------------------------
