@@ -4,24 +4,21 @@ Theorem 1 has the same answer whichever engine decides it, so ``auto`` only
 chooses who pays for the query.  One fixed rule on the compiled problem picks
 a single engine: large property automata go to the complete ``explicit``
 engine, small ones to ``bmc``, whose witness is definitive.  When ``bmc``
-finds no witness, which only holds up to the bound, the complete members
-race to finish the job, so an ``auto`` verdict is always complete.
+finds no witness, which only holds up to the bound, ``explicit`` decides the
+query, so an ``auto`` verdict is always complete.  No threads are started.
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
+from dataclasses import replace
 from typing import TYPE_CHECKING, Optional
 
-from ..ltl.traces import LassoTrace
-from .coverage import CoverageEngine, get_engine, register_engine
-from .portfolio import PortfolioEngine
+from .coverage import CoverageEngine, RunResult, get_engine, register_engine
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..problem import CompiledProblem
 
-__all__ = ["AutoEngine", "AutoResult", "EXPLICIT_ABOVE_STATES", "pick_engine"]
+__all__ = ["AutoEngine", "EXPLICIT_ABOVE_STATES", "pick_engine"]
 
 #: Queries whose automata have more states than this in total run on
 #: ``explicit``; the rest run on ``bmc``.  This is the one rule a
@@ -35,18 +32,6 @@ def pick_engine(features) -> str:
     return "explicit" if features["automaton_states"] > EXPLICIT_ABOVE_STATES else "bmc"
 
 
-@dataclass
-class AutoResult:
-    """Outcome of one ``auto`` query: the deciding engine's result and name."""
-
-    satisfiable: bool
-    winner: str
-    witness: Optional[LassoTrace] = None
-    bound: Optional[int] = None
-    statistics: object = None
-    elapsed_seconds: float = 0.0
-
-
 class AutoEngine(CoverageEngine):
     """Run ``explicit`` on large automata, ``bmc`` on small ones."""
 
@@ -57,29 +42,16 @@ class AutoEngine(CoverageEngine):
         # The bounded engine's reach shapes which witness an auto run finds.
         return self.max_bound
 
-    def _find_run(self, problem: "CompiledProblem"):
-        start = time.perf_counter()
+    def _find_run(self, problem: "CompiledProblem") -> RunResult:
         winner = pick_engine(problem.features())
         engine = get_engine(winner, max_bound=self.max_bound, slicing=self.slicing)
         result = engine.find_run(problem)
         if winner == "bmc" and not result.satisfiable:
-            # _find_run, not find_run: this engine's own find_run already owns
-            # the cache entry for the query.
-            race = PortfolioEngine(
-                max_bound=self.max_bound,
-                slicing=self.slicing,
-                members=("explicit", "symbolic"),
-            )
-            result = race._find_run(problem)
-            winner = result.winner
-        return AutoResult(
-            satisfiable=bool(result.satisfiable),
-            winner=winner,
-            witness=result.witness,
-            bound=getattr(result, "bound", None),
-            statistics=getattr(result, "statistics", None),
-            elapsed_seconds=time.perf_counter() - start,
-        )
+            # bmc's "no witness" holds only up to the bound: explicit decides.
+            winner = "explicit"
+            engine = get_engine(winner, max_bound=self.max_bound, slicing=self.slicing)
+            result = engine.find_run(problem)
+        return replace(result, complete=True, winner=winner)
 
 
 register_engine("auto", AutoEngine)

@@ -11,8 +11,8 @@ CDCL decision loop, the BMC bound ladder, the symbolic fixpoints — call
 cancelled the call raises :class:`Cancelled`, unwinding the losing engine
 promptly.
 
-A thread with no installed token pays one thread-local attribute read per
-poll and never raises — every existing single-engine entry point is
+A poll reads the thread's token and, when there is one, its flag; a thread
+with no installed token never raises, so every single-engine entry point is
 unaffected.
 
 :func:`cancel_after` is the deadline form of the same mechanism: a token
@@ -41,29 +41,12 @@ class Cancelled(Exception):
 
 
 class CancelToken:
-    """A shared flag the race winner sets to stop the losing engines.
+    """A shared flag the race winner (or a deadline) sets to stop a search."""
 
-    The token also keeps per-member **poll counters**: every
-    :func:`check_cancelled` from a thread registered with a member name
-    (``using_cancel_token(token, member="bmc")``) bumps ``polls[member]``,
-    and — once the token is cancelled — ``polls_after_cancel[member]``.  The
-    portfolio reports these as each loser's progress at cancellation, and
-    the counters make cooperative shutdown *testable*: a well-behaved search
-    loop observes the cancel within a handful of polls, so
-    ``polls_after_cancel`` stays tiny.
-
-    Counter updates are plain dict mutations without a lock: each member
-    name is only ever written by its own racing thread, and single-key dict
-    operations are atomic under the GIL — a lock here would tax the hottest
-    loops (CDCL decisions, product expansion) for nothing.
-    """
-
-    __slots__ = ("_event", "polls", "polls_after_cancel")
+    __slots__ = ("_event",)
 
     def __init__(self) -> None:
         self._event = threading.Event()
-        self.polls: dict = {}
-        self.polls_after_cancel: dict = {}
 
     def cancel(self) -> None:
         self._event.set()
@@ -71,24 +54,6 @@ class CancelToken:
     @property
     def cancelled(self) -> bool:
         return self._event.is_set()
-
-    def note_poll(self, member: str) -> None:
-        """Record one cancellation poll by ``member``'s search loop."""
-        self.polls[member] = self.polls.get(member, 0) + 1
-        if self._event.is_set():
-            self.polls_after_cancel[member] = (
-                self.polls_after_cancel.get(member, 0) + 1
-            )
-
-    def progress_snapshot(self) -> dict:
-        """Member → {polls, polls_after_cancel} at the time of the call."""
-        return {
-            member: {
-                "polls": count,
-                "polls_after_cancel": self.polls_after_cancel.get(member, 0),
-            }
-            for member, count in sorted(self.polls.items())
-        }
 
 
 class _NestedToken(CancelToken):
@@ -114,23 +79,14 @@ def active_cancel_token() -> Optional[CancelToken]:
 
 
 @contextmanager
-def using_cancel_token(
-    token: Optional[CancelToken], member: Optional[str] = None
-) -> Iterator[Optional[CancelToken]]:
-    """Install ``token`` as the current thread's cancel token.
-
-    ``member`` names this thread in the token's poll counters (the portfolio
-    passes the racing engine's name); unnamed threads poll without counting.
-    """
+def using_cancel_token(token: Optional[CancelToken]) -> Iterator[Optional[CancelToken]]:
+    """Install ``token`` as the current thread's cancel token."""
     previous = getattr(_LOCAL, "token", None)
-    previous_member = getattr(_LOCAL, "member", None)
     _LOCAL.token = token
-    _LOCAL.member = member
     try:
         yield token
     finally:
         _LOCAL.token = previous
-        _LOCAL.member = previous_member
 
 
 @contextmanager
@@ -156,10 +112,5 @@ def cancel_after(seconds: float) -> Iterator[CancelToken]:
 def check_cancelled() -> None:
     """Raise :class:`Cancelled` when the current thread's token is set."""
     token = getattr(_LOCAL, "token", None)
-    if token is None:
-        return
-    member = getattr(_LOCAL, "member", None)
-    if member is not None:
-        token.note_poll(member)
-    if token.cancelled:
+    if token is not None and token.cancelled:
         raise Cancelled()

@@ -22,15 +22,14 @@ an engine by name.
 
 from __future__ import annotations
 
-import inspect
 import threading
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..ltl.ast import Formula, Not
 from ..ltl.traces import LassoTrace
-from ..obs import PhaseAggregator, metrics, span
+from ..obs import metrics, span
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a core import cycle
     from ..core.spec import CoverageProblem
@@ -38,6 +37,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a core import cycle
     from ..rtl.netlist import Module
 
 __all__ = [
+    "RunResult",
     "EngineVerdict",
     "CoverageEngine",
     "ExplicitEngine",
@@ -48,6 +48,24 @@ __all__ = [
     "engine_names",
     "engine_from_options",
 ]
+
+
+@dataclass
+class RunResult:
+    """One engine's answer to an existential query (what ``find_run`` returns).
+
+    ``complete`` is the strength of a "no run" answer: ``False`` when it
+    holds only up to ``bound``.  ``winner`` names the base engine that
+    decided a ``portfolio`` or ``auto`` query.  ``statistics`` is the
+    kernel's search record; a run replayed from the result cache has none.
+    """
+
+    satisfiable: bool
+    complete: bool
+    witness: Optional[LassoTrace] = None
+    bound: Optional[int] = None
+    winner: Optional[str] = None
+    statistics: object = None
 
 
 @dataclass
@@ -114,8 +132,8 @@ class CoverageEngine:
         self.slicing = slicing
         #: The bound a bounded search would run to.  Complete engines never
         #: use it to decide, but it is part of every engine's *feature
-        #: record* (suite shard rows, cached payloads), so every row carries
-        #: the configured bound, never ``None``.
+        #: record* (verdicts, suite shard rows), so every record carries the
+        #: configured bound, never ``None``.
         self.max_bound = max_bound
 
     def compile(
@@ -147,7 +165,7 @@ class CoverageEngine:
         formulas: Optional[Sequence[Formula]] = None,
         *,
         observe: Sequence[str] = (),
-    ):
+    ) -> RunResult:
         """Existential query: a run of the model satisfying every formula.
 
         ``target`` is either a raw :class:`~repro.rtl.netlist.Module` (with
@@ -155,12 +173,7 @@ class CoverageEngine:
         :class:`~repro.problem.CompiledProblem`, memoized — or an already
         compiled problem.  ``observe`` lists extra signals to keep in the
         slice and in witness traces (ignored when a compiled problem is
-        passed).
-
-        Returns an object with ``satisfiable`` and ``witness`` attributes
-        (:class:`~repro.mc.modelcheck.ExistentialResult`,
-        :class:`~repro.bmc.engine.BMCResult` or a replayed
-        :class:`~repro.runner.cache.CachedRunResult`).
+        passed).  Every engine returns a :class:`RunResult`.
 
         When a result cache is active (:mod:`repro.runner.cache`), the query
         is fingerprinted — *sliced* module structure + formulas + free
@@ -179,7 +192,7 @@ class CoverageEngine:
         if cache is None:
             return self._instrumented_run(problem)
 
-        from ..runner.cache import CachedRunResult, encode_run_result, query_key
+        from ..runner.cache import decode_trace, encode_trace, query_key
 
         key = query_key(
             "engine-run",
@@ -191,24 +204,35 @@ class CoverageEngine:
         )
         payload = cache.get(key)
         if payload is not None:
-            return CachedRunResult.from_payload(payload)
-        # Freshly decided queries are stored with their feature record and
-        # per-phase timing breakdown.
-        with PhaseAggregator() as phases:
-            result = self._instrumented_run(problem)
-        payload = encode_run_result(result)
-        payload["features"] = problem.features(bound=self.max_bound)
-        payload["timings"] = phases.timings()
-        cache.put(key, payload)
+            # Entries written without a completeness take the engine's own.
+            complete = payload.get("complete")
+            return RunResult(
+                satisfiable=bool(payload["satisfiable"]),
+                complete=self.complete if complete is None else bool(complete),
+                witness=decode_trace(payload.get("witness")),
+                bound=payload.get("bound"),
+                winner=payload.get("winner"),
+            )
+        result = self._instrumented_run(problem)
+        cache.put(
+            key,
+            {
+                "satisfiable": result.satisfiable,
+                "complete": result.complete,
+                "witness": encode_trace(result.witness),
+                "bound": result.bound,
+                "winner": result.winner,
+            },
+        )
         return result
 
-    def _instrumented_run(self, problem: "CompiledProblem"):
+    def _instrumented_run(self, problem: "CompiledProblem") -> RunResult:
         """Run the engine-specific search under an ``engine_run`` span."""
         with span(
             "engine_run", engine=self.name, design=problem.source_name
         ) as sp:
             result = self._find_run(problem)
-            sp.set(satisfiable=bool(result.satisfiable))
+            sp.set(satisfiable=result.satisfiable)
         metrics().inc(f"engine.{self.name}.runs")
         return result
 
@@ -220,14 +244,9 @@ class CoverageEngine:
         """Engine-specific components of this engine's cache keys."""
         return ()
 
-    def _find_run(self, problem: "CompiledProblem"):
+    def _find_run(self, problem: "CompiledProblem") -> RunResult:
         """Engine-specific uncached search (overridden by each engine)."""
         raise NotImplementedError
-
-    def _result_complete(self, result) -> bool:
-        """Completeness of one search result (portfolio results carry their own)."""
-        complete = getattr(result, "complete", None)
-        return self.complete if complete is None else bool(complete)
 
     def check_primary(
         self,
@@ -252,12 +271,12 @@ class CoverageEngine:
             covered=not result.satisfiable,
             # A refutation (concrete witness) is definitive for every engine;
             # only a *covered* verdict inherits the result's boundedness.
-            complete=self._result_complete(result) or result.satisfiable,
+            complete=result.complete or result.satisfiable,
             witness=result.witness,
             elapsed_seconds=elapsed,
-            bound=getattr(result, "bound", None),
-            statistics=getattr(result, "statistics", None),
-            winner=getattr(result, "winner", None),
+            bound=result.bound,
+            statistics=result.statistics,
+            winner=result.winner,
             features=compiled.features(bound=self.max_bound),
         )
 
@@ -285,14 +304,20 @@ class ExplicitEngine(CoverageEngine):
     name = "explicit"
     complete = True
 
-    def _find_run(self, problem: "CompiledProblem"):
+    def _find_run(self, problem: "CompiledProblem") -> RunResult:
         from ..mc.modelcheck import find_run
 
-        return find_run(
+        result = find_run(
             problem.module,
             problem.formulas,
             extra_free=problem.free_signals,
             automata=problem.automata,
+        )
+        return RunResult(
+            satisfiable=result.satisfiable,
+            complete=True,
+            witness=result.witness,
+            statistics=result.statistics,
         )
 
 
@@ -322,7 +347,7 @@ class BmcEngine(CoverageEngine):
     def _cache_bound(self) -> Optional[int]:
         return self.max_bound
 
-    def _find_run(self, problem: "CompiledProblem"):
+    def _find_run(self, problem: "CompiledProblem") -> RunResult:
         from ..bmc.engine import bmc_free_atoms, find_run_bmc
         from ..bmc.incremental import BMCSession
         from ..runner.cache import module_fingerprint
@@ -336,7 +361,7 @@ class BmcEngine(CoverageEngine):
         if session is None or not session.compatible_with(problem.module, free_atoms):
             session = BMCSession(problem.module, free_atoms)
         try:
-            return find_run_bmc(
+            result = find_run_bmc(
                 problem.module,
                 problem.formulas,
                 max_bound=self.max_bound,
@@ -350,27 +375,26 @@ class BmcEngine(CoverageEngine):
                 self._sessions[key] = session
                 while len(self._sessions) > self._SESSION_POOL_LIMIT:
                     self._sessions.pop(next(iter(self._sessions)))
+        return RunResult(
+            satisfiable=result.satisfiable,
+            complete=False,
+            witness=result.witness,
+            bound=result.bound,
+            statistics=result.statistics,
+        )
 
 
 # -- registry -----------------------------------------------------------------
 
 # The symbolic, portfolio and auto engines register themselves from their
-# own modules once the package __init__ has imported them.  Each factory is
-# stored with the keyword names it accepts (``None``: it takes ``**kwargs``),
-# read from its signature once, here, instead of on every lookup.
-_ENGINES: Dict[str, Tuple[Callable[..., CoverageEngine], Optional[FrozenSet[str]]]] = {}
-
-
-def _accepted_keywords(factory: Callable[..., CoverageEngine]) -> Optional[FrozenSet[str]]:
-    parameters = inspect.signature(factory).parameters
-    if any(p.kind is inspect.Parameter.VAR_KEYWORD for p in parameters.values()):
-        return None
-    return frozenset(parameters)
+# own modules once the package __init__ has imported them.  Every factory is
+# a CoverageEngine subclass that takes ``max_bound`` and ``slicing``.
+_ENGINES: Dict[str, Callable[..., CoverageEngine]] = {}
 
 
 def register_engine(name: str, factory: Callable[..., CoverageEngine]) -> None:
     """Register an engine factory; keyword arguments pass through lookups."""
-    _ENGINES[name] = (factory, _accepted_keywords(factory))
+    _ENGINES[name] = factory
 
 
 def unregister_engine(name: str) -> None:
@@ -393,21 +417,12 @@ def engine_names() -> tuple:
 
 
 def get_engine(name: str, **kwargs) -> CoverageEngine:
-    """Instantiate an engine by its registered name.
-
-    Keyword arguments are forwarded to the factory *filtered by its
-    signature*, so generic call sites can pass the whole tuning set
-    (``get_engine(options.engine, max_bound=options.bmc_max_bound)``) and each
-    engine picks up only the knobs it understands.
-    """
-    registered = _ENGINES.get(name) if isinstance(name, str) else None
-    if registered is None:
+    """Instantiate an engine by its registered name (``max_bound``, ``slicing``)."""
+    factory = _ENGINES.get(name) if isinstance(name, str) else None
+    if factory is None:
         known = ", ".join(engine_names())
         raise KeyError(f"unknown coverage engine {name!r} (known: {known})")
-    factory, accepted = registered
-    if accepted is None:
-        return factory(**kwargs)
-    return factory(**{k: v for k, v in kwargs.items() if k in accepted})
+    return factory(**kwargs)
 
 
 def engine_from_options(options) -> CoverageEngine:

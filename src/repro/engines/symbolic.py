@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .coverage import CoverageEngine, register_engine
+from .coverage import CoverageEngine, RunResult, register_engine
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..problem import CompiledProblem
@@ -35,14 +35,20 @@ class SymbolicEngine(CoverageEngine):
     name = "symbolic"
     complete = True
 
-    def _find_run(self, problem: "CompiledProblem"):
+    def _find_run(self, problem: "CompiledProblem") -> RunResult:
         from ..mc.symbolic import find_run_symbolic
 
-        return find_run_symbolic(
+        result = find_run_symbolic(
             problem.module,
             problem.formulas,
             automata=problem.automata,
             extra_free=problem.free_signals,
+        )
+        return RunResult(
+            satisfiable=result.satisfiable,
+            complete=True,
+            witness=result.witness,
+            statistics=result.statistics,
         )
 
 

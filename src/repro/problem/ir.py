@@ -106,8 +106,8 @@ class CompiledProblem:
         The structural size of the (sliced) query — cone size, register
         count, automaton states — plus the bound the bounded engine would
         search to.  The ``auto`` engine picks its engine from
-        ``automaton_states``.  Recorded in suite shard rows, cached result
-        payloads and trace span attributes.
+        ``automaton_states``.  Recorded in verdicts, suite shard rows and
+        trace span attributes.
         """
         return {
             "coi_size": len(self.module.assigns) + len(self.module.registers),

@@ -10,7 +10,6 @@
 """
 
 from .cache import (
-    CachedRunResult,
     CacheStats,
     ResultCache,
     active_result_cache,
@@ -26,7 +25,6 @@ from .report import render_json, render_markdown, render_text, suite_to_dict
 from .suite import CoverageJob, ShardResult, SuiteResult, execute_shard, expand_jobs, run_suite
 
 __all__ = [
-    "CachedRunResult",
     "CacheStats",
     "ResultCache",
     "active_result_cache",

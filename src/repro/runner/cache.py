@@ -74,8 +74,6 @@ __all__ = [
     "query_key",
     "encode_trace",
     "decode_trace",
-    "encode_run_result",
-    "CachedRunResult",
     "CacheStats",
     "ResultCache",
     "counting_lookups",
@@ -273,66 +271,6 @@ def decode_trace(payload: Optional[dict]) -> Optional[LassoTrace]:
     if payload is None:
         return None
     return LassoTrace(payload["stem"], payload["loop"])
-
-
-def encode_run_result(result) -> dict:
-    """Encode any engine run result (explicit / BMC / portfolio / cached).
-
-    ``complete`` and ``winner`` are carried for results that declare them
-    (the portfolio engine's verdict strength depends on which member won;
-    ``None`` means "the engine's own completeness applies").
-    """
-    return {
-        "satisfiable": bool(result.satisfiable),
-        "witness": encode_trace(result.witness),
-        "bound": getattr(result, "bound", None),
-        "loop_start": getattr(result, "loop_start", None),
-        "elapsed_seconds": float(getattr(result, "elapsed_seconds", 0.0)),
-        "complete": getattr(result, "complete", None),
-        "winner": getattr(result, "winner", None),
-    }
-
-
-@dataclass
-class CachedRunResult:
-    """A decided query replayed from the cache.
-
-    Duck-type compatible with :class:`~repro.mc.modelcheck.ExistentialResult`
-    and :class:`~repro.bmc.engine.BMCResult` where the engine layer needs it
-    (``satisfiable`` / ``witness`` / ``bound`` / ``statistics``).
-    """
-
-    satisfiable: bool
-    witness: Optional[LassoTrace] = None
-    bound: Optional[int] = None
-    loop_start: Optional[int] = None
-    statistics: object = None
-    elapsed_seconds: float = 0.0
-    cached: bool = True
-    #: ``None`` means "the replaying engine's own completeness applies".
-    complete: Optional[bool] = None
-    winner: Optional[str] = None
-    #: Feature / per-phase timing records captured when the query was first
-    #: decided; ``None`` on entries written before the records existed.
-    features: Optional[dict] = None
-    timings: Optional[dict] = None
-
-    def __bool__(self) -> bool:  # pragma: no cover - convenience
-        return self.satisfiable
-
-    @staticmethod
-    def from_payload(payload: dict) -> "CachedRunResult":
-        return CachedRunResult(
-            satisfiable=bool(payload["satisfiable"]),
-            witness=decode_trace(payload.get("witness")),
-            bound=payload.get("bound"),
-            loop_start=payload.get("loop_start"),
-            elapsed_seconds=float(payload.get("elapsed_seconds", 0.0)),
-            complete=payload.get("complete"),
-            winner=payload.get("winner"),
-            features=payload.get("features"),
-            timings=payload.get("timings"),
-        )
 
 
 # -- the cache ----------------------------------------------------------------

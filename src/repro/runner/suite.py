@@ -270,13 +270,12 @@ def _answer(
         verdict = engine.check_primary(
             problem, architectural=problem.architectural[job.index]
         )
-        features = _shard_features(verdict.features, job)
         return (
             bool(verdict.covered),
             bool(verdict.complete),
             "",
             verdict.winner,
-            features,
+            verdict.features,
         )
     if job.kind == "signal":
         module = problem.composed_module()
@@ -284,36 +283,16 @@ def _answer(
         # Compile explicitly (memoized, so free when find_run recompiles)
         # so the shard row carries the query's feature record.
         compiled = engine.compile(module, formulas, observe=(job.target,))
-        features = _shard_features(compiled.features(bound=job.bound), job)
         result = engine.find_run(compiled)
-        observable = bool(result.satisfiable)
-        result_complete = getattr(result, "complete", None)
-        if result_complete is None:
-            result_complete = engine.complete
         # "never observable" is definitive only on a complete verdict.
         return (
-            observable,
-            result_complete or observable,
+            result.satisfiable,
+            result.complete or result.satisfiable,
             "",
-            getattr(result, "winner", None),
-            features,
+            result.winner,
+            compiled.features(bound=job.bound),
         )
     raise ValueError(f"unknown shard kind {job.kind!r}")
-
-
-def _shard_features(features: Optional[dict], job: CoverageJob) -> Optional[dict]:
-    """Fill the job's bound into a feature record when the engine has none.
-
-    Complete engines key their caches without a bound, so their feature
-    records carry ``bound=None``; every row still carries the configured
-    suite bound.
-    """
-    if features is None:
-        return None
-    if features.get("bound") is None:
-        features = dict(features)
-        features["bound"] = job.bound
-    return features
 
 
 def execute_shard(job: CoverageJob, timeout: Optional[float] = None) -> ShardResult:

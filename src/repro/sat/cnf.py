@@ -11,7 +11,7 @@ conjunction of clauses.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 
 __all__ = ["Literal", "Clause", "CNF", "VariablePool", "CNFError"]
 
@@ -39,13 +39,6 @@ class Literal:
 
     def __int__(self) -> int:
         return self.variable if self.positive else -self.variable
-
-    @staticmethod
-    def from_int(value: int) -> "Literal":
-        """Build a literal from a signed DIMACS-style integer."""
-        if value == 0:
-            raise CNFError("literal integer must be non-zero")
-        return Literal(abs(value), value > 0)
 
     def evaluate(self, assignment: Mapping[int, bool]) -> Optional[bool]:
         """Value under a (possibly partial) assignment; ``None`` if unassigned."""
@@ -120,6 +113,8 @@ class VariablePool:
         self._name_to_index: Dict[str, int] = {}
         self._index_to_name: Dict[int, str] = {}
         self._next_index = 1
+        #: Indices handed out by :meth:`fresh`, whose names are only labels.
+        self._fresh: Set[int] = set()
 
     def __len__(self) -> int:
         return self._next_index - 1
@@ -129,6 +124,13 @@ class VariablePool:
         if not name:
             raise CNFError("variable name must be non-empty")
         index = self._name_to_index.get(name)
+        if index in self._fresh:
+            # An anonymous variable took this name first: it moves to another
+            # label, so the named signal gets a variable of its own.
+            label = self._untaken(name)
+            self._name_to_index[label] = index
+            self._index_to_name[index] = label
+            index = None
         if index is None:
             index = self._next_index
             self._next_index += 1
@@ -137,9 +139,15 @@ class VariablePool:
         return index
 
     def fresh(self, prefix: str = "_t") -> int:
-        """Allocate an anonymous (Tseitin) variable with a unique name."""
-        index = self._next_index
-        return self.variable(f"{prefix}{index}")
+        """Allocate an anonymous (Tseitin) variable under a name not yet taken."""
+        index = self.variable(self._untaken(f"{prefix}{self._next_index}"))
+        self._fresh.add(index)
+        return index
+
+    def _untaken(self, name: str) -> str:
+        while name in self._name_to_index:
+            name += "'"
+        return name
 
     def literal(self, name: str, positive: bool = True) -> Literal:
         return Literal(self.variable(name), positive)

@@ -60,6 +60,13 @@ class TestEngineRegistry:
         assert excinfo.value.code == 2
         assert f"invalid choice: {alias!r}" in capsys.readouterr().err
 
+    def test_unknown_keyword_rejected(self):
+        # Every factory takes exactly max_bound and slicing: a misspelt
+        # option fails loudly instead of running with the defaults.
+        for name in engine_names():
+            with pytest.raises(TypeError):
+                get_engine(name, max_bnd=4)
+
     def test_bmc_bound_forwarding(self):
         assert get_engine("bmc", max_bound=4).max_bound == 4
 
@@ -67,12 +74,9 @@ class TestEngineRegistry:
         import repro.mc.symbolic as symbolic
         from repro.runner.cache import using_result_cache
 
-        # Generic call sites pass the whole tuning set; the factory keeps
-        # what it knows and filters out what it does not.
-        engine = get_engine("symbolic", max_bound=4, verify_witness=False)
+        engine = get_engine("symbolic", max_bound=4)
         assert isinstance(engine, SymbolicEngine)
         assert engine.max_bound == 4
-        assert not hasattr(engine, "verify_witness")
         # Every witness is replayed on the simulator before it is reported.
         replayed = []
         replay = symbolic._replay_witness

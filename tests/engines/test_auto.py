@@ -1,5 +1,5 @@
 """The rule-scheduled ``auto`` engine: its threshold and its choice on every
-catalog conjunct, the complete fallback behind ``bmc``, agreement with the
+catalog conjunct, the explicit fallback behind ``bmc``, agreement with the
 explicit engine, slicing and cache identity."""
 
 import inspect
@@ -85,13 +85,44 @@ def test_catalog_conjunct_runs_the_ruled_engine_alone(design, index):
 
 def test_covered_small_query_falls_back_to_a_complete_verdict():
     """bmc finding no witness only holds up to the bound: the complete
-    engines must finish the job."""
+    explicit engine must finish the job."""
     problem = random_design_entries(4, _RANDOM_SEED)[3].builder()
     verdict = AutoEngine(max_bound=_BMC_BOUND).check_primary(problem)
     assert verdict.features["automaton_states"] <= EXPLICIT_ABOVE_STATES
     assert verdict.covered is True
     assert verdict.complete is True
-    assert verdict.winner in ("explicit", "symbolic")
+    assert verdict.winner == "explicit"
+
+
+def test_fallback_starts_no_thread(monkeypatch):
+    """When bmc finds no witness, explicit decides in the caller's thread."""
+    import threading
+
+    problem = random_design_entries(4, _RANDOM_SEED)[3].builder()
+    started = []
+    real_start = threading.Thread.start
+
+    def recording_start(self):
+        started.append(self.name)
+        return real_start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
+    verdict = AutoEngine(max_bound=_BMC_BOUND).check_primary(problem)
+    assert started == []
+    assert verdict.winner == "explicit"
+    assert verdict.covered is True
+    assert verdict.complete is True
+
+
+def test_gap_deeper_than_the_bound_falls_back_to_explicits_witness():
+    """paper_example's shortest gap run is longer than bound 1, so bmc finds
+    no witness and explicit's concrete one decides."""
+    verdict = AutoEngine(max_bound=1).check_primary(get_design("paper_example").builder())
+    assert verdict.features["automaton_states"] <= EXPLICIT_ABOVE_STATES
+    assert verdict.covered is False
+    assert verdict.complete is True
+    assert verdict.winner == "explicit"
+    assert verdict.witness is not None
 
 
 def test_gap_query_stays_on_bmc():
@@ -114,7 +145,7 @@ def test_agrees_with_explicit_on_random_designs(index):
     assert actual.covered == expected.covered, entry.name
     assert actual.complete is True, entry.name
     assert actual.winner == pick_engine(actual.features) or (
-        pick_engine(actual.features) == "bmc" and actual.winner in ("explicit", "symbolic")
+        pick_engine(actual.features) == "bmc" and actual.winner == "explicit"
     ), entry.name
 
 
@@ -141,7 +172,7 @@ def test_fallback_winner_survives_cache_replay():
         hits_before = cache.stats.hits
         second = engine.check_primary(problem)
     assert cache.stats.hits > hits_before
-    assert first.winner in ("explicit", "symbolic")
+    assert first.winner == "explicit"
     assert second.winner == first.winner
     assert second.covered is first.covered is True
     assert second.complete is True

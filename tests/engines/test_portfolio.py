@@ -6,7 +6,9 @@ from repro.designs import get_design
 from repro.engines import (
     CancelToken,
     Cancelled,
+    ExplicitEngine,
     PortfolioEngine,
+    SymbolicEngine,
     check_cancelled,
     get_engine,
     using_cancel_token,
@@ -31,6 +33,18 @@ def no_race_threads(monkeypatch):
         return real_start(self)
 
     monkeypatch.setattr(threading.Thread, "start", failing_start)
+
+
+@pytest.fixture
+def complete_members_fail(monkeypatch):
+    """The explicit and symbolic members raise, so only bmc can answer: the
+    path to the bounded fallback."""
+
+    def fail(self, problem):
+        raise RuntimeError(f"{self.name} unavailable")
+
+    monkeypatch.setattr(ExplicitEngine, "_find_run", fail)
+    monkeypatch.setattr(SymbolicEngine, "_find_run", fail)
 
 
 def _primary_run(engine, problem):
@@ -71,59 +85,51 @@ class TestCancellation:
 
 
 class TestPollCounters:
-    def test_polls_counted_per_member(self):
-        token = CancelToken()
-        with using_cancel_token(token, member="bmc"):
-            for _ in range(5):
-                check_cancelled()
-        snap = token.progress_snapshot()
-        assert snap == {"bmc": {"polls": 5, "polls_after_cancel": 0}}
-
     def test_cancel_observed_at_first_poll(self):
+        # Cooperative shutdown: a search loop dies at its first poll after
+        # the cancel, so no poll past the cancellation point returns.
         token = CancelToken()
-        with using_cancel_token(token, member="explicit"):
-            check_cancelled()
-            token.cancel()
+        polls = 0
+        with using_cancel_token(token):
             with pytest.raises(Cancelled):
-                check_cancelled()
-        snap = token.progress_snapshot()
-        # Cooperative shutdown: the member dies at its first poll after the
-        # cancel, so exactly one poll lands past the cancellation point.
-        assert snap["explicit"]["polls"] == 2
-        assert snap["explicit"]["polls_after_cancel"] == 1
+                while True:
+                    check_cancelled()
+                    polls += 1
+                    if polls == 3:
+                        token.cancel()
+        assert polls == 3
 
-    def test_anonymous_polls_are_not_counted(self):
-        token = CancelToken()
-        with using_cancel_token(token):  # no member name
-            check_cancelled()
-        assert token.progress_snapshot() == {}
+    def test_parallel_race_reports_loser_progress(self, monkeypatch):
+        # A real race: all three members start in their own threads, and the
+        # losers observe the winner's cancellation, so none of them is still
+        # running once the race returns.
+        import threading
 
-    def test_parallel_race_reports_loser_progress(self):
-        # A real race: the result must carry the per-member snapshot, and no
-        # losing member may keep polling past the handful it needs to observe
-        # the winner's cancellation.
+        started = []
+        real_start = threading.Thread.start
+
+        def recording_start(self):
+            started.append(self)
+            return real_start(self)
+
+        monkeypatch.setattr(threading.Thread, "start", recording_start)
         problem = get_design("paper_example").builder()
         engine = get_engine("portfolio", max_bound=_BMC_BOUND)
         compiled = engine.compile(
             problem.composed_module(), list(problem.rtl_properties)
         )
         result = engine.find_run(compiled)
-        assert result.progress is not None
-        for member, entry in result.progress.items():
-            assert member in ("explicit", "bmc", "symbolic")
-            assert entry["polls"] >= 1
-            assert entry["polls_after_cancel"] <= 2, (member, entry)
+        members = [thread for thread in started if thread.name.startswith("portfolio-")]
+        assert sorted(thread.name for thread in members) == [
+            "portfolio-bmc", "portfolio-explicit", "portfolio-symbolic"
+        ]
+        assert not any(thread.is_alive() for thread in members)
+        assert result.winner in ("explicit", "bmc", "symbolic")
 
 
 class TestRegistry:
     def test_registered(self):
         assert isinstance(get_engine("portfolio"), PortfolioEngine)
-
-    def test_member_validation(self):
-        with pytest.raises(ValueError):
-            PortfolioEngine(members=())
-        with pytest.raises(ValueError):
-            PortfolioEngine(members=("portfolio",))
 
     def test_kwarg_forwarding(self):
         engine = get_engine("portfolio", max_bound=4, slicing=False)
@@ -153,32 +159,65 @@ class TestVerdicts:
 
 
 class TestDecisiveness:
-    def test_witness_from_bounded_member_is_decisive(self):
+    def test_witness_from_bounded_member_is_decisive(self, complete_members_fail):
         # A gap design: bmc's satisfiable verdict is concrete and final.
         problem = get_design("mal_fig4").builder()
-        engine = PortfolioEngine(max_bound=_BMC_BOUND, members=("bmc",))
-        verdict = engine.check_primary(problem)
+        verdict = PortfolioEngine(max_bound=_BMC_BOUND).check_primary(problem)
         assert not verdict.covered
         assert verdict.winner == "bmc"
         assert verdict.complete  # refutations are definitive
 
-    def test_bounded_unsat_fallback_is_incomplete(self):
-        # A covered design with only the bounded member: the race has no
-        # decisive verdict and must fall back to the bounded one, saying so.
+    def test_bounded_unsat_fallback_is_incomplete(self, complete_members_fail):
+        # A covered design with only the bounded member answering: the race
+        # has no decisive verdict and must fall back to the bounded one,
+        # saying so.
         problem = get_design("mal_fig2").builder()
-        engine = PortfolioEngine(max_bound=_BMC_BOUND, members=("bmc",))
-        verdict = engine.check_primary(problem)
+        verdict = PortfolioEngine(max_bound=_BMC_BOUND).check_primary(problem)
         assert verdict.covered
         assert verdict.winner == "bmc"
         assert not verdict.complete
 
-    def test_complete_member_beats_bounded_fallback(self, no_race_threads):
+    def test_complete_member_beats_bounded_fallback(self, no_race_threads, monkeypatch):
+        # The ladder's first rung fails and bmc's bounded "covered" is not
+        # decisive, so the ladder climbs on to the complete symbolic member.
+        def fail(self, problem):
+            raise RuntimeError("explicit unavailable")
+
+        monkeypatch.setattr(ExplicitEngine, "_find_run", fail)
         problem = get_design("mal_fig2").builder()
-        engine = PortfolioEngine(max_bound=_BMC_BOUND, members=("bmc", "explicit"))
-        verdict = engine.check_primary(problem)
+        verdict = PortfolioEngine(max_bound=_BMC_BOUND).check_primary(problem)
         assert verdict.covered
-        assert verdict.winner == "explicit"
+        assert verdict.winner == "symbolic"
         assert verdict.complete
+
+
+    def test_race_without_any_verdict_names_every_member(self, monkeypatch):
+        """With every member failing, the race still ends once all three have
+        reported, and names each of them, while threads switch every few
+        bytecodes (a lost update would leave the race waiting)."""
+        import sys
+
+        from repro.engines import BmcEngine
+        from repro.engines.cancel import cancel_after
+
+        def fail(self, problem):
+            raise RuntimeError(f"{self.name} unavailable")
+
+        for engine_class in (ExplicitEngine, BmcEngine, SymbolicEngine):
+            monkeypatch.setattr(engine_class, "_find_run", fail)
+        problem = get_design("mal_fig2").builder()
+        engine = PortfolioEngine(max_bound=_BMC_BOUND)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with cancel_after(30):
+                for _ in range(30):
+                    with pytest.raises(RuntimeError, match="every portfolio member failed") as info:
+                        _primary_run(engine, problem)
+                    for name in ("explicit", "bmc", "symbolic"):
+                        assert f"{name}=error: RuntimeError: {name} unavailable" in str(info.value)
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestCaching:
@@ -193,14 +232,14 @@ class TestCaching:
         assert second.complete == first.complete
 
     def test_member_set_is_part_of_the_cache_key(self):
-        # A bmc-only race caches a bounded verdict that must never shadow
-        # the full race's complete proof of the same query.
+        # The portfolio keys its entries with its fixed member set, so keys
+        # written while the set was configurable still hit, and bmc's bounded
+        # entry of the same query never shadows the race's complete proof.
+        assert PortfolioEngine()._cache_extra() == ("members=explicit,bmc,symbolic",)
         problem = get_design("mal_fig2").builder()
         cache = ResultCache()
         with using_result_cache(cache):
-            bounded = PortfolioEngine(
-                max_bound=_BMC_BOUND, members=("bmc",)
-            ).check_primary(problem)
+            bounded = get_engine("bmc", max_bound=_BMC_BOUND).check_primary(problem)
             stores = cache.stats.stores
             full = get_engine("portfolio", max_bound=_BMC_BOUND).check_primary(problem)
         assert not bounded.complete
@@ -222,18 +261,6 @@ class TestCaching:
 
 
 class TestMode:
-    def test_race_records_mode(self):
-        result = _primary_run(
-            get_engine("portfolio", max_bound=_BMC_BOUND), get_design("mal_fig2").builder()
-        )
-        assert result.mode == "race"
-
-    def test_ladder_records_mode(self, no_race_threads):
-        result = _primary_run(
-            PortfolioEngine(max_bound=_BMC_BOUND), get_design("mal_fig2").builder()
-        )
-        assert result.mode == "ladder"
-
     @pytest.mark.parametrize("mode", ["race", "ladder"])
     def test_race_span_records_mode(self, mode, request):
         from repro.obs import add_sink, remove_sink
@@ -257,7 +284,6 @@ class TestMode:
         finally:
             remove_sink(sink)
         [race] = [r for r in sink.records if r.name == "portfolio_race"]
-        assert race.attrs["mode"] == mode == result.mode
         assert race.attrs["winner"] == result.winner
         assert "sched" not in race.attrs
 
@@ -273,28 +299,27 @@ class TestLadderWinner:
             engine = PortfolioEngine(max_bound=_BMC_BOUND)
             verdict = engine.check_primary(entry.builder())
             assert verdict.winner in ("explicit", "bmc", "symbolic"), design
-            assert _primary_run(engine, entry.builder()).mode == "ladder", design
 
-    def test_ladder_bounded_fallback_still_names_winner(self):
+    def test_ladder_bounded_fallback_still_names_winner(
+        self, no_race_threads, complete_members_fail
+    ):
         problem = get_design("mal_fig2").builder()
-        engine = PortfolioEngine(max_bound=_BMC_BOUND, members=("bmc",))
+        engine = PortfolioEngine(max_bound=_BMC_BOUND)
         # The primary coverage query of a covered design: unsatisfiable, so
         # the bounded member can only answer "unsat up to the bound".
         result = _primary_run(engine, problem)
         assert result.winner == "bmc"
         assert result.complete is False
-        assert result.mode == "ladder"
-        assert result.outcomes["bmc"] == "won"
 
     def test_ladder_winner_survives_cache_replay(self, no_race_threads):
         problem = get_design("mal_fig2").builder()
         engine = PortfolioEngine(max_bound=_BMC_BOUND)
-        with using_result_cache(ResultCache()):
+        with using_result_cache(ResultCache()) as cache:
             first = _primary_run(engine, problem)
+            hits = cache.stats.hits
             second = _primary_run(engine, problem)
-        assert first.mode == "ladder"
         assert first.winner is not None
-        assert second.cached is True
+        assert cache.stats.hits == hits + 1
         assert second.winner == first.winner
 
     def test_ladder_winner_in_suite_rows(self):
@@ -335,5 +360,4 @@ class TestLadderWinner:
         )
         assert (not result.satisfiable) == entry.expected_covered
         assert result.winner in ("explicit", "bmc", "symbolic")
-        assert result.mode == "ladder"
         assert calls["n"] >= 2

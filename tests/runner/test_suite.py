@@ -106,8 +106,8 @@ class TestExecution:
     @pytest.mark.parametrize("design", sorted(CATALOG))
     def test_auto_primary_shards_agree_with_explicit(self, design):
         """Every ``auto`` shard is complete, agrees with explicit and was
-        decided by the engine the rule picks (or by the complete race behind
-        a witness-less ``bmc`` run)."""
+        decided by the engine the rule picks (or by explicit behind a
+        witness-less ``bmc`` run)."""
         auto = run_suite(
             expand_jobs([design], engine="auto", bound=6, include_signals=False),
             workers=1,
@@ -121,7 +121,7 @@ class TestExecution:
         for shard in auto.shards:
             assert shard.complete is True, shard.job.job_id
             picked = pick_engine(shard.features)
-            fallback = picked == "bmc" and shard.winner in ("explicit", "symbolic")
+            fallback = picked == "bmc" and shard.winner == "explicit"
             assert shard.winner == picked or fallback, shard.job.job_id
 
     def test_no_cache_records_no_lookups(self):

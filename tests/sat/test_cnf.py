@@ -1,8 +1,14 @@
 """Unit tests for the CNF containers (literals, clauses, variable pool)."""
 
+import random
+
 import pytest
 
+from repro.designs.random import random_boolexpr
+from repro.logic.boolexpr import is_contradiction
 from repro.sat.cnf import CNF, Clause, CNFError, Literal, VariablePool
+from repro.sat.solver import solve
+from repro.sat.tseitin import encode_constraint
 
 
 class TestLiteral:
@@ -14,14 +20,6 @@ class TestLiteral:
     def test_int_conversion_matches_dimacs_convention(self):
         assert int(Literal(5, True)) == 5
         assert int(Literal(5, False)) == -5
-
-    def test_from_int_round_trips(self):
-        assert Literal.from_int(-7) == Literal(7, False)
-        assert Literal.from_int(7) == Literal(7, True)
-
-    def test_from_int_rejects_zero(self):
-        with pytest.raises(CNFError):
-            Literal.from_int(0)
 
     def test_non_positive_variable_rejected(self):
         with pytest.raises(CNFError):
@@ -76,6 +74,32 @@ class TestVariablePool:
     def test_fresh_variables_are_distinct(self):
         pool = VariablePool()
         assert pool.fresh() != pool.fresh()
+
+    def test_fresh_variable_never_aliases_a_named_one(self):
+        pool = VariablePool()
+        taken = pool.variable("_t2")
+        assert pool.fresh() != taken
+        # A signal asked for after a fresh variable took its name gets its own.
+        anonymous = pool.fresh()
+        label = pool.name_of(anonymous)
+        named = pool.variable(label)
+        assert named != anonymous
+        assert pool.index_of(label) == named
+        assert pool.name_of(anonymous) != label
+
+    def test_tseitin_gates_on_signals_named_like_gates(self):
+        """Circuits over signals that share the gate-variable prefix encode
+        correctly: the solver agrees with the BDD, and every model satisfies
+        the circuit."""
+        names = ("_t3", "_t4", "_t5", "a")
+        rng = random.Random(20261019)
+        for _ in range(600):
+            expr = random_boolexpr(rng, names, 3)
+            result = solve(encode_constraint(expr))
+            assert result.satisfiable != is_contradiction(expr), expr
+            if result.satisfiable:
+                model = {name: result.assignment.get(name, False) for name in names}
+                assert expr.evaluate(model), (expr, model)
 
     def test_unknown_lookups_raise(self):
         pool = VariablePool()
