@@ -4,10 +4,11 @@ The explicit-state engine of :mod:`repro.mc` enumerates the reachable states
 of the concrete modules; for glue-logic-sized blocks that is exactly what the
 paper prescribes.  This package provides the complementary SAT-based engine:
 the module's transition relation is unrolled ``k`` time-frames, lasso-shaped
-runs are encoded with a loop-closing constraint, and the LTL obligations are
-translated to propositional constraints over the unrolled signals
-(Biere-style bounded semantics).  The same primary coverage question of
-Theorem 1 can then be answered by the CDCL solver of :mod:`repro.sat`.
+runs are encoded with loop-closing constraints the solver selects among, and
+the LTL obligations are translated to propositional constraints over the
+unrolled signals (the linear bounded semantics of Biere et al.).  The same
+primary coverage question of Theorem 1 can then be answered by the CDCL
+solver of :mod:`repro.sat`.
 
 BMC is a *witness finder*: a satisfiable query yields a concrete lasso run
 (the decomposition is **not** covered); an unsatisfiable query only shows
@@ -18,7 +19,8 @@ invariant-style properties.
 Modules
 -------
 * :mod:`repro.bmc.unroll` — time-frame expansion of a netlist into CNF,
-* :mod:`repro.bmc.ltl_bmc` — bounded LTL semantics over a (k, l)-lasso,
+* :mod:`repro.bmc.ltl_bmc` — linear bounded LTL encoding over loop-selected
+  lassos,
 * :mod:`repro.bmc.incremental` — the persistent solver session the search
   runs on,
 * :mod:`repro.bmc.engine` — the search loop, witness extraction,
@@ -32,7 +34,6 @@ sessions and caches decided queries.
 
 from .engine import BMCResult, find_run_bmc
 from .induction import InductionResult, prove_invariant
-from .ltl_bmc import LTLBoundedEncoder
 from .unroll import UnrolledModule
 
 __all__ = [
@@ -40,6 +41,5 @@ __all__ = [
     "find_run_bmc",
     "InductionResult",
     "prove_invariant",
-    "LTLBoundedEncoder",
     "UnrolledModule",
 ]

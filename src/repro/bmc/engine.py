@@ -120,15 +120,16 @@ def find_run_bmc(
 ) -> BMCResult:
     """Search for a lasso run of ``module`` satisfying every formula.
 
-    Bounds are explored in increasing order; for each bound every loop
-    position is tried.  The first satisfiable query yields the witness.
-    An unsatisfiable result only means *no witness up to* ``max_bound``.
+    Bounds are explored in increasing order, with one SAT query per bound:
+    the solver picks the loop position through selector literals.  The
+    first satisfiable query yields the witness.  An unsatisfiable result
+    only means *no witness up to* ``max_bound``.
     ``extra_free`` names additional environment signals (e.g. the observed
     free signals of a :class:`~repro.problem.CompiledProblem`) to leave
     unconstrained — and decoded into witness states — in every frame.
 
     The search is *incremental*: one persistent solver accumulates the
-    monotone unrolling across bounds, with per-``(k, l)`` loop closures and
+    monotone unrolling across bounds, with per-bound loop selectors and
     LTL obligations switched on through assumptions (see
     :class:`~repro.bmc.incremental.BMCSession`).  Passing an existing
     ``session`` (the BMC engine pools them per slice) extends reuse across
@@ -172,30 +173,25 @@ def _search_bound(
     bound: int,
     statistics: BMCStatistics,
 ) -> Optional[tuple]:
-    """Try every loop position at one bound; ``(loop_start, witness)`` on SAT."""
+    """Ask the one query of a bound; ``(loop_start, witness)`` on SAT."""
     from ..engines.cancel import check_cancelled
 
-    session.unrolled.extend_to(bound)
+    check_cancelled()
     statistics.max_bound_reached = bound
-    for loop_start in range(bound + 1):
-        check_cancelled()
-        warm = session.queries > 0
-        result, reused = session.query(formulas, bound, loop_start)
-        statistics.sat_calls += 1
-        if warm:
-            statistics.solver_reused += 1
-            statistics.clauses_reused += reused
-        statistics.clauses = max(statistics.clauses, session.unrolled.cnf.clause_count())
-        statistics.variables = max(
-            statistics.variables, session.unrolled.cnf.variable_count()
-        )
-        statistics.merge_solver(
-            result.conflicts,
-            result.decisions,
-            result.propagations,
-            result.restarts,
-        )
-        if result.satisfiable:
-            states = session.decode_witness(result, bound)
-            return loop_start, LassoTrace.from_states(states, loop_start)
+    warm = session.queries > 0
+    result, reused = session.query(formulas, bound)
+    statistics.sat_calls += 1
+    if warm:
+        statistics.solver_reused += 1
+        statistics.clauses_reused += reused
+    statistics.clauses = max(statistics.clauses, session.unrolled.cnf.clause_count())
+    statistics.variables = max(statistics.variables, session.unrolled.cnf.variable_count())
+    statistics.merge_solver(
+        result.conflicts,
+        result.decisions,
+        result.propagations,
+        result.restarts,
+    )
+    if result.satisfiable:
+        return session.decode_witness(result, bound)
     return None

@@ -1,179 +1,166 @@
-"""Bounded LTL semantics over a ``(k, l)``-lasso.
+"""Linear bounded LTL encoding over loop-selected lassos.
 
-Given an unrolling of depth ``k`` whose last frame loops back to frame ``l``,
-the truth of an LTL formula at frame 0 is a purely propositional function of
-the signal values at frames ``0 .. k``: the path visits only those positions,
-in the order ``i, i+1, ..., k, l, l+1, ...``.
+For bound ``k`` the unrolling has frames ``0 .. k``, and the successor of
+frame ``k`` is one of the frames ``0 .. k``.  The solver chooses it: each
+candidate loop start ``l`` has a *selector* literal ``sel_l`` that guards the
+loop closure (:meth:`repro.bmc.unroll.UnrolledModule.guarded_loop_constraint`),
+and one query per bound asks for at least one selector to be true.  This is
+the linear encoding of Biere, Heljanko, Junttila, Latvala and Schuppan
+("Linear encodings of bounded LTL model checking", LMCS 2006), in a
+one-sided form.
 
-Every temporal subformula is translated by folding the operator's expansion
-law along the *visit order* of its frame — each reachable frame appears
-exactly once, so the folds below are exact on the lasso (not
-approximations).  The fold result is a plain (hash-consed) boolean
-expression; gate variables are introduced by the shared Tseitin encoder,
-which memoises structurally, so identical folds across queries — different
-loop positions, different spec conjuncts on one incremental unrolling —
-share one set of clauses:
+The encoder works on the negation normal form (:func:`repro.ltl.rewrite.nnf`,
+operators ``&``, ``|``, ``X``, ``U``, ``R`` over literals).  Each literal
+``[ψ]_i`` only *implies* that ``ψ`` holds at frame ``i`` of the lasso
+closing at ``l``, for every selected ``l``; clauses for ``i < k`` unless
+stated:
 
-* ``p U q`` at ``i``  =  ``q_i  ∨ (p_i ∧ [p U q] at next)`` … base ``false``
-* ``p R q`` at ``i``  =  ``q_i ∧ (p_i ∨ [p R q] at next)`` … base ``true``
-* ``p W q`` at ``i``  =  ``q_i  ∨ (p_i ∧ [p W q] at next)`` … base ``true``
-* ``G p`` / ``F p``    =  the ``R`` / ``U`` folds with a constant operand.
+* atom / negated atom: the frame literal ``p@i`` / ``¬p@i``;
+* ``true`` / ``false``: one constant literal (and its negation);
+* ``ψ1 & ψ2``: ``[ψ]_i → [ψ1]_i`` and ``[ψ]_i → [ψ2]_i`` (all ``i``);
+* ``ψ1 | ψ2``: ``[ψ]_i → [ψ1]_i ∨ [ψ2]_i`` (all ``i``);
+* ``X ψ1``: the literal ``[ψ1]_{i+1}`` itself; at ``k``, per ``l``:
+  ``[ψ]_k ∧ sel_l → [ψ1]_l``;
+* ``ψ1 R ψ2``: ``[ψ]_i → [ψ2]_i`` (all ``i``) and
+  ``[ψ]_i → [ψ1]_i ∨ [ψ]_{i+1}``; at ``k``, per ``l``:
+  ``[ψ]_k ∧ sel_l → [ψ1]_k ∨ [ψ]_l`` — going round the loop forever is
+  allowed, as ``R`` is a greatest fixpoint;
+* ``ψ1 U ψ2``: ``[ψ]_i → [ψ2]_i ∨ [ψ1]_i`` (all ``i``) and
+  ``[ψ]_i → [ψ2]_i ∨ [ψ]_{i+1}``; at ``k``, per ``l``:
+  ``[ψ]_k ∧ sel_l → [ψ2]_k ∨ ⟨ψ⟩_l``.  The eventuality literal ``⟨ψ⟩_i`` is
+  a second pass that must meet ``ψ2`` by frame ``k``: ``⟨ψ⟩_i → [ψ2]_i ∨
+  [ψ1]_i`` (all ``i``), ``⟨ψ⟩_i → [ψ2]_i ∨ ⟨ψ⟩_{i+1}`` and ``⟨ψ⟩_k →
+  [ψ2]_k``.  Without it a ``U`` could justify itself round the loop.
 
-Boolean connectives and ``X`` translate structurally.  The result is linear
-in ``|formula| · k`` auxiliary variables.
+Every clause holds the negation of an encoder literal (and the clauses at
+``k`` that of ``sel_l``), so it constrains nothing while that literal is
+false: the encodings of other bounds and the clauses of unselected loops
+are inert, and one unrolling and one solver serve every bound.  If several
+selectors are true, the model satisfies every selected loop's lasso.  Each
+subformula gets ``k + 1`` literals (``U`` twice that), so one bound's
+encoding is ``O(k·|φ|)``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from ..logic.boolexpr import BoolExpr, and_, const, iff, implies, not_, or_, var
 from ..ltl.ast import (
-    Always,
     And,
     Atom,
-    Eventually,
     FalseFormula,
     Formula,
-    Iff,
-    Implies,
     Next,
     Not,
     Or,
     Release,
     TrueFormula,
     Until,
-    WeakUntil,
 )
-from ..sat.cnf import Literal
-from ..sat.tseitin import TseitinEncoder
+from ..ltl.rewrite import nnf
+from ..sat.cnf import CNF, Literal
 from .unroll import frame_name
 
-__all__ = ["LTLBoundedEncoder", "visit_order"]
+__all__ = ["LinearLTLEncoder"]
 
 
-def visit_order(position: int, depth: int, loop_start: int) -> List[int]:
-    """Frames reachable from ``position``, each once, in path order."""
-    if not 0 <= position <= depth:
-        raise ValueError("position outside the unrolled frames")
-    if not 0 <= loop_start <= depth:
-        raise ValueError("loop_start outside the unrolled frames")
-    order = list(range(position, depth + 1))
-    if loop_start < position:
-        order.extend(range(loop_start, position))
-    return order
+class LinearLTLEncoder:
+    """One bound's LTL encoding over the lassos its selectors close."""
 
+    def __init__(self, cnf: CNF, bound: int, selectors: Sequence[Literal], true: Literal):
+        self.cnf = cnf
+        self.bound = bound
+        #: ``sel_l`` for the loop starts ``l = 0 .. bound``.
+        self.selectors: Tuple[Literal, ...] = tuple(selectors)
+        #: A literal the CNF forces true; ``[true]`` and ``[false]`` use it.
+        self.true = true
+        self._memo: Dict[Tuple[Formula, int], Literal] = {}
 
-class LTLBoundedEncoder:
-    """Encode LTL obligations over one ``(k, l)``-lasso into CNF."""
+    def root(self, formula: Formula) -> Literal:
+        """Literal that forces ``formula`` at frame 0 when assumed (not asserted)."""
+        return self.literal(nnf(formula), 0)
 
-    def __init__(self, encoder: TseitinEncoder, depth: int, loop_start: int):
-        if not 0 <= loop_start <= depth:
-            raise ValueError("loop_start must lie within the unrolled frames")
-        self.encoder = encoder
-        self.depth = depth
-        self.loop_start = loop_start
-        self._memo: Dict[Tuple[int, int], BoolExpr] = {}
+    def literal(self, formula: Formula, position: int) -> Literal:
+        """``[formula]_position`` for a formula in negation normal form."""
+        key = (formula, position)
+        literal = self._memo.get(key)
+        if literal is None:
+            if isinstance(formula, (Until, Release)):
+                self._encode_temporal(formula)
+                literal = self._memo[key]
+            else:
+                literal = self._encode(formula, position)
+                self._memo[key] = literal
+        return literal
 
-    # -- public API ---------------------------------------------------------------
-    def formula_literal(self, formula: Formula, *, position: int = 0) -> Literal:
-        """Literal equivalent to ``formula`` at ``position`` (not asserted).
+    # -- helpers -----------------------------------------------------------------
+    def _fresh(self) -> Literal:
+        return Literal(self.cnf.pool.fresh("_ltl"))
 
-        The Tseitin gates are full biconditionals, so the returned literal can
-        be passed as a solver *assumption*: assuming it forces the formula,
-        and any lasso satisfying the formula admits a model setting it true.
-        """
-        expression = self.encode(formula, position)
-        return self.encoder.literal_for(expression)
+    def _clause(self, *literals: Literal) -> None:
+        """Add a clause, dropping it when satisfied by the constant literal."""
+        if self.true in literals:
+            return
+        self.cnf.add_clause(*(lit for lit in literals if lit != -self.true))
 
-    def encode(self, formula: Formula, position: int = 0) -> BoolExpr:
-        """Propositional expression equivalent to ``formula`` at ``position``."""
-        position = self._normalize(position)
-        key = (id(formula), position)
-        cached = self._memo.get(key)
-        if cached is not None:
-            return cached
-        expression = self._encode(formula, position)
-        self._memo[key] = expression
-        return expression
-
-    # -- helpers -------------------------------------------------------------------
-    def _normalize(self, position: int) -> int:
-        """Map a position beyond the last frame back into the loop."""
-        if position <= self.depth:
-            return position
-        span = self.depth - self.loop_start + 1
-        return self.loop_start + (position - self.loop_start) % span
-
-    def _successor(self, position: int) -> int:
-        return self.loop_start if position == self.depth else position + 1
-
-    def _fold(self, formula: Formula, position: int, *, kind: str) -> BoolExpr:
-        """Right-fold a temporal operator along the visit order of ``position``."""
-        order = visit_order(position, self.depth, self.loop_start)
-        if kind == "until":
-            left, right, base, combine = formula.left, formula.right, const(False), "or_and"
-        elif kind == "weak_until":
-            left, right, base, combine = formula.left, formula.right, const(True), "or_and"
-        elif kind == "release":
-            left, right, base, combine = formula.left, formula.right, const(True), "and_or"
-        elif kind == "eventually":
-            left, right, base, combine = None, formula.operand, const(False), "or_and"
-        elif kind == "always":
-            left, right, base, combine = None, formula.operand, const(True), "and_or_globally"
-        else:  # pragma: no cover - defensive
-            raise ValueError(f"unknown temporal fold {kind!r}")
-
-        accumulator = base
-        for frame in reversed(order):
-            if combine == "or_and":
-                hold = self.encode(left, frame) if left is not None else const(True)
-                accumulator = or_(self.encode(right, frame), and_(hold, accumulator))
-            elif combine == "and_or":
-                accumulator = and_(
-                    self.encode(right, frame),
-                    or_(self.encode(left, frame), accumulator),
-                )
-            else:  # "and_or_globally": G p
-                accumulator = and_(self.encode(right, frame), accumulator)
-        # No named auxiliary is introduced here: the Tseitin encoder already
-        # assigns one gate variable per (hash-consed) sub-expression, so two
-        # queries whose folds coincide — e.g. ``G p`` at position 0, which is
-        # the same chain for every loop position of a bound — share clauses
-        # instead of re-encoding.  That sharing is what keeps incremental BMC
-        # cheap across the ``(k, l)`` sweep.
-        return accumulator
-
-    # -- dispatch -------------------------------------------------------------------
-    def _encode(self, formula: Formula, position: int) -> BoolExpr:
+    def _encode(self, formula: Formula, position: int) -> Literal:
         if isinstance(formula, Atom):
-            return var(frame_name(formula.name, position))
+            return self.cnf.pool.literal(frame_name(formula.name, position))
+        if isinstance(formula, Not) and isinstance(formula.operand, Atom):
+            return -self.literal(formula.operand, position)
         if isinstance(formula, TrueFormula):
-            return const(True)
+            return self.true
         if isinstance(formula, FalseFormula):
-            return const(False)
-        if isinstance(formula, Not):
-            return not_(self.encode(formula.operand, position))
+            return -self.true
         if isinstance(formula, And):
-            return and_(self.encode(formula.left, position), self.encode(formula.right, position))
+            output = self._fresh()
+            self._clause(-output, self.literal(formula.left, position))
+            self._clause(-output, self.literal(formula.right, position))
+            return output
         if isinstance(formula, Or):
-            return or_(self.encode(formula.left, position), self.encode(formula.right, position))
-        if isinstance(formula, Implies):
-            return implies(
-                self.encode(formula.left, position), self.encode(formula.right, position)
+            output = self._fresh()
+            self._clause(
+                -output,
+                self.literal(formula.left, position),
+                self.literal(formula.right, position),
             )
-        if isinstance(formula, Iff):
-            return iff(self.encode(formula.left, position), self.encode(formula.right, position))
+            return output
         if isinstance(formula, Next):
-            return self.encode(formula.operand, self._successor(position))
-        if isinstance(formula, Until):
-            return self._fold(formula, position, kind="until")
-        if isinstance(formula, WeakUntil):
-            return self._fold(formula, position, kind="weak_until")
+            if position < self.bound:
+                return self.literal(formula.operand, position + 1)
+            output = self._fresh()
+            for loop_start, selector in enumerate(self.selectors):
+                self._clause(-output, -selector, self.literal(formula.operand, loop_start))
+            return output
+        raise TypeError(f"not in negation normal form: {type(formula).__name__}")
+
+    def _encode_temporal(self, formula: Formula) -> None:
+        """All ``k + 1`` literals of one ``U`` or ``R`` node at once.
+
+        ``[ψ]_k`` reaches back to every loop start, so no position of the
+        node can be encoded without the others.
+        """
+        last = self.bound
+        here: List[Literal] = [self._fresh() for _ in range(last + 1)]
+        for position, literal in enumerate(here):
+            self._memo[(formula, position)] = literal
+        left = [self.literal(formula.left, i) for i in range(last + 1)]
+        right = [self.literal(formula.right, i) for i in range(last + 1)]
         if isinstance(formula, Release):
-            return self._fold(formula, position, kind="release")
-        if isinstance(formula, Eventually):
-            return self._fold(formula, position, kind="eventually")
-        if isinstance(formula, Always):
-            return self._fold(formula, position, kind="always")
-        raise TypeError(f"cannot encode formula node {type(formula).__name__}")
+            for i in range(last + 1):
+                self._clause(-here[i], right[i])
+                if i < last:
+                    self._clause(-here[i], left[i], here[i + 1])
+            for loop_start, selector in enumerate(self.selectors):
+                self._clause(-here[last], -selector, left[last], here[loop_start])
+            return
+        pending: List[Literal] = [self._fresh() for _ in range(last + 1)]
+        for i in range(last + 1):
+            self._clause(-here[i], right[i], left[i])
+            self._clause(-pending[i], right[i], left[i])
+            if i < last:
+                self._clause(-here[i], right[i], here[i + 1])
+                self._clause(-pending[i], right[i], pending[i + 1])
+        self._clause(-pending[last], right[last])
+        for loop_start, selector in enumerate(self.selectors):
+            self._clause(-here[last], -selector, right[last], pending[loop_start])

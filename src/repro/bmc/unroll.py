@@ -11,7 +11,8 @@ shared :class:`~repro.sat.tseitin.TseitinEncoder`:
   next-state functions evaluated at frame ``i``,
 * the loop constraint — the successor of frame ``k`` is frame ``l``, making
   the unrolled path a lasso (required for infinite-run LTL semantics); it is
-  guarded by an activation literal, so one unrolling serves every ``(k, l)``.
+  guarded by a loop-selector literal, so one unrolling serves every ``(k, l)``
+  and the solver picks ``l``.
 
 Primary inputs, undriven signals and any *free atoms* named by the properties
 but not driven by the module are left unconstrained in every frame.
@@ -114,8 +115,8 @@ class UnrolledModule:
 
         The biconditional clauses go into the shared CNF itself, each
         weakened with ``¬activation`` — inert unless the activation literal
-        is assumed.  This is the incremental-BMC discipline: every ``(k, l)``
-        pair gets one activation literal, the frames are never re-encoded,
+        is true.  This is the incremental-BMC discipline: every ``(k, l)``
+        pair gets one loop-selector literal, the frames are never re-encoded,
         and one solver serves every query.
         """
         if not 0 <= loop_start <= bound <= self.depth:

@@ -27,7 +27,7 @@ then
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Sequence
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from ..ltl.ast import And, Atom, Formula, Next, Not, Or
 from ..ltl.printer import to_str
@@ -122,14 +122,23 @@ def select_weakest(
     coverage driver.  Candidates that are not implied by the original property
     are discarded (they would strengthen the intent rather than decompose it).
     """
+    # The dominance and dedup loops below meet the same pairs again.
+    answers: Dict[Tuple[Formula, Formula], bool] = {}
+
+    def implies(antecedent: Formula, consequent: Formula) -> bool:
+        answer = answers.get((antecedent, consequent))
+        if answer is None:
+            answer = answers[antecedent, consequent] = ltl_implies(antecedent, consequent)
+        return answer
+
     closing: List[GapCandidate] = []
     for candidate in candidates:
-        if not ltl_implies(original, candidate.formula):
+        if not implies(original, candidate.formula):
             continue
         # A candidate equivalent to the original is useless as a gap
         # property (the original always closes its own gap); Definition 3
         # asks for something strictly weaker.
-        if ltl_implies(candidate.formula, original):
+        if implies(candidate.formula, original):
             continue
         if closes_gap(candidate.formula):
             closing.append(candidate)
@@ -142,7 +151,7 @@ def select_weakest(
         for other in closing:
             if other.formula == candidate.formula:
                 continue
-            if ltl_implies(candidate.formula, other.formula) and not ltl_implies(
+            if implies(candidate.formula, other.formula) and not implies(
                 other.formula, candidate.formula
             ):
                 dominated = True
@@ -154,8 +163,8 @@ def select_weakest(
     unique: List[GapCandidate] = []
     for candidate in weakest:
         if any(
-            ltl_implies(candidate.formula, kept.formula)
-            and ltl_implies(kept.formula, candidate.formula)
+            implies(candidate.formula, kept.formula)
+            and implies(kept.formula, candidate.formula)
             for kept in unique
         ):
             continue

@@ -11,7 +11,8 @@ from repro.ltl.parser import parse
 from repro.ltl.traces import evaluate
 from repro.mc.modelcheck import check, find_run
 from repro.rtl.netlist import Module
-from repro.bmc.engine import find_run_bmc
+from repro.bmc.engine import bmc_free_atoms, find_run_bmc
+from repro.bmc.incremental import BMCSession
 from repro.bmc.induction import prove_invariant
 from repro.engines import get_engine
 
@@ -48,12 +49,41 @@ class TestFindRunBMC:
         assert trace.value("a", rise - 1) and trace.value("b", rise - 1)
 
     def test_statistics_accumulate(self):
-        # Unsatisfiable query: every bound and loop position is explored.
+        # Unsatisfiable query: every bound is explored, one SAT call each.
         result = find_run_bmc(build_toggle(), [parse("G !en"), parse("F q")], max_bound=3)
         assert not result.satisfiable
-        assert result.statistics.sat_calls == 1 + 2 + 3 + 4
+        assert result.statistics.sat_calls == 4
         assert result.statistics.variables > 0
         assert "SAT calls" in result.summary()
+
+
+class TestLinearSearch:
+    """One SAT call per bound, and clauses per bound linear in the bound."""
+
+    def test_covered_primary_query_asks_once_per_bound(self):
+        verdict = get_engine("bmc", max_bound=12).check_primary(build_mal())
+        assert verdict.covered
+        assert verdict.statistics.sat_calls == 12 + 1
+
+    def test_clauses_added_per_bound_grow_linearly(self):
+        problem = build_mal()
+        compiled = get_engine("bmc").compile(
+            problem.composed_module(),
+            [Not(problem.architectural_conjunction())] + problem.all_rtl_formulas(),
+        )
+        session = BMCSession(
+            compiled.module,
+            bmc_free_atoms(compiled.module, compiled.formulas, compiled.free_signals),
+        )
+        clauses = []
+        for bound in range(13):
+            result, _ = session.query(compiled.formulas, bound)
+            assert not result.satisfiable
+            clauses.append(session.unrolled.cnf.clause_count())
+        added = {bound: clauses[bound] - clauses[bound - 1] for bound in (6, 12)}
+        # Linear growth in k gives about 1.9 here; an encoding per (k, l)
+        # lasso, quadratic in k, gives 4.45.
+        assert added[12] <= 2.2 * added[6], added
 
 
 class TestCheckBMC:

@@ -1,4 +1,4 @@
-"""Tests for the bounded LTL encoding (repro.bmc.ltl_bmc)."""
+"""Tests for the linear bounded LTL encoding (repro.bmc.ltl_bmc)."""
 
 import pytest
 from hypothesis import given, settings
@@ -9,8 +9,7 @@ from repro.ltl.parser import parse
 from repro.ltl.traces import LassoTrace, evaluate
 from repro.rtl.netlist import Module
 from repro.sat.solver import SatSolver
-from repro.sat.tseitin import TseitinEncoder
-from repro.bmc.ltl_bmc import LTLBoundedEncoder, visit_order
+from repro.bmc.ltl_bmc import LinearLTLEncoder
 from repro.bmc.engine import find_run_bmc
 from repro.bmc.unroll import UnrolledModule, frame_name
 
@@ -28,38 +27,26 @@ def find_word(formula, max_bound=6):
     return find_run_bmc(empty_module(), [formula], max_bound=max_bound)
 
 
-class TestVisitOrder:
-    def test_no_wrap_when_loop_at_or_after_position(self):
-        assert visit_order(2, 5, 4) == [2, 3, 4, 5]
-        assert visit_order(2, 5, 2) == [2, 3, 4, 5]
+def _linear_verdicts(formula, states):
+    """The linear encoder's verdict on the lasso closing at each loop start.
 
-    def test_wrap_when_loop_before_position(self):
-        assert visit_order(3, 5, 1) == [3, 4, 5, 1, 2]
-
-    def test_position_zero_sees_all_frames(self):
-        assert visit_order(0, 3, 2) == [0, 1, 2, 3]
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            visit_order(4, 3, 0)
-        with pytest.raises(ValueError):
-            visit_order(0, 3, 4)
-
-
-def _encode_on_lasso(formula, states, loop_start):
-    """Encode the formula over a fully fixed lasso and ask the SAT solver."""
+    The frames are fixed by unit clauses, and each solve assumes the
+    formula's root and only the one selector ``sel_l``.
+    """
     depth = len(states) - 1
-    module = empty_module()
     atoms = sorted({name for state in states for name in state})
-    unrolled = UnrolledModule(module, free_atoms=atoms)
+    unrolled = UnrolledModule(empty_module(), free_atoms=atoms)
     unrolled.extend_to(depth)
     cnf = unrolled.cnf
     for frame, state in enumerate(states):
         for name in atoms:
             cnf.assume(frame_name(name, frame), bool(state.get(name, False)))
-    encoder = LTLBoundedEncoder(TseitinEncoder(cnf), depth, loop_start)
-    cnf.add_unit(encoder.formula_literal(formula))
-    return SatSolver(cnf).solve().satisfiable
+    selectors = [cnf.pool.literal(f"sel_{l}") for l in range(depth + 1)]
+    true = cnf.pool.literal("true")
+    cnf.add_unit(true)
+    root = LinearLTLEncoder(cnf, depth, selectors, true).root(formula)
+    solver = SatSolver(cnf)
+    return [solver.solve(assumptions=[selector, root]).satisfiable for selector in selectors]
 
 
 _KNOWN_CASES = [
@@ -79,14 +66,25 @@ _KNOWN_CASES = [
     ("F G p", [{"p": False}, {"p": True}], 1),
 ]
 
+#: Obligations that reach the last frame and continue at the loop start.
+_LOOP_BACK_CASES = [
+    ("G X p", [{"p": False}, {"p": True}], 0),
+    ("G X p", [{"p": False}, {"p": True}], 1),
+    ("X X p", [{"p": True}, {"p": False}], 0),
+    ("X (p U q)", [{"p": False, "q": True}, {"p": True, "q": False}], 0),
+    ("X (p U q)", [{"p": False, "q": True}, {"p": True, "q": False}], 1),
+    ("X (q R p)", [{"p": False, "q": False}, {"p": True, "q": False}], 0),
+    ("X (q R p)", [{"p": False, "q": False}, {"p": True, "q": False}], 1),
+]
+
 
 class TestEncodingAgainstTraceSemantics:
-    @pytest.mark.parametrize("text, states, loop_start", _KNOWN_CASES)
+    @pytest.mark.parametrize("text, states, loop_start", _KNOWN_CASES + _LOOP_BACK_CASES)
     def test_fixed_lasso_agrees_with_evaluate(self, text, states, loop_start):
         formula = parse(text)
         trace = LassoTrace.from_states(states, loop_start)
         expected = evaluate(formula, trace)
-        assert _encode_on_lasso(formula, states, loop_start) == expected
+        assert _linear_verdicts(formula, states)[loop_start] == expected
 
 
 class TestWitnessSearch:
@@ -164,3 +162,20 @@ def test_bmc_agrees_with_tableau_satisfiability(formula):
         assert is_satisfiable(formula)
     if not is_satisfiable(formula):
         assert not result.satisfiable
+
+
+_lasso_states = st.lists(
+    st.fixed_dictionaries({"p": st.booleans(), "q": st.booleans()}),
+    min_size=1,
+    max_size=5,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_formula_strategy(), _lasso_states)
+def test_linear_encoding_agrees_with_evaluate_on_every_loop(formula, states):
+    """Sound and complete on each loop alone, the U eventuality included."""
+    verdicts = _linear_verdicts(formula, states)
+    for loop_start, verdict in enumerate(verdicts):
+        trace = LassoTrace.from_states(states, loop_start)
+        assert verdict == evaluate(formula, trace), (loop_start, states)

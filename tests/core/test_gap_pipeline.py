@@ -142,6 +142,27 @@ class TestWeaken:
         assert len(chosen) == CoverageOptions().max_reported_gaps == 3
         assert chosen == candidates[:3]
 
+    def test_select_weakest_asks_each_implication_once(self, monkeypatch):
+        import repro.core.weaken as weaken
+
+        asked = []
+
+        def recording(antecedent, consequent):
+            asked.append((antecedent, consequent))
+            return implies(antecedent, consequent)
+
+        monkeypatch.setattr(weaken, "ltl_implies", recording)
+        intent = parse("G(req -> F grant)")
+        grant = next(i for i in atom_instance_table(intent) if i.name == "grant")
+        candidates = generate_candidates(
+            intent, [WeakeningSuggestion(grant, f"s{k}", True, 0) for k in range(3)]
+        )
+        chosen = select_weakest(intent, candidates, closes_gap=lambda f: True)
+        assert chosen
+        # The dominance and dedup loops meet pairs the filter already asked.
+        assert len(asked) == len(set(asked))
+        assert len(asked) > 2 * len(candidates)
+
 
 class TestOptions:
     def test_coverage_options_fields(self):

@@ -49,7 +49,7 @@ EXPECTED = {
         _PREFIX.format(r2="!r2", r1_1="r1") + "X X !d2 & X X !r1 & X X !r2 & X X wait",
     ]),
     ("paper_example", "bmc"): (_REPORT + _BOUNDED, [
-        _PREFIX.format(r2="!r2", r1_1="!r1") + "X X d2 & X X r1 & X X r2 & X X wait",
+        # Both witnesses project onto this one APA term.
         _PREFIX.format(r2="r2", r1_1="!r1") + "X X d2 & X X r1 & X X r2 & X X wait",
     ]),
     ("mal_fig4", "explicit"): (_REPORT, [
@@ -57,8 +57,8 @@ EXPECTED = {
         _PREFIX.format(r2="!r2", r1_1="!r1") + "X X d2 & X X !r1 & X X r2 & X X wait",
     ]),
     ("mal_fig4", "bmc"): (_REPORT + _BOUNDED, [
-        _PREFIX.format(r2="r2", r1_1="!r1") + "X X d2 & X X r1 & X X r2 & X X wait",
         _PREFIX.format(r2="r2", r1_1="!r1") + "X X d2 & X X r1 & X X !r2 & X X wait",
+        _PREFIX.format(r2="r2", r1_1="!r1") + "X X d2 & X X r1 & X X r2 & X X wait",
     ]),
 }
 
