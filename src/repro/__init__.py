@@ -14,8 +14,7 @@ The package layers are:
 * :mod:`repro.rtl` — netlists, a tiny HDL, simulation, FSM extraction, Kripke
   structures,
 * :mod:`repro.mc` — explicit-state LTL model checking,
-* :mod:`repro.bmc` — SAT-based bounded model checking and k-induction,
-* :mod:`repro.sva` — a bounded SVA property front-end desugaring to LTL,
+* :mod:`repro.bmc` — SAT-based bounded model checking,
 * :mod:`repro.problem` — the compiled :class:`CoverageProblem` IR:
   cone-of-influence slice, memoized property automata, free/observed signal
   partition and structural fingerprint, built once per query shape and

@@ -12,9 +12,7 @@ solver of :mod:`repro.sat`.
 
 BMC is a *witness finder*: a satisfiable query yields a concrete lasso run
 (the decomposition is **not** covered); an unsatisfiable query only shows
-there is no witness up to the explored bound.  :mod:`repro.bmc.induction`
-adds k-induction, which can turn bounded absence into a full proof for
-invariant-style properties.
+there is no witness up to the explored bound.
 
 Modules
 -------
@@ -23,8 +21,7 @@ Modules
   lassos,
 * :mod:`repro.bmc.incremental` — the persistent solver session the search
   runs on,
-* :mod:`repro.bmc.engine` — the search loop, witness extraction,
-* :mod:`repro.bmc.induction` — k-induction for invariants.
+* :mod:`repro.bmc.engine` — the search loop and witness extraction.
 
 The primary coverage question itself is asked through the engine layer:
 ``get_engine("bmc", max_bound=k).check_primary(problem)``
@@ -33,13 +30,10 @@ sessions and caches decided queries.
 """
 
 from .engine import BMCResult, find_run_bmc
-from .induction import InductionResult, prove_invariant
 from .unroll import UnrolledModule
 
 __all__ = [
     "BMCResult",
     "find_run_bmc",
-    "InductionResult",
-    "prove_invariant",
     "UnrolledModule",
 ]

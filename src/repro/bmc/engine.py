@@ -42,9 +42,6 @@ class BMCStatistics:
     decisions: int = 0
     propagations: int = 0
     restarts: int = 0
-    #: Wall seconds spent at each explored bound, from bound 0 up — the
-    #: per-bound cost curve a learned bound scheduler needs.
-    per_bound_seconds: List[float] = field(default_factory=list)
     #: SAT queries answered by a solver that was already warm (had clauses or
     #: learned facts from an earlier query) instead of a fresh instance.
     solver_reused: int = 0
@@ -150,9 +147,7 @@ def find_run_bmc(
                 statistics.bounds_incremental += 1
             witness_info = _search_bound(session, formulas, bound, statistics)
             sp.set(sat_calls=statistics.sat_calls, clauses_reused=statistics.clauses_reused)
-        bound_seconds = time.perf_counter() - bound_start
-        statistics.per_bound_seconds.append(round(bound_seconds, 6))
-        metrics().observe("bmc.bound_seconds", bound_seconds)
+        metrics().observe("bmc.bound_seconds", time.perf_counter() - bound_start)
         if witness_info is not None:
             loop_start, witness = witness_info
             result = BMCResult(True, bound, loop_start, witness, statistics)

@@ -43,11 +43,10 @@ class UnrolledModule:
         module: Module,
         *,
         free_atoms: Sequence[str] = (),
-        encoder: Optional[TseitinEncoder] = None,
     ):
         module.validate(allow_undriven=True)
         self.module = module
-        self.encoder = encoder if encoder is not None else TseitinEncoder()
+        self.encoder = TseitinEncoder()
         self._renames: Dict[int, Dict[str, str]] = {}
         self.depth = -1
 

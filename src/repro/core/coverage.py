@@ -104,10 +104,6 @@ class GapAnalysis:
     #: witness only up to ``CoverageOptions.bmc_max_bound``.
     complete: bool = True
 
-    @property
-    def gap_formulas(self) -> List[Formula]:
-        return [candidate.formula for candidate in self.gap_properties]
-
     def describe(self) -> str:
         bounded = "" if self.complete else " (bounded: BMC engine, holds up to the bound only)"
         lines = [f"property: {to_str(self.property_formula)}"]

@@ -28,7 +28,7 @@ from ..ltl.ast import Formula
 from ..ltl.parser import parse
 from ..rtl.hdl import parse_module
 from ..rtl.netlist import Module
-from .coverage import CoverageOptions, CoverageReport, GapAnalysis, analyze_problem, find_coverage_gap
+from .coverage import CoverageOptions, CoverageReport, analyze_problem
 from .hole import CoverageHole, coverage_hole
 from .primary import primary_coverage_check
 from .spec import CoverageProblem
@@ -91,10 +91,6 @@ class SpecMatcher:
     def coverage_hole(self) -> CoverageHole:
         """Theorem 2: the exact (unreduced) coverage hole."""
         return coverage_hole(self.problem)
-
-    def analyze_property(self, formula: FormulaLike) -> GapAnalysis:
-        """Run Algorithm 1 for a single architectural property."""
-        return find_coverage_gap(self.problem, _as_formula(formula), self.options)
 
     def run(self) -> CoverageReport:
         """Run the full pipeline on every architectural property."""

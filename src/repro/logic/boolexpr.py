@@ -57,7 +57,6 @@ __all__ = [
     "enumerate_is_contradiction",
     "enumerate_equivalent",
     "intern_stats",
-    "clear_expr_caches",
 ]
 
 
@@ -95,18 +94,6 @@ def intern_stats() -> Dict[str, int]:
         "cofactor_cache": len(_COFACTOR_CACHE),
         "simplify_cache": len(_SIMPLIFY_CACHE),
     }
-
-
-def clear_expr_caches() -> None:
-    """Drop the derived-operation caches (the unique table itself is kept).
-
-    The unique table is deliberately *not* cleared: discarding entries for
-    live nodes would let two structurally equal nodes coexist, silently
-    degrading the interning guarantee (``a is b``).  Dead nodes already leave
-    the table on their own — it holds its values weakly.
-    """
-    _COFACTOR_CACHE.clear()
-    _SIMPLIFY_CACHE.clear()
 
 
 class BoolExpr:

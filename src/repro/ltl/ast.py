@@ -44,14 +44,12 @@ __all__ = [
     "F",
     "G",
     "U",
-    "R",
     "W",
     "subformulas",
     "atoms_of",
     "atom_support",
     "formula_size",
     "temporal_depth",
-    "is_boolean",
 ]
 
 
@@ -322,11 +320,6 @@ def U(left: Formula, right: Formula) -> Formula:
     return Until(left, right)
 
 
-def R(left: Formula, right: Formula) -> Formula:
-    """Release."""
-    return Release(left, right)
-
-
 def W(left: Formula, right: Formula) -> Formula:
     """Weak until."""
     return WeakUntil(left, right)
@@ -387,14 +380,6 @@ def temporal_depth(formula: Formula) -> int:
     if not children:
         return 0
     return max(temporal_depth(child) for child in children)
-
-
-def is_boolean(formula: Formula) -> bool:
-    """True when the formula contains no temporal operators."""
-    for sub in subformulas(formula):
-        if isinstance(sub, (Next, Eventually, Always, Until, Release, WeakUntil)):
-            return False
-    return True
 
 
 # Make Xn part of the public surface (declared after definition for clarity).

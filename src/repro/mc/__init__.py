@@ -7,7 +7,7 @@ behind result objects that downstream code treats interchangeably.
 """
 
 from .product import ProductStatistics, kripke_automata_product
-from .counterexample import lasso_to_signal_trace, trace_to_simulation
+from .counterexample import lasso_to_signal_trace
 from .modelcheck import (
     ModelCheckResult,
     ExistentialResult,
@@ -26,7 +26,6 @@ __all__ = [
     "ProductStatistics",
     "kripke_automata_product",
     "lasso_to_signal_trace",
-    "trace_to_simulation",
     "ModelCheckResult",
     "ExistentialResult",
     "find_run",

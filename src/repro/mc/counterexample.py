@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from ..ltl.buchi import AcceptingLasso, GeneralizedBuchi
 from ..ltl.traces import LassoTrace
 from ..rtl.kripke import KripkeStructure
-from ..rtl.simulator import SimulationTrace
 
-__all__ = ["lasso_to_signal_trace", "trace_to_simulation"]
+__all__ = ["lasso_to_signal_trace"]
 
 
 def lasso_to_signal_trace(
@@ -36,13 +35,3 @@ def lasso_to_signal_trace(
     if not loop:
         loop = [dict(stem[-1])] if stem else [{}]
     return LassoTrace(stem, loop)
-
-
-def trace_to_simulation(trace: LassoTrace, name: str, cycles: Optional[int] = None) -> SimulationTrace:
-    """Unroll a lasso trace into a plain simulation trace for waveform rendering."""
-    if cycles is None:
-        cycles = len(trace) + len(trace.loop)
-    result = SimulationTrace(name)
-    for cycle in range(cycles):
-        result.cycles.append(dict(trace.state_at(cycle)))
-    return result

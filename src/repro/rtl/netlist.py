@@ -112,9 +112,6 @@ class Module:
         """Register output names in declaration order."""
         return tuple(self.registers.keys())
 
-    def combinational_signals(self) -> Tuple[str, ...]:
-        return tuple(self.assigns.keys())
-
     def interface_signals(self) -> Tuple[str, ...]:
         """Inputs followed by outputs: the signals visible at the boundary."""
         return tuple(self.inputs) + tuple(self.outputs)

@@ -144,10 +144,6 @@ class SatSolver:
         """Number of problem clauses currently loaded into the solver."""
         return len(self._clauses)
 
-    @property
-    def learned_clause_count(self) -> int:
-        return len(self._learned)
-
     def add_clause(self, *literals: Literal) -> None:
         """Add a clause after construction (also appended to the CNF).
 

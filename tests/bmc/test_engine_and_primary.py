@@ -1,11 +1,11 @@
 """End-to-end BMC tests: engine search, cross-check with the explicit engine,
-the primary coverage question on the BMC engine, and k-induction."""
+and the primary coverage question on the BMC engine."""
 
 import pytest
 
-from repro.designs.mal import build_cache_logic, build_mal, build_mal_with_gap, build_paper_example
+from repro.designs.mal import build_mal, build_mal_with_gap, build_paper_example
 from repro.designs.simple_latch import build_simple_latch
-from repro.logic.boolexpr import implies, not_, var
+from repro.logic.boolexpr import var
 from repro.ltl.ast import Not
 from repro.ltl.parser import parse
 from repro.ltl.traces import evaluate
@@ -13,7 +13,6 @@ from repro.mc.modelcheck import check, find_run
 from repro.rtl.netlist import Module
 from repro.bmc.engine import bmc_free_atoms, find_run_bmc
 from repro.bmc.incremental import BMCSession
-from repro.bmc.induction import prove_invariant
 from repro.engines import get_engine
 
 
@@ -185,55 +184,3 @@ class TestBMCPrimaryCoverage:
         for rtl_property in problem.all_rtl_formulas():
             assert evaluate(rtl_property, verdict.witness)
 
-
-class TestKInduction:
-    def test_mutual_exclusion_of_data_strobes(self):
-        # The cache logic never answers both requesters in the same cycle.
-        cache = build_cache_logic()
-        result = prove_invariant(cache, parse("G !(d1 & d2)"), max_k=4)
-        assert result.proved
-        assert "proved" in result.summary()
-
-    def test_violated_invariant_gives_reachable_counterexample(self):
-        toggle = build_toggle()
-        result = prove_invariant(toggle, parse("G !q"), max_k=4)
-        assert result.violated
-        assert result.counterexample is not None
-        assert result.counterexample[-1]["q"] is True
-
-    def test_combinational_module_invariant(self):
-        glue = Module("and_glue")
-        glue.add_input("a").add_input("b")
-        glue.add_assign("y", var("a") & var("b"))
-        glue.add_output("y")
-        assert prove_invariant(glue, implies(var("y"), var("a")), max_k=2).proved
-        assert prove_invariant(glue, implies(var("a"), var("y")), max_k=2).violated
-
-    def test_boolexpr_and_formula_forms_agree(self):
-        cache = build_cache_logic()
-        formula_form = prove_invariant(cache, parse("G !(d1 & d2)"), max_k=4)
-        expr_form = prove_invariant(cache, not_(var("d1") & var("d2")), max_k=4)
-        assert formula_form.proved == expr_form.proved
-
-    def test_temporal_formula_rejected(self):
-        with pytest.raises(ValueError):
-            prove_invariant(build_toggle(), parse("G F q"))
-
-    def test_inconclusive_when_bound_too_small(self):
-        # A 3-bit counter needs more than zero induction depth for this invariant.
-        counter = Module("counter")
-        bits = ["b0", "b1", "b2"]
-        carry = None
-        for name in bits:
-            if carry is None:
-                counter.add_register(name, not_(var(name)), init=False)
-                carry = var(name)
-            else:
-                counter.add_register(name, var(name) ^ carry, init=False)
-                carry = carry & var(name)
-        counter.add_output("b2")
-        # "the counter never reaches 7" is false but needs 7 steps to refute.
-        result = prove_invariant(
-            counter, not_(var("b0") & var("b1") & var("b2")), max_k=2
-        )
-        assert result.inconclusive or result.violated

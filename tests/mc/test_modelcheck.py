@@ -42,6 +42,10 @@ class TestCheck:
         assert check(latch, parse("!c")).holds
         assert not check(latch, parse("c")).holds
 
+    def test_cache_logic_data_strobes_exclusive(self):
+        # The cache never answers both requesters in the same cycle.
+        assert check(build_cache_logic(), parse("G !(d1 & d2)")).holds
+
     def test_statistics_populated(self, latch):
         result = check(latch, parse("G(a & b -> X c)"))
         assert result.statistics.kripke_states == 8
