@@ -21,14 +21,15 @@ CI quick mode
 -------------
 ``python benchmarks/bench_backends.py --quick --output BENCH_engines.json``
 runs all four engines (explicit / bmc / symbolic / portfolio) on the small
-catalog designs with cone-of-influence slicing **adaptive ("auto") and off**,
-asserts cross-engine and sliced-vs-unsliced verdict agreement, asserts that
-adaptive slicing never slows a design down meaningfully (per-design speedup
-≥ 0.95× over the summed engine timings — "auto" exists precisely because
-always-on slicing regressed near-full-cone designs), and writes a JSON trajectory
-artifact — per design × engine: verdict, sliced/unsliced seconds, slicing
-speedup, and the portfolio's per-conjunct winners — that the benchmark CI
-lane uploads on every run.
+catalog designs with the cone-of-influence slicing rule **as shipped and
+off** (the unsliced pass sets the rule's threshold to 0.0, see
+:func:`_slice_rule`), asserts cross-engine and sliced-vs-unsliced verdict
+agreement, asserts that the rule never slows a design down meaningfully
+(per-design speedup ≥ 0.95× over the summed engine timings — the rule skips
+near-full cones precisely because always-on slicing regressed them), and
+writes a JSON trajectory artifact — per design × engine: verdict,
+sliced/unsliced seconds, slicing speedup, and the portfolio's per-conjunct
+winners — that the benchmark CI lane uploads on every run.
 
 The quick mode then times the ``auto`` engine on the same designs.  The
 per-conjunct solo timings give the per-query-best oracle schedule (each
@@ -41,6 +42,7 @@ and auto CPU ≤ 0.5× the racing portfolio's process time.
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 
 import pytest
 
@@ -169,17 +171,37 @@ def _timed_pass(engine, problem):
     return per_conjunct, complete, winners, seconds, cpu, details
 
 
+@contextmanager
+def _slice_rule(sliced: bool):
+    """Run the block with the slicing rule as shipped, or with slicing off.
+
+    Off sets :data:`repro.problem.ir.AUTO_SLICE_THRESHOLD` to 0.0 until the
+    block ends.  The compile memo keys on the threshold, so the two passes
+    never share a compiled problem and no cache needs clearing between them
+    (clearing would make only the unsliced pass recompile).
+    """
+    import repro.problem.ir as ir
+
+    shipped = ir.AUTO_SLICE_THRESHOLD
+    if not sliced:
+        ir.AUTO_SLICE_THRESHOLD = 0.0
+    try:
+        yield
+    finally:
+        ir.AUTO_SLICE_THRESHOLD = shipped
+
+
 def run_engine_trajectory(designs=None, *, bound: int = _BMC_BOUND) -> dict:
     """Run every engine on the given designs; return the trajectory payload.
 
     Each design × engine cell runs the primary coverage question *per
     architectural conjunct* (the shape the suite shards and the gap pipeline
-    use) twice — with adaptive ("auto") cone-of-influence slicing, then with
-    slicing off — and records both wall-clock totals plus the speedup.  For
+    use) twice — with the cone-of-influence slicing rule as shipped, then
+    with slicing off — and records both wall-clock totals plus the speedup.  For
     the portfolio engine the per-conjunct race winners are recorded.  Asserts
     that all engines agree (bounded verdicts included: on these
     glue-logic-sized designs the bound exceeds the diameter), that sliced and
-    unsliced runs return identical verdicts, and that adaptive slicing never
+    unsliced runs return identical verdicts, and that the slicing rule never
     regresses a design's summed engine time below 0.95× of the unsliced
     total, so the CI lane fails on any disagreement or slicing regression,
     not just on crashes.
@@ -203,22 +225,22 @@ def run_engine_trajectory(designs=None, *, bound: int = _BMC_BOUND) -> dict:
             # (compiled automata, compile_problem) that both timed modes
             # would otherwise race to pay.  Without it, whichever mode runs
             # first absorbs the warm-up cost, and on full-cone designs —
-            # where "auto" and "off" do identical work — that one-time cost
+            # where the rule and "off" do identical work — that one-time cost
             # masquerades as a slicing regression.  Its per-conjunct records
             # still count as a third observation for the oracle schedule
             # (which takes the minimum across passes, so its cold timings
             # never skew it).
-            warm = get_engine(engine_name, max_bound=bound, slicing="auto")
+            warm = get_engine(engine_name, max_bound=bound)
             _, _, _, _, _, warm_details = _timed_pass(warm, problem)
             solo_details[name][engine_name] = {"warmup": warm_details}
 
-            def run_mode(slicing):
-                engine = get_engine(engine_name, max_bound=bound, slicing=slicing)
-                return _timed_pass(engine, problem)
+            def run_mode(sliced):
+                with _slice_rule(sliced):
+                    return _timed_pass(get_engine(engine_name, max_bound=bound), problem)
 
-            for mode, slicing in (("sliced", "auto"), ("unsliced", False)):
+            for mode, sliced in (("sliced", True), ("unsliced", False)):
                 per_conjunct, complete, winners, seconds, cpu, details = run_mode(
-                    slicing
+                    sliced
                 )
                 verdicts_by_mode[mode] = per_conjunct
                 cell[f"seconds_{mode}"] = round(seconds, 4)
@@ -242,8 +264,8 @@ def run_engine_trajectory(designs=None, *, bound: int = _BMC_BOUND) -> dict:
             # cells swing 3x), which is enough to breach the 0.95x floor
             # below on pure noise.  The min of two passes in opposite orders
             # also cancels any residual warm-up bias.
-            for mode, slicing in (("unsliced", False), ("sliced", "auto")):
-                _, _, _, seconds, _, _ = run_mode(slicing)
+            for mode, sliced in (("unsliced", False), ("sliced", True)):
+                _, _, _, seconds, _, _ = run_mode(sliced)
                 cell[f"seconds_{mode}"] = round(
                     min(cell[f"seconds_{mode}"], seconds), 4
                 )
@@ -253,8 +275,8 @@ def run_engine_trajectory(designs=None, *, bound: int = _BMC_BOUND) -> dict:
                     cell["seconds_unsliced"] / max(cell["seconds_sliced"], 1e-9), 2
                 )
 
-            # Adaptive slicing must never be a regression: on near-full cones
-            # "auto" skips the slice outright, so a measurable cell staying
+            # The slicing rule must never be a regression: on near-full cones
+            # it skips the slice outright, so a measurable cell staying
             # below 0.95x of the unsliced time means the heuristic broke.
             # Sub-50ms cells are timer noise and exempt; an apparent
             # regression is re-timed before failing, in *reverse* mode order
@@ -270,7 +292,7 @@ def run_engine_trajectory(designs=None, *, bound: int = _BMC_BOUND) -> dict:
             ):
                 retries -= 1
                 _, _, _, again_unsliced, _, _ = run_mode(False)
-                _, _, _, again_sliced, _, _ = run_mode("auto")
+                _, _, _, again_sliced, _, _ = run_mode(True)
                 cell["seconds_sliced"] = round(
                     min(cell["seconds_sliced"], again_sliced), 4
                 )
@@ -318,11 +340,12 @@ def run_engine_trajectory(designs=None, *, bound: int = _BMC_BOUND) -> dict:
             if worst is None:
                 break
             worst_cell = row[worst]
-            _, _, _, again_unsliced, _, _ = _timed_pass(
-                get_engine(worst, max_bound=bound, slicing=False), problem
-            )
+            with _slice_rule(False):
+                _, _, _, again_unsliced, _, _ = _timed_pass(
+                    get_engine(worst, max_bound=bound), problem
+                )
             _, _, _, again_sliced, _, _ = _timed_pass(
-                get_engine(worst, max_bound=bound, slicing="auto"), problem
+                get_engine(worst, max_bound=bound), problem
             )
             worst_cell["seconds_unsliced"] = round(
                 min(worst_cell["seconds_unsliced"], again_unsliced), 4
@@ -342,7 +365,7 @@ def run_engine_trajectory(designs=None, *, bound: int = _BMC_BOUND) -> dict:
         payload["design_slicing_speedup"][name] = design_speedup
         if total_unsliced >= 0.2:
             assert design_speedup >= 0.95, (
-                f"adaptive slicing regressed design {name}: {design_speedup}x "
+                f"the slicing rule regressed design {name}: {design_speedup}x "
                 f"({total_sliced:.3f}s sliced vs {total_unsliced:.3f}s unsliced)"
             )
         payload["designs"][name] = row
@@ -397,15 +420,15 @@ def _run_auto_trajectory(payload, design_list, problems, solo_details, *, bound)
             best_wall += eligible[winner]
         oracle[name] = {"wall": best_wall, "engines": winners}
 
-    def run_auto(name, slicing):
-        engine = get_engine("auto", max_bound=bound, slicing=slicing)
-        return _timed_pass(engine, problems[name])
+    def run_auto(name, sliced):
+        with _slice_rule(sliced):
+            return _timed_pass(get_engine("auto", max_bound=bound), problems[name])
 
     def run_oracle(name):
         problem = problems[name]
         total = 0.0
         for target, member in zip(problem.architectural, oracle[name]["engines"]):
-            engine = get_engine(member, max_bound=bound, slicing="auto")
+            engine = get_engine(member, max_bound=bound)
             start = time.perf_counter()
             engine.check_primary(problem, architectural=target)
             total += time.perf_counter() - start
@@ -417,12 +440,12 @@ def _run_auto_trajectory(payload, design_list, problems, solo_details, *, bound)
         # Warm-up pass, as above, so the timed modes start from the same
         # process-global caches as the other cells did.
         for target in problem.architectural:
-            get_engine("auto", max_bound=bound, slicing="auto").check_primary(
+            get_engine("auto", max_bound=bound).check_primary(
                 problem, architectural=target
             )
 
         cell = {}
-        per_conjunct, complete, winners, seconds, cpu, details = run_auto(name, "auto")
+        per_conjunct, complete, winners, seconds, cpu, details = run_auto(name, True)
         per_unsliced, _, _, seconds_unsliced, _, _ = run_auto(name, False)
         assert per_conjunct == per_unsliced, f"slicing changed an auto verdict on {name}"
         expected = [d["covered"] for d in solo_details[name]["explicit"]["sliced"]]
@@ -478,7 +501,7 @@ def _run_auto_trajectory(payload, design_list, problems, solo_details, *, bound)
             cell = payload["designs"][name]["auto"]
             oracle[name]["wall"] = min(oracle[name]["wall"], run_oracle(name))
             cell["oracle_seconds"] = round(oracle[name]["wall"], 4)
-            _, _, _, again, again_cpu, _ = run_auto(name, "auto")
+            _, _, _, again, again_cpu, _ = run_auto(name, True)
             cell["seconds_sliced"] = round(min(cell["seconds_sliced"], again), 4)
             cell["cpu_seconds"] = round(min(cell["cpu_seconds"], again_cpu), 4)
             cell["seconds"] = cell["seconds_sliced"]

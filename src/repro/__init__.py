@@ -34,10 +34,10 @@ The package layers are:
 Quick start::
 
     from repro.designs import build_mal_with_gap
-    from repro.core import analyze_problem
+    from repro.core import analyze_problem, format_report
 
     report = analyze_problem(build_mal_with_gap())
-    print(report.describe())
+    print(format_report(report))
 """
 
 from .ltl import parse, Formula, LassoTrace

@@ -120,14 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
             default=12,
             help="unrolling bound for the bmc engine (ignored by explicit/symbolic)",
         )
-        sub_parser.add_argument(
-            "--no-slice",
-            action="store_true",
-            help=(
-                "disable cone-of-influence slicing of the compiled problem IR "
-                "(every query then runs on the full module)"
-            ),
-        )
 
     sub.add_parser("list", parents=[common], help="list the built-in designs")
 
@@ -394,9 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
     submit_parser.add_argument(
         "--bound", type=_non_negative_int, default=None, help="bmc unrolling bound"
     )
-    submit_parser.add_argument(
-        "--no-slice", action="store_true", help="disable cone-of-influence slicing"
-    )
     return parser
 
 
@@ -405,14 +394,8 @@ def _options_from_args(args: argparse.Namespace, **overrides) -> CoverageOptions
     return CoverageOptions(
         engine=args.engine,
         bmc_max_bound=args.bound,
-        slicing=_slicing_from_args(args),
         **overrides,
     )
-
-
-def _slicing_from_args(args: argparse.Namespace):
-    """``--no-slice`` forces slicing off; the default is adaptive ``"auto"``."""
-    return False if args.no_slice else "auto"
 
 
 def _cmd_list() -> int:
@@ -443,7 +426,7 @@ def _cmd_check(design: str, args: argparse.Namespace) -> int:
         validate_request,
     )
 
-    body = {"design": design, "engine": args.engine, "bound": args.bound, "slicing": _slicing_from_args(args)}
+    body = {"design": design, "engine": args.engine, "bound": args.bound}
     if args.index is not None:
         body["index"] = args.index
     try:
@@ -488,7 +471,6 @@ def _cmd_analyze(design: str, args: argparse.Namespace) -> int:
         design=design,
         engine=args.engine,
         bound=args.bound,
-        slicing=_slicing_from_args(args),
         max_witnesses=args.max_witnesses,
         depth=args.depth,
         witnesses=not args.no_witnesses,
@@ -515,7 +497,6 @@ def _cmd_suite(args: argparse.Namespace) -> int:
         args.designs,
         engine=args.engine,
         bound=args.bound,
-        slicing=_slicing_from_args(args),
         include_signals=not args.no_signals,
         random_count=args.random,
         random_seed=args.seed,
@@ -737,8 +718,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         return 2
     put("engine", args.engine)
     put("bound", args.bound)
-    if args.no_slice:
-        body["slicing"] = False
     put("timeout", args.job_timeout)
     if args.kind == "check":
         put("index", args.index)

@@ -59,11 +59,7 @@ class CoverageOptions:
     wide for explicit enumeration), ``"portfolio"`` (all three
     concurrently, first decisive verdict wins) or ``"auto"`` (explicit when
     the query's automata have more than 28 states, bmc otherwise, with a
-    complete fallback when bmc finds no witness).  ``slicing``
-    controls the cone-of-influence reduction of the compiled problem IR
-    (:mod:`repro.problem`): every query is restricted to the fan-in of its
-    formulas' atoms (plus the observed ``APR`` signals); disable it only for
-    differential testing.
+    complete fallback when bmc finds no witness).
 
     The analysis consults whatever decision-result cache is active
     (:mod:`repro.runner.cache`); install one around it with
@@ -77,10 +73,6 @@ class CoverageOptions:
     max_reported_gaps: int = 3
     engine: str = "explicit"
     bmc_max_bound: int = 12
-    #: ``True`` always slices, ``False`` never; the default ``"auto"`` slices
-    #: only when the cone of influence drops a meaningful share of the design
-    #: (skipping slice construction on near-full cones).
-    slicing: object = "auto"
 
 
 @dataclass
@@ -153,19 +145,6 @@ class CoverageReport:
             "tm_building_seconds": round(self.tm_seconds, 3),
             "gap_finding_seconds": round(self.gap_seconds, 3),
         }
-
-    def describe(self) -> str:
-        lines = [
-            f"== SpecMatcher report for {self.problem_name} ==",
-            f"RTL properties: {self.rtl_property_count}",
-            f"covered: {self.covered}",
-            f"primary coverage question: {self.primary_seconds:.3f} s",
-            f"T_M building: {self.tm_seconds:.3f} s",
-            f"gap finding: {self.gap_seconds:.3f} s",
-        ]
-        for analysis in self.analyses:
-            lines.append(analysis.describe())
-        return "\n".join(lines)
 
 
 def find_coverage_gap(

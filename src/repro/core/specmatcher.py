@@ -3,7 +3,7 @@
 :class:`SpecMatcher` is the user-facing façade over the whole pipeline.
 Typical use::
 
-    from repro import SpecMatcher, parse
+    from repro import SpecMatcher, format_report, parse
 
     matcher = SpecMatcher("MAL")
     matcher.add_architectural_property(parse("G(!wait & r1 & X(r1 U r2) -> X(!d2 U d1))"))
@@ -12,7 +12,7 @@ Typical use::
     matcher.add_concrete_module(m1)      # glue logic as RTL
     matcher.add_concrete_module(l1)      # cache access logic as RTL
     report = matcher.run()
-    print(report.describe())
+    print(format_report(report))
 
 Properties can be supplied as :class:`~repro.ltl.ast.Formula` objects or as
 strings (parsed with :func:`repro.ltl.parse`); concrete modules as

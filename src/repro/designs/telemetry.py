@@ -26,7 +26,8 @@ state variables of every engine; sliced, no query ever sees them.
 
 The intent holds on every run of the concrete module, so the design is
 covered under any specification; it earns its place in the catalog as the
-benchmark where ``--no-slice`` visibly hurts every engine.
+one design whose primary queries the cone-of-influence rule slices, and
+where an unsliced run visibly hurts every engine.
 """
 
 from __future__ import annotations

@@ -44,12 +44,12 @@ class AutoEngine(CoverageEngine):
 
     def _find_run(self, problem: "CompiledProblem") -> RunResult:
         winner = pick_engine(problem.features())
-        engine = get_engine(winner, max_bound=self.max_bound, slicing=self.slicing)
+        engine = get_engine(winner, max_bound=self.max_bound)
         result = engine.find_run(problem)
         if winner == "bmc" and not result.satisfiable:
             # bmc's "no witness" holds only up to the bound: explicit decides.
             winner = "explicit"
-            engine = get_engine(winner, max_bound=self.max_bound, slicing=self.slicing)
+            engine = get_engine(winner, max_bound=self.max_bound)
             result = engine.find_run(problem)
         return replace(result, complete=True, winner=winner)
 

@@ -34,7 +34,6 @@ from ..obs import metrics, span
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a core import cycle
     from ..core.spec import CoverageProblem
     from ..problem import CompiledProblem
-    from ..rtl.netlist import Module
 
 __all__ = [
     "RunResult",
@@ -117,47 +116,29 @@ def _query_formulas(
 class CoverageEngine:
     """Base class / protocol of the primary-coverage engines.
 
-    ``slicing`` controls whether queries are compiled with cone-of-influence
-    reduction (:mod:`repro.problem`): ``True`` always slices, ``False``
-    never, and the default ``"auto"`` slices only when the cone drops a
-    meaningful part of the module.  Threaded from ``CoverageOptions.slicing``
-    / the CLI ``--no-slice`` flag.
+    Every query is compiled by :func:`repro.problem.compile_problem`, whose
+    one cone-of-influence rule decides whether the module is sliced.
     """
 
     name: str = "?"
     #: True when a "covered" verdict is a full proof rather than bounded.
     complete: bool = True
 
-    def __init__(self, *, slicing="auto", max_bound: int = 12):
-        self.slicing = slicing
+    def __init__(self, *, max_bound: int = 12):
         #: The bound a bounded search would run to.  Complete engines never
         #: use it to decide, but it is part of every engine's *feature
         #: record* (verdicts, suite shard rows), so every record carries the
         #: configured bound, never ``None``.
         self.max_bound = max_bound
 
-    def compile(
-        self,
-        module: "Module",
-        formulas: Sequence[Formula],
-        *,
-        observe: Sequence[str] = (),
-    ) -> "CompiledProblem":
-        """Compile one query into the IR this engine consumes (memoized)."""
-        from ..problem import compile_problem
-
-        return compile_problem(
-            module, formulas, observe=observe, slicing=self.slicing
-        )
-
     def _as_problem(self, target, formulas, observe) -> "CompiledProblem":
-        from ..problem import CompiledProblem
+        from ..problem import CompiledProblem, compile_problem
 
         if isinstance(target, CompiledProblem):
             return target
         if formulas is None:
             raise TypeError("find_run needs formulas unless given a CompiledProblem")
-        return self.compile(target, formulas, observe=observe)
+        return compile_problem(target, formulas, observe=observe)
 
     def find_run(
         self,
@@ -256,9 +237,11 @@ class CoverageEngine:
         observe: Sequence[str] = (),
     ) -> EngineVerdict:
         """Theorem 1: does the RTL specification cover the intent?"""
+        from ..problem import compile_problem
+
         problem.validate()
         start = time.perf_counter()
-        compiled = self.compile(
+        compiled = compile_problem(
             problem.composed_module(),
             _query_formulas(problem, architectural),
             observe=observe,
@@ -339,8 +322,8 @@ class BmcEngine(CoverageEngine):
     #: Upper bound on pooled sessions per engine instance; oldest evicted.
     _SESSION_POOL_LIMIT = 8
 
-    def __init__(self, *, max_bound: int = 12, slicing="auto"):
-        super().__init__(slicing=slicing, max_bound=max_bound)
+    def __init__(self, *, max_bound: int = 12):
+        super().__init__(max_bound=max_bound)
         self._sessions: Dict[tuple, object] = {}
         self._session_lock = threading.Lock()
 
@@ -388,7 +371,7 @@ class BmcEngine(CoverageEngine):
 
 # The symbolic, portfolio and auto engines register themselves from their
 # own modules once the package __init__ has imported them.  Every factory is
-# a CoverageEngine subclass that takes ``max_bound`` and ``slicing``.
+# a CoverageEngine subclass that takes ``max_bound``.
 _ENGINES: Dict[str, Callable[..., CoverageEngine]] = {}
 
 
@@ -417,7 +400,7 @@ def engine_names() -> tuple:
 
 
 def get_engine(name: str, **kwargs) -> CoverageEngine:
-    """Instantiate an engine by its registered name (``max_bound``, ``slicing``)."""
+    """Instantiate an engine by its registered name (``max_bound``)."""
     factory = _ENGINES.get(name) if isinstance(name, str) else None
     if factory is None:
         known = ", ".join(engine_names())
@@ -428,7 +411,7 @@ def get_engine(name: str, **kwargs) -> CoverageEngine:
 def engine_from_options(options) -> CoverageEngine:
     """Resolve the engine selected by a :class:`CoverageOptions`-like object.
 
-    Reads the ``engine``, ``bmc_max_bound`` and ``slicing`` attributes
+    Reads the ``engine`` and ``bmc_max_bound`` attributes
     (duck-typed so the core layer never has to import this module at
     class-definition time) — any registered engine name (``explicit`` /
     ``bmc`` / ``symbolic`` / ``portfolio`` / ``auto``) is accepted; ``None``
@@ -439,5 +422,4 @@ def engine_from_options(options) -> CoverageEngine:
     return get_engine(
         getattr(options, "engine", "explicit"),
         max_bound=getattr(options, "bmc_max_bound", 12),
-        slicing=getattr(options, "slicing", "auto"),
     )

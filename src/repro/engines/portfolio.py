@@ -84,10 +84,7 @@ class PortfolioEngine(CoverageEngine):
         return result.satisfiable or result.complete
 
     def _find_run(self, problem: "CompiledProblem") -> RunResult:
-        engines = [
-            get_engine(name, max_bound=self.max_bound, slicing=self.slicing)
-            for name in _MEMBERS
-        ]
+        engines = [get_engine(name, max_bound=self.max_bound) for name in _MEMBERS]
         try:
             finished, errors = self._race(problem, engines)
         except _ThreadsUnavailable:

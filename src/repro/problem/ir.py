@@ -10,7 +10,8 @@ intermediate representation that fixes both:
   (:meth:`~repro.rtl.netlist.Module.slice_for` seeded by the formulas' atom
   support plus the explicitly observed signals) — signals outside the cone
   provably cannot affect the query, so the explicit, bounded and symbolic
-  engines all search a smaller state space;
+  engines all search a smaller state space; one rule skips the slice when
+  the cone keeps nearly the whole module;
 * the **compiled property automata** (the one formula→automaton pipeline of
   the explicit product, memoized per top-level conjunct, so the 26 RTL
   properties of a Table-1 design compile once per process, not once per
@@ -25,10 +26,11 @@ the slice, the formulas and the partition (:meth:`CompiledProblem.cache_extra`),
 so structurally identical cones hit the cache across designs and across suite
 shards.
 
-:func:`compile_problem` is memoized on the structural identity of its inputs:
-the gap-analysis pipeline (primary question, witness enumeration, closure
-checks) re-asks queries over the same (design × formulas × observed) triple
-constantly, and each one compiles exactly once per process.
+:func:`compile_problem` is memoized on the structural identity of its inputs
+and the slicing threshold: the gap-analysis pipeline (primary question,
+witness enumeration, closure checks) re-asks queries over the same (design ×
+formulas × observed) triple constantly, and each one compiles exactly once
+per process.
 """
 
 from __future__ import annotations
@@ -53,10 +55,12 @@ __all__ = [
     "AUTO_SLICE_THRESHOLD",
 ]
 
-#: ``slicing="auto"`` skips the slice when the cone covers at least this
+#: :func:`compile_problem` skips the slice when the cone covers at least this
 #: fraction of the module's registers: building a near-identical module costs
 #: more than it saves (BENCH_engines.json recorded 0.6–0.93x *slowdowns* on
-#: designs whose specs read almost everything).
+#: designs whose specs read almost everything).  Differential tests and the
+#: backend benchmark set it to 0.0 (never slice) or ``math.inf`` (always
+#: slice); the compile memo keys on it.
 AUTO_SLICE_THRESHOLD = 0.90
 
 
@@ -64,10 +68,11 @@ AUTO_SLICE_THRESHOLD = 0.90
 class CompiledProblem:
     """One compiled existential coverage query (immutable).
 
-    ``module`` is the cone-of-influence slice (or the full module when
-    slicing is disabled); ``automata`` are the compiled property automata in
-    formula order; ``free_signals`` is the canonical environment partition of
-    the slice, which :meth:`cache_extra` adds to the result-cache key.
+    ``module`` is the cone-of-influence slice (or the full module when the
+    cone keeps nearly all of it); ``automata`` are the compiled property
+    automata in formula order; ``free_signals`` is the canonical environment
+    partition of the slice, which :meth:`cache_extra` adds to the result-cache
+    key.
     """
 
     module: Module
@@ -82,7 +87,7 @@ class CompiledProblem:
 
     @property
     def dropped_signals(self) -> int:
-        """Driven signals the slice removed (0 when slicing is off)."""
+        """Driven signals the slice removed (0 when unsliced)."""
         return self.dropped_assigns + self.dropped_registers
 
     @property
@@ -232,18 +237,14 @@ def _free_partition(
     return tuple(free)
 
 
-def _should_slice(module: Module, cone, slicing) -> bool:
-    """Resolve a slicing mode against the measured cone.
+def _should_slice(module: Module, cone, threshold: float) -> bool:
+    """Whether slicing ``module`` to ``cone`` is worth it.
 
-    ``True``/``False`` are honoured verbatim (differential tests rely on
-    forcing both modes); ``"auto"`` skips the slice when the cone covers at
-    least :data:`AUTO_SLICE_THRESHOLD` of the registers (of the driven
-    signals, for register-free modules) — at that coverage the slice is a
-    near-copy of the module and only costs compile time and memoization
-    identity.
+    The slice is skipped when the cone covers at least ``threshold`` of the
+    registers (of the driven signals, for register-free modules) — at that
+    coverage the slice is a near-copy of the module and only costs compile
+    time and memoization identity.
     """
-    if not isinstance(slicing, str):
-        return bool(slicing)
     total = len(module.registers)
     kept = sum(1 for name in module.registers if name in cone)
     if not total:
@@ -251,7 +252,7 @@ def _should_slice(module: Module, cone, slicing) -> bool:
         kept = sum(1 for name in module.assigns if name in cone)
     if not total:
         return False
-    return kept < AUTO_SLICE_THRESHOLD * total
+    return kept < threshold * total
 
 
 def compile_problem(
@@ -259,7 +260,6 @@ def compile_problem(
     formulas: Sequence[Formula],
     *,
     observe: Sequence[str] = (),
-    slicing="auto",
 ) -> CompiledProblem:
     """Compile one existential query into a :class:`CompiledProblem`.
 
@@ -268,20 +268,21 @@ def compile_problem(
     ``APR`` alphabet so uncovered terms can still be projected onto it, and
     the suite's observability shards pass their target signal.
 
-    ``slicing`` is ``True`` (always slice), ``False`` (never) or the default
-    ``"auto"``: slice only when the cone of influence drops a meaningful part
-    of the module (see :func:`_should_slice`) — the adaptive guard against
-    the measured regression where slicing near-full cones was a net slowdown.
-    The result is memoized on the structural identity of ``(module, formulas,
-    observe, slicing)``.
+    The module is sliced to the cone of influence of the formulas' atoms and
+    the observed signals unless that cone keeps at least
+    :data:`AUTO_SLICE_THRESHOLD` of it (see :func:`_should_slice`): a slice
+    never changes a verdict, and slicing near-full cones was a measured net
+    slowdown.  The result is memoized on the structural identity of
+    ``(module, formulas, observe)`` and on the threshold, so a compile under
+    one threshold is never returned under another.
     """
     formulas = tuple(formulas)
     observed = tuple(sorted(set(observe)))
+    threshold = AUTO_SLICE_THRESHOLD
 
     from ..runner.cache import module_fingerprint
 
-    mode = slicing if isinstance(slicing, str) else bool(slicing)
-    key = (module_fingerprint(module), formulas, observed, mode)
+    key = (module_fingerprint(module), formulas, observed, threshold)
     with _COMPILE_LOCK:
         cached = _COMPILE_CACHE.get(key)
         if cached is not None:
@@ -292,17 +293,14 @@ def compile_problem(
         _COMPILE_STATS.misses += 1
     metrics().inc("compile.cache_misses")
 
-    with span("compile_problem", design=module.name, slicing=str(mode)) as sp:
-        sliced = module
-        do_slice = bool(slicing)
+    with span("compile_problem", design=module.name) as sp:
+        seed = set(atom_support(formulas)) | set(observed)
+        do_slice = _should_slice(module, module.cone_of_influence(seed), threshold)
         if do_slice:
-            seed = set(atom_support(formulas)) | set(observed)
-            cone = module.cone_of_influence(seed)
-            do_slice = _should_slice(module, cone, slicing)
-            if do_slice:
-                sliced = module.slice_for(seed)
-            elif mode == "auto" and bool(slicing):
-                metrics().inc("compile.slice_skipped")
+            sliced = module.slice_for(seed)
+        else:
+            sliced = module
+            metrics().inc("compile.slice_skipped")
         free_signals = _free_partition(sliced, formulas, observed)
         problem = CompiledProblem(
             module=sliced,

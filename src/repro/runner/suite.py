@@ -84,8 +84,6 @@ class CoverageJob:
     index: int  # architectural conjunct index (0 for signal shards)
     engine: str = "explicit"
     bound: int = 12
-    #: ``True`` / ``False`` / ``"auto"`` (see :mod:`repro.problem`).
-    slicing: object = "auto"
     random_spec: Optional[RandomDesignSpec] = None
 
     @property
@@ -214,7 +212,6 @@ def expand_jobs(
     *,
     engine: str = "explicit",
     bound: int = 12,
-    slicing="auto",
     include_signals: bool = True,
     random_count: int = 0,
     random_seed: int = 0,
@@ -235,7 +232,6 @@ def expand_jobs(
             design=name,
             engine=engine,
             bound=bound,
-            slicing=slicing,
             random_spec=spec,
         )
         for index in range(len(problem.architectural)):
@@ -265,7 +261,7 @@ def _answer(
     Returns ``(verdict, complete, detail, winner, features)``.
     """
     problem = job.problem()
-    engine = get_engine(job.engine, max_bound=job.bound, slicing=job.slicing)
+    engine = get_engine(job.engine, max_bound=job.bound)
     if job.kind == "primary":
         verdict = engine.check_primary(
             problem, architectural=problem.architectural[job.index]
@@ -280,9 +276,12 @@ def _answer(
     if job.kind == "signal":
         module = problem.composed_module()
         formulas = problem.all_rtl_formulas() + [Eventually(Atom(job.target))]
-        # Compile explicitly (memoized, so free when find_run recompiles)
-        # so the shard row carries the query's feature record.
-        compiled = engine.compile(module, formulas, observe=(job.target,))
+        # Compile here so the shard row carries the query's feature record.
+        # Imported per call, so a wrapper installed on
+        # ``repro.problem.compile_problem`` sees this compile too.
+        from ..problem import compile_problem
+
+        compiled = compile_problem(module, formulas, observe=(job.target,))
         result = engine.find_run(compiled)
         # "never observable" is definitive only on a complete verdict.
         return (

@@ -62,7 +62,6 @@ class JobRequest:
     kind: str  # "check" | "analyze" | "suite"
     engine: str = "explicit"
     bound: int = 12
-    slicing: object = "auto"
     #: Per-request wall-clock budget in seconds (``None`` = server default).
     timeout: Optional[float] = None
     # check / analyze
@@ -200,7 +199,7 @@ def _run_check(
     architectural = (
         problem.architectural[request.index] if request.index is not None else None
     )
-    engine = get_engine(request.engine, max_bound=request.bound, slicing=request.slicing)
+    engine = get_engine(request.engine, max_bound=request.bound)
     # This job's own result-cache lookups (its portfolio members' included),
     # not the shared cache's counters, which concurrent jobs move too.
     lookups = CacheStats()
@@ -238,7 +237,6 @@ def _run_analyze(
     options = CoverageOptions(
         engine=request.engine,
         bmc_max_bound=request.bound,
-        slicing=request.slicing,
         max_witnesses=request.max_witnesses,
         unfold_depth=request.depth,
     )
@@ -272,7 +270,6 @@ def _run_suite(
         list(request.designs) if request.designs is not None else None,
         engine=request.engine,
         bound=request.bound,
-        slicing=request.slicing,
         include_signals=request.include_signals,
         random_count=request.random,
         random_seed=request.seed,

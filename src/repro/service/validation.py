@@ -158,12 +158,6 @@ def _engine(value, field: str) -> str:
     return name
 
 
-def _slicing(value, field: str):
-    if value is True or value is False or value == "auto":
-        return value
-    raise ValidationError(field, f"expected true, false or \"auto\", got {value!r}")
-
-
 def _timeout(value, field: str) -> float:
     return _float(value, field, minimum=0.01, maximum=MAX_TIMEOUT_SECONDS)
 
@@ -186,7 +180,6 @@ _Validator = Callable[[object, str], object]
 _COMMON: Dict[str, Tuple[_Validator, bool, object]] = {
     "engine": (_engine, False, "explicit"),
     "bound": (_bound, False, 12),
-    "slicing": (_slicing, False, "auto"),
     "timeout": (_timeout, False, None),
 }
 

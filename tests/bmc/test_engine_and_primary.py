@@ -14,6 +14,7 @@ from repro.rtl.netlist import Module
 from repro.bmc.engine import bmc_free_atoms, find_run_bmc
 from repro.bmc.incremental import BMCSession
 from repro.engines import get_engine
+from repro.problem import compile_problem
 
 
 def build_toggle() -> Module:
@@ -66,7 +67,7 @@ class TestLinearSearch:
 
     def test_clauses_added_per_bound_grow_linearly(self):
         problem = build_mal()
-        compiled = get_engine("bmc").compile(
+        compiled = compile_problem(
             problem.composed_module(),
             [Not(problem.architectural_conjunction())] + problem.all_rtl_formulas(),
         )

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
+import repro.problem.ir
 from repro.core import CoverageOptions
 from repro.designs import (
     build_amba_problem,
@@ -24,6 +27,22 @@ def fast_options() -> CoverageOptions:
         max_closure_checks=6,
         max_reported_gaps=2,
     )
+
+
+@pytest.fixture()
+def force_slicing(monkeypatch):
+    """Pin the cone-of-influence rule of ``compile_problem`` for one test.
+
+    ``force_slicing(True)`` slices every query, ``force_slicing(False)``
+    none; the threshold is restored when the test ends.  The compile memo
+    keys on the threshold, so both directions can run in one test.
+    """
+
+    def force(slice_every_query: bool) -> None:
+        threshold = math.inf if slice_every_query else 0.0
+        monkeypatch.setattr(repro.problem.ir, "AUTO_SLICE_THRESHOLD", threshold)
+
+    return force
 
 
 @pytest.fixture(scope="session")

@@ -175,7 +175,6 @@ class TestOptions:
             "max_reported_gaps",
             "engine",
             "bmc_max_bound",
-            "slicing",
         ]
 
 

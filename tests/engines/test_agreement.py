@@ -61,7 +61,7 @@ class TestEngineRegistry:
         assert f"invalid choice: {alias!r}" in capsys.readouterr().err
 
     def test_unknown_keyword_rejected(self):
-        # Every factory takes exactly max_bound and slicing: a misspelt
+        # Every factory takes exactly max_bound: a misspelt
         # option fails loudly instead of running with the defaults.
         for name in engine_names():
             with pytest.raises(TypeError):

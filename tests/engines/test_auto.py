@@ -1,6 +1,6 @@
 """The rule-scheduled ``auto`` engine: its threshold and its choice on every
 catalog conjunct, the explicit fallback behind ``bmc``, agreement with the
-explicit engine, slicing and cache identity."""
+explicit engine, both sides of the slicing rule and cache identity."""
 
 import inspect
 
@@ -38,11 +38,10 @@ def test_registered():
     assert EXPLICIT_ABOVE_STATES == 28
 
 
-def test_constructor_takes_only_bound_and_slicing():
+def test_constructor_takes_only_the_bound():
     parameters = inspect.signature(AutoEngine).parameters
-    assert sorted(parameters) == ["max_bound", "slicing"]
-    engine = AutoEngine(max_bound=4, slicing=False)
-    assert (engine.max_bound, engine.slicing) == (4, False)
+    assert sorted(parameters) == ["max_bound"]
+    assert AutoEngine(max_bound=4).max_bound == 4
 
 
 @pytest.mark.parametrize(
@@ -179,15 +178,14 @@ def test_fallback_winner_survives_cache_replay():
 
 
 @pytest.mark.parametrize("index", range(3))
-def test_unsliced_run_agrees_with_sliced(index):
-    """``slicing`` reaches the engine the rule picks: the unsliced query has
-    the same automata, so the same engine and verdict."""
+def test_unsliced_run_agrees_with_sliced(index, force_slicing):
+    """The unsliced query has the same automata as the sliced one, so the
+    rule picks the same engine and it gives the same verdict."""
     problem = get_design("telemetry_bank").builder()
     target = problem.architectural[index]
     sliced = AutoEngine(max_bound=_BMC_BOUND).check_primary(problem, architectural=target)
-    unsliced = AutoEngine(max_bound=_BMC_BOUND, slicing=False).check_primary(
-        problem, architectural=target
-    )
+    force_slicing(False)
+    unsliced = AutoEngine(max_bound=_BMC_BOUND).check_primary(problem, architectural=target)
     assert sliced.features["sliced"] is True
     assert unsliced.features["sliced"] is False
     assert unsliced.features["automaton_states"] == sliced.features["automaton_states"]

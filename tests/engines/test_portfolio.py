@@ -13,6 +13,7 @@ from repro.engines import (
     get_engine,
     using_cancel_token,
 )
+from repro.problem import compile_problem
 from repro.runner.cache import ResultCache, using_result_cache
 
 _BMC_BOUND = 6
@@ -115,9 +116,7 @@ class TestPollCounters:
         monkeypatch.setattr(threading.Thread, "start", recording_start)
         problem = get_design("paper_example").builder()
         engine = get_engine("portfolio", max_bound=_BMC_BOUND)
-        compiled = engine.compile(
-            problem.composed_module(), list(problem.rtl_properties)
-        )
+        compiled = compile_problem(problem.composed_module(), list(problem.rtl_properties))
         result = engine.find_run(compiled)
         members = [thread for thread in started if thread.name.startswith("portfolio-")]
         assert sorted(thread.name for thread in members) == [
@@ -132,9 +131,7 @@ class TestRegistry:
         assert isinstance(get_engine("portfolio"), PortfolioEngine)
 
     def test_kwarg_forwarding(self):
-        engine = get_engine("portfolio", max_bound=4, slicing=False)
-        assert engine.max_bound == 4
-        assert engine.slicing is False
+        assert get_engine("portfolio", max_bound=4).max_bound == 4
 
 
 @pytest.mark.parametrize("design", _DESIGNS)

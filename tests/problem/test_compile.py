@@ -1,7 +1,9 @@
 """Unit tests of the compiled CoverageProblem IR (repro.problem)."""
 
 
-from repro.designs import build_mal_with_gap, build_telemetry_bank
+import pytest
+
+from repro.designs import CATALOG, build_mal_with_gap, build_telemetry_bank
 from repro.ltl.ast import Not, atom_support
 from repro.ltl.parser import parse
 from repro.logic.boolexpr import and_, not_, var
@@ -18,6 +20,15 @@ def _two_channel_module(name="two", extra_prefix=""):
     module.add_assign(f"{extra_prefix}o1", var(f"{extra_prefix}r1"))
     module.add_assign(f"{extra_prefix}o2", var(f"{extra_prefix}r2"))
     module.add_output(f"{extra_prefix}o1").add_output(f"{extra_prefix}o2")
+    return module
+
+
+def _register_bank(width):
+    """``width`` independent channels ``x<i> -> r<i> -> o<i>``."""
+    module = Module("bank")
+    for i in range(width):
+        module.add_input(f"x{i}").add_register(f"r{i}", var(f"x{i}"))
+        module.add_assign(f"o{i}", var(f"r{i}")).add_output(f"o{i}")
     return module
 
 
@@ -41,9 +52,10 @@ class TestCompileProblem:
         assert problem.dropped_registers == 1
         assert problem.sliced
 
-    def test_unsliced_keeps_module(self):
+    def test_unsliced_keeps_module(self, force_slicing):
+        force_slicing(False)
         module = _two_channel_module()
-        problem = compile_problem(module, [parse("F o1")], slicing=False)
+        problem = compile_problem(module, [parse("F o1")])
         assert problem.module is module
         assert problem.dropped_signals == 0
         assert not problem.sliced
@@ -76,7 +88,7 @@ class TestCompileProblem:
         third = compile_problem(_two_channel_module(name="other"), formulas)
         assert third is first
 
-    def test_identical_cones_fingerprint_identically_across_designs(self):
+    def test_identical_cones_fingerprint_identically_across_designs(self, force_slicing):
         # Two different designs whose cones for the same query are
         # structurally identical must produce the same result-cache key —
         # that is what lets the result cache share entries across designs.
@@ -97,8 +109,9 @@ class TestCompileProblem:
         p_big = compile_problem(big, (parse("F o1"),))
         assert cache_key(p_small) == cache_key(p_big)
         # Unsliced, the two modules differ and so must the keys.
-        u_small = compile_problem(small, (parse("F o1"),), slicing=False)
-        u_big = compile_problem(big, (parse("F o1"),), slicing=False)
+        force_slicing(False)
+        u_small = compile_problem(small, (parse("F o1"),))
+        u_big = compile_problem(big, (parse("F o1"),))
         assert cache_key(u_small) != cache_key(u_big)
 
     def test_automata_are_shared_between_queries(self):
@@ -123,43 +136,56 @@ class TestCompileProblem:
 class TestAutoSlicing:
     def test_auto_slices_a_narrow_cone(self):
         module = _two_channel_module()
-        compiled = compile_problem(module, [parse("F o1")], slicing="auto")
-        # The cone covers 1 of 2 registers (50% < 90%): auto must slice.
+        compiled = compile_problem(module, [parse("F o1")])
+        # The cone covers 1 of 2 registers (50% < 90%): the rule slices.
         assert compiled.sliced
         assert set(compiled.module.registers) == {"r1"}
         assert compiled.slice_ratio == 0.5
 
     def test_auto_skips_a_full_cone(self):
         module = _two_channel_module()
-        compiled = compile_problem(
-            module, [parse("F (o1 & o2)")], slicing="auto"
-        )
-        # Both registers are in the cone (100% >= 90%): auto must skip the
-        # slice entirely and keep the original module object.
+        compiled = compile_problem(module, [parse("F (o1 & o2)")])
+        # Both registers are in the cone (100% >= 90%): the rule skips the
+        # slice entirely and keeps the original module object.
         assert not compiled.sliced
         assert compiled.module is module
         assert compiled.slice_ratio == 1.0
 
-    def test_forced_true_slices_even_a_full_cone(self):
+    def test_forced_true_slices_even_a_full_cone(self, force_slicing):
+        force_slicing(True)
         module = _two_channel_module()
-        compiled = compile_problem(
-            module, [parse("F (o1 & o2)")], slicing=True
-        )
-        # slicing=True is honoured verbatim: a new (equal) module is built.
+        compiled = compile_problem(module, [parse("F (o1 & o2)")])
+        # An infinite threshold slices every cone: a new (equal) module is built.
         assert compiled.sliced
         assert compiled.module is not module
         assert set(compiled.module.registers) == {"r1", "r2"}
 
-    def test_auto_is_the_default(self):
-        # A distinct formula shape dodges the compile memo of the tests above.
+    @pytest.mark.parametrize(
+        "kept,sliced", [(9, False), (8, True)], ids=["9_of_10_kept_whole", "8_of_10_sliced"]
+    )
+    def test_threshold_boundary(self, kept, sliced):
+        # A cone holding 90% of the registers is kept whole; below, sliced.
+        module = _register_bank(10)
+        compiled = compile_problem(module, [parse(f"F o{i}") for i in range(kept)])
+        assert compiled.sliced is sliced
+        assert len(compiled.module.registers) == (kept if sliced else 10)
+        assert compiled.slice_ratio == (kept / 10 if sliced else 1.0)
+
+    def test_memo_keys_on_the_threshold(self, force_slicing):
+        # A problem compiled under one threshold is never returned under another.
         module = _two_channel_module()
-        implicit = compile_problem(module, [parse("G F (o1 & o2)")])
-        assert not implicit.sliced
-        assert implicit.module is module
+        formulas = (parse("F o1"),)
+        sliced = compile_problem(module, formulas)
+        force_slicing(False)
+        unsliced = compile_problem(module, formulas)
+        assert sliced.sliced
+        assert unsliced is not sliced
+        assert not unsliced.sliced
+        assert unsliced.module is module
 
     def test_feature_record_contents(self):
         module = _two_channel_module()
-        compiled = compile_problem(module, [parse("F o1")], slicing="auto")
+        compiled = compile_problem(module, [parse("F o1")])
         features = compiled.features(bound=12)
         assert features["coi_size"] == len(compiled.module.assigns) + len(
             compiled.module.registers
@@ -187,6 +213,19 @@ class TestRealDesignCompile:
         )
         assert compiled.dropped_registers >= 6  # hist0..3 + parity + saw_ack
         assert "ack0" in compiled.module.assigns
+
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_only_telemetry_bank_primary_queries_slice(self, name):
+        """Compiled as ``CoverageEngine.check_primary`` compiles them, the
+        three primary queries of telemetry_bank are sliced and every other
+        catalog design is kept whole."""
+        problem = CATALOG[name].builder()
+        module = problem.composed_module()
+        decisions = [
+            compile_problem(module, [Not(target)] + problem.all_rtl_formulas()).sliced
+            for target in problem.architectural
+        ]
+        assert decisions == [name == "telemetry_bank"] * len(problem.architectural)
 
     def test_mal_cone_is_whole_module(self):
         problem = build_mal_with_gap()

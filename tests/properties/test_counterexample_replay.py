@@ -7,10 +7,10 @@ tests close the loop the paper's methodology relies on: the witness must be a
 simulator must reproduce every driven signal — and that run must actually
 violate the architectural intent while satisfying the whole RTL specification.
 
-With cone-of-influence slicing (the default), a witness speaks about exactly
-the signals of its query's cone: the replay asserts every driven signal *the
-witness records*.  The unsliced runs (``slicing=False``) keep the original
-full-alphabet check, so both contracts stay pinned.
+A witness from a sliced query speaks about exactly the signals of its
+query's cone: the replay asserts every driven signal *the witness records*.
+The unsliced runs keep the original full-alphabet check, so both contracts
+stay pinned; the ``force_slicing`` fixture picks the side of the slicing rule.
 """
 
 from __future__ import annotations
@@ -80,8 +80,8 @@ def _assert_witness_violates(problem, target, witness):
         assert evaluate(formula, merged), "witness violates the RTL specification"
 
 
-def _uncovered_witnesses(problem, engine_name: str, bound: int = 12, slicing: bool = True):
-    engine = get_engine(engine_name, max_bound=bound, slicing=slicing)
+def _uncovered_witnesses(problem, engine_name: str, bound: int = 12):
+    engine = get_engine(engine_name, max_bound=bound)
     found = []
     for target in problem.architectural:
         verdict = engine.check_primary(problem, architectural=target)
@@ -95,9 +95,10 @@ class TestCatalogCounterexamples:
     @pytest.mark.parametrize("slicing", [True, False], ids=["sliced", "unsliced"])
     @pytest.mark.parametrize("design", ["mal_fig4", "paper_example"])
     @pytest.mark.parametrize("engine_name", ["explicit", "bmc", "symbolic"])
-    def test_uncovered_designs_replay_and_violate(self, design, engine_name, slicing):
+    def test_uncovered_designs_replay_and_violate(self, design, engine_name, slicing, force_slicing):
+        force_slicing(slicing)
         problem = get_design(design).builder()
-        witnesses = _uncovered_witnesses(problem, engine_name, slicing=slicing)
+        witnesses = _uncovered_witnesses(problem, engine_name)
         assert witnesses, f"{design} is expected to have a coverage gap"
         for target, witness in witnesses:
             if not slicing:
@@ -110,7 +111,8 @@ class TestCatalogCounterexamples:
             _assert_witness_violates(problem, target, witness)
 
     @pytest.mark.slow
-    def test_amba_counterexample_replays(self):
+    def test_amba_counterexample_replays(self, force_slicing):
+        force_slicing(True)
         problem = get_design("amba_ahb").builder()
         for target, witness in _uncovered_witnesses(problem, "explicit"):
             _assert_witness_violates(problem, target, witness)
@@ -118,7 +120,8 @@ class TestCatalogCounterexamples:
 
 class TestRandomCounterexamples:
     @pytest.mark.parametrize("seed", [11, 23, 37, 53])
-    def test_random_gap_witnesses_replay(self, seed):
+    def test_random_gap_witnesses_replay(self, seed, force_slicing):
+        force_slicing(True)
         checked = 0
         for index in range(4):
             problem = random_problem(RandomDesignSpec(seed=seed, index=index))

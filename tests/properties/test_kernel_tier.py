@@ -47,7 +47,6 @@ from repro.designs.random import (
     random_formula,
     random_problem,
 )
-from repro.engines import get_engine
 from repro.logic import BDDError, BDDManager
 from repro.ltl.ast import Not
 from repro.ltl.tableau import ltl_to_gba
@@ -56,7 +55,7 @@ from repro.ltl.unfold import term_from_trace
 from repro.mc.modelcheck import build_kripke
 from repro.mc.product import kripke_automata_product
 from repro.mc.symbolic import SymbolicProduct
-from repro.problem import compiled_automata
+from repro.problem import compile_problem, compiled_automata
 from repro.sat.cnf import CNF
 from repro.sat.solver import SatSolver, solve
 
@@ -396,7 +395,7 @@ class TestBddKernelReference:
     )
     def test_symbolic_images_match_reference(self, name):
         problem = CATALOG[name].builder()
-        compiled = get_engine("symbolic").compile(
+        compiled = compile_problem(
             problem.composed_module(),
             [Not(problem.architectural_conjunction())] + problem.all_rtl_formulas(),
         )

@@ -73,7 +73,7 @@ def without_timings(text: str) -> str:
 @pytest.mark.parametrize(
     "argv",
     [
-        ["mal_fig2", "--no-witnesses", "--no-slice"],
+        ["mal_fig2", "--no-witnesses"],
         ["paper_example", "--engine", "bmc", "--bound", "4", "--max-witnesses", "1", "--depth", "2"],
     ],
 )

@@ -179,11 +179,12 @@ def test_http_validation_failure_is_structured(client):
     assert fields == ["bound", "design"]
 
 
-def test_http_prop_backend_field_is_unknown(client):
+@pytest.mark.parametrize("field,value", [("prop_backend", "auto"), ("slicing", False)])
+def test_http_removed_field_is_unknown(client, field, value):
     with pytest.raises(ServiceError) as excinfo:
-        client.submit("check", {"design": "mal_fig2", "prop_backend": "auto"})
+        client.submit("check", {"design": "mal_fig2", field: value})
     assert excinfo.value.status == 400
-    assert excinfo.value.payload["errors"] == [{"field": "prop_backend", "message": "unknown field"}]
+    assert excinfo.value.payload["errors"] == [{"field": field, "message": "unknown field"}]
 
 
 def test_http_non_json_body_is_structured_400(client):

@@ -27,7 +27,6 @@ def test_minimal_check_request_fills_defaults():
     assert request.design == "mal_fig2"
     assert request.engine == "explicit"
     assert request.bound == 12
-    assert request.slicing == "auto"
     assert request.timeout is None
     assert request.index is None
 
@@ -39,14 +38,12 @@ def test_full_check_request_round_trips():
             "design": "amba_ahb",
             "engine": "bmc",
             "bound": 8,
-            "slicing": False,
             "timeout": 30.5,
             "index": 0,
         },
     )
     assert request.engine == "bmc"
     assert request.bound == 8
-    assert request.slicing is False
     assert request.timeout == 30.5
     assert request.index == 0
 
@@ -126,13 +123,6 @@ def test_timeout_range_enforced(bad):
     assert fields_of(excinfo) == ["timeout"]
 
 
-@pytest.mark.parametrize("bad", ["yes", 1, None])
-def test_slicing_only_true_false_auto(bad):
-    with pytest.raises(RequestValidationError) as excinfo:
-        validate_request("check", {"design": "mal_fig2", "slicing": bad})
-    assert fields_of(excinfo) == ["slicing"]
-
-
 def test_unknown_engine_and_backend():
     with pytest.raises(RequestValidationError) as excinfo:
         validate_request(
@@ -142,13 +132,15 @@ def test_unknown_engine_and_backend():
     assert fields_of(excinfo) == ["engine", "prop_backend"]
 
 
+@pytest.mark.parametrize("field,value", [("prop_backend", "auto"), ("slicing", False)])
 @pytest.mark.parametrize("kind", ["check", "analyze", "suite"])
-def test_prop_backend_is_an_unknown_field(kind):
-    """There is one propositional policy: even its old name is rejected."""
-    body = {"prop_backend": "auto"} if kind == "suite" else {"design": "mal_fig2", "prop_backend": "auto"}
+def test_removed_field_is_an_unknown_field(kind, field, value):
+    """One propositional policy and one slicing rule: the fields that used to
+    choose them are rejected like any unknown field."""
+    body = {field: value} if kind == "suite" else {"design": "mal_fig2", field: value}
     with pytest.raises(RequestValidationError) as excinfo:
         validate_request(kind, body)
-    assert excinfo.value.entries() == [{"field": "prop_backend", "message": "unknown field"}]
+    assert excinfo.value.entries() == [{"field": field, "message": "unknown field"}]
 
 
 @pytest.mark.parametrize("engine", ["explicit", "bmc", "symbolic", "portfolio", "auto"])
@@ -169,7 +161,7 @@ def test_removed_engine_alias_rejected_with_known_names(alias):
     }
 
 
-_COMMON_FIELDS = {"engine", "bound", "slicing", "timeout"}
+_COMMON_FIELDS = {"engine", "bound", "timeout"}
 
 
 @pytest.mark.parametrize(

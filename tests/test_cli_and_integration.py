@@ -20,12 +20,14 @@ _ENGINE_ARGV = [
     ["submit", "check", "mal_fig2", "--port", "1"],
 ]
 
-_BACKEND_FLAGS = ["--bound", "--engine", "--no-slice"]
+_BACKEND_FLAGS = ["--bound", "--engine"]
 
 #: The removed knobs and the subcommands that used to accept them.
-_REMOVED_FLAGS = [(argv, "--prop-backend") for argv in _ENGINE_ARGV] + [
-    (argv, "--bdd-reorder") for argv in _ENGINE_ARGV if argv[0] != "submit"
-]
+_REMOVED_FLAGS = (
+    [(argv, "--prop-backend") for argv in _ENGINE_ARGV]
+    + [(argv, "--bdd-reorder") for argv in _ENGINE_ARGV if argv[0] != "submit"]
+    + [(argv, "--no-slice") for argv in _ENGINE_ARGV]
+)
 
 #: Every flag of the subcommands that run coverage queries or serve them.
 #: Options may only be removed: a new one must be added here on purpose.
@@ -232,10 +234,11 @@ class TestCLI:
         assert excinfo.value.code == 2
         assert "invalid choice: 'sched'" in capsys.readouterr().err
 
-    def test_check_no_slice_agrees(self, capsys):
+    def test_check_sliced_and_unsliced_agree(self, capsys, force_slicing):
         assert main(["check", "telemetry_bank"]) == 0
         sliced = capsys.readouterr().out
-        assert main(["check", "telemetry_bank", "--no-slice"]) == 0
+        force_slicing(False)
+        assert main(["check", "telemetry_bank"]) == 0
         unsliced = capsys.readouterr().out
         assert "covered  : True" in sliced
         assert "covered  : True" in unsliced
