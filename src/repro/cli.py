@@ -26,8 +26,8 @@ Sub-commands
     compiled-problem and result caches warm across requests, with per-client
     quotas and a graceful SIGTERM drain.
 ``specmatcher submit``
-    Send one ``check`` / ``analyze`` / ``suite`` job to a running daemon;
-    exit codes mirror the one-shot subcommands.
+    Send one ``check`` / ``analyze`` job to a running daemon; exit codes
+    mirror the one-shot subcommands.
 
 ``specmatcher --version`` prints the package version (from the installed
 package metadata when available).
@@ -284,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         help=(
             "persistent result-cache directory shared across restarts and "
-            "suite workers (default: warm in-memory cache only)"
+            "`suite --cache-dir` runs (default: warm in-memory cache only)"
         ),
     )
     serve_parser.add_argument(
@@ -309,13 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="default per-request budget when a job names none (default: %(default)s)",
     )
     serve_parser.add_argument(
-        "--suite-workers",
-        type=int,
-        default=4,
-        metavar="N",
-        help="cap on the process-pool size a suite job may request (default: %(default)s)",
-    )
-    serve_parser.add_argument(
         "--ready-file",
         metavar="FILE",
         default=None,
@@ -334,13 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common],
         help="submit one job to a running coverage service",
     )
-    submit_parser.add_argument("kind", choices=("check", "analyze", "suite"))
-    submit_parser.add_argument(
-        "design",
-        nargs="?",
-        default=None,
-        help="design name (check/analyze; validated server-side)",
-    )
+    submit_parser.add_argument("kind", choices=("check", "analyze"))
+    submit_parser.add_argument("design", help="design name (validated server-side)")
     submit_parser.add_argument("--host", default="127.0.0.1", help="service address (default: %(default)s)")
     submit_parser.add_argument("--port", type=int, required=True, help="service port")
     submit_parser.add_argument(
@@ -363,20 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
     submit_parser.add_argument("--max-witnesses", type=int, default=None, help="analyze")
     submit_parser.add_argument("--depth", type=int, default=None, help="analyze")
     submit_parser.add_argument("--no-witnesses", action="store_true", help="analyze")
-    submit_parser.add_argument(
-        "--designs", nargs="+", metavar="NAME", default=None, help="suite: restrict designs"
-    )
-    submit_parser.add_argument(
-        "--random", type=_non_negative_int, default=None, metavar="N", help="suite"
-    )
-    submit_parser.add_argument("--seed", type=int, default=None, help="suite")
-    submit_parser.add_argument("--no-signals", action="store_true", help="suite")
-    submit_parser.add_argument(
-        "--workers", type=int, default=None, help="suite: worker processes (server-capped)"
-    )
-    submit_parser.add_argument(
-        "--shard-timeout", type=float, default=None, metavar="SECONDS", help="suite"
-    )
     submit_parser.add_argument(
         "--engine",
         choices=engine_names(),
@@ -653,7 +627,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             quota_rate=args.quota_rate,
             quota_burst=max(1, args.quota_burst),
             request_timeout=args.request_timeout,
-            max_suite_workers=max(1, args.suite_workers),
         )
     )
     port = service.start()
@@ -702,20 +675,12 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     from .service import ServiceClient, ServiceError, ServiceUnavailable
     from .service.jobs import exit_code_for
 
-    body = {}
+    body = {"design": args.design}
 
     def put(field, value):
         if value is not None:
             body[field] = value
 
-    if args.kind in ("check", "analyze"):
-        if args.design is None:
-            print(f"submit: {args.kind} needs a design name", file=sys.stderr)
-            return 2
-        body["design"] = args.design
-    elif args.design is not None:
-        print("submit: suite takes no positional design (use --designs)", file=sys.stderr)
-        return 2
     put("engine", args.engine)
     put("bound", args.bound)
     put("timeout", args.job_timeout)
@@ -726,14 +691,6 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         put("depth", args.depth)
         if args.no_witnesses:
             body["witnesses"] = False
-    if args.kind == "suite":
-        put("designs", args.designs)
-        put("random", args.random)
-        put("seed", args.seed)
-        if args.no_signals:
-            body["include_signals"] = False
-        put("workers", args.workers)
-        put("shard_timeout", args.shard_timeout)
 
     client = ServiceClient(args.host, args.port, client_id=args.client)
     try:

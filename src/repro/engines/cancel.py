@@ -16,8 +16,7 @@ with no installed token never raises, so every single-engine entry point is
 unaffected.
 
 :func:`cancel_after` is the deadline form of the same mechanism: a token
-that a timer cancels.  Service jobs and suite shards are bounded with it, and
-a shard's deadline nests inside its job's.
+that a timer cancels.  Service jobs and suite shards are bounded with it.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from typing import Iterator, Optional
 __all__ = [
     "Cancelled",
     "CancelToken",
-    "active_cancel_token",
     "using_cancel_token",
     "cancel_after",
     "check_cancelled",
@@ -56,26 +54,7 @@ class CancelToken:
         return self._event.is_set()
 
 
-class _NestedToken(CancelToken):
-    """A token that also reads as cancelled while an enclosing one is."""
-
-    __slots__ = ("_outer",)
-
-    def __init__(self, outer: CancelToken) -> None:
-        super().__init__()
-        self._outer = outer
-
-    @property
-    def cancelled(self) -> bool:
-        return self._event.is_set() or self._outer.cancelled
-
-
 _LOCAL = threading.local()
-
-
-def active_cancel_token() -> Optional[CancelToken]:
-    """The token installed for the current thread (``None`` when absent)."""
-    return getattr(_LOCAL, "token", None)
 
 
 @contextmanager
@@ -91,14 +70,8 @@ def using_cancel_token(token: Optional[CancelToken]) -> Iterator[Optional[Cancel
 
 @contextmanager
 def cancel_after(seconds: float) -> Iterator[CancelToken]:
-    """Run the body under a fresh token that a timer cancels after ``seconds``.
-
-    The token nests: it also reads as cancelled while the token it shadows
-    (the caller's) is, so a suite shard's deadline inside a service job's
-    deadline stops the shard at whichever fires first.
-    """
-    outer = active_cancel_token()
-    token = CancelToken() if outer is None else _NestedToken(outer)
+    """Run the body under a fresh token that a timer cancels after ``seconds``."""
+    token = CancelToken()
     timer = threading.Timer(seconds, token.cancel)
     timer.daemon = True
     timer.start()

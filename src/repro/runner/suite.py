@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -47,7 +47,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..core.spec import CoverageProblem
 from ..designs.catalog import get_design
 from ..designs.random import RandomDesignSpec, random_problem
-from ..engines.cancel import Cancelled, active_cancel_token, cancel_after, check_cancelled
+from ..engines.cancel import Cancelled, cancel_after
 from ..engines.coverage import get_engine
 from ..ltl.ast import Atom, Eventually
 from ..obs import PhaseAggregator
@@ -299,18 +299,15 @@ def execute_shard(job: CoverageJob, timeout: Optional[float] = None) -> ShardRes
 
     ``timeout`` (seconds) bounds the shard with a cancel-token deadline that
     the engines' search loops poll; a fired deadline yields a ``timeout``
-    shard instead of aborting the suite.  A cancel of the caller's own token
-    (a served suite job past its timeout) ends the whole run, so it
-    propagates instead of being recorded against the shard.
+    shard instead of aborting the suite.
     """
     # This shard's own lookups (its portfolio members' included), not the
-    # shared cache's counters, which a daemon's other requests move too.
+    # shared cache's counters, which anything else using the cache moves too.
     lookups = CacheStats()
     start = time.perf_counter()
     status, verdict, complete, detail, winner = "ok", None, True, "", None
     features: Optional[dict] = None
     timings: Optional[dict] = None
-    caller = active_cancel_token()
     armed = timeout is not None and timeout > 0
     try:
         # The aggregator collects every span this shard's thread (and its
@@ -325,7 +322,7 @@ def execute_shard(job: CoverageJob, timeout: Optional[float] = None) -> ShardRes
             verdict, complete, detail, winner, features = _answer(job)
         timings = phases.timings()
     except Cancelled:
-        if not armed or (caller is not None and caller.cancelled):
+        if not armed:  # the caller's own token, not a shard deadline
             raise
         status, detail = "timeout", f"exceeded {timeout:.1f}s"
     except Exception as exc:  # noqa: BLE001 - a shard failure must not kill the suite
@@ -382,19 +379,6 @@ def _worker_init(
         install_trace_exporter(trace)
 
 
-#: Seconds between two polls of the caller's cancel token while the pool runs.
-_POLL_SECONDS = 0.05
-
-
-def _gather(futures) -> List[ShardResult]:
-    """The futures' results in order, polling the caller's cancel token."""
-    pending = set(futures)
-    while pending:
-        check_cancelled()
-        _done, pending = wait(pending, timeout=_POLL_SECONDS)
-    return [future.result() for future in futures]
-
-
 def run_suite(
     jobs: Sequence[CoverageJob],
     *,
@@ -422,23 +406,13 @@ def run_suite(
         with using_result_cache(_select_cache(cache_dir, use_cache)):
             shards = [execute_shard(job, shard_timeout) for job in ordered]
     else:
-        pool = ProcessPoolExecutor(
+        with ProcessPoolExecutor(
             max_workers=workers,
             initializer=_worker_init,
             initargs=(cache_dir, use_cache, trace),
-        )
-        cancelled = False
-        try:
+        ) as pool:
             futures = [pool.submit(execute_shard, job, shard_timeout) for job in ordered]
-            shards = _gather(futures)
-        except Cancelled:
-            cancelled = True
-            raise
-        finally:
-            # A cancelled caller (a served suite job past its timeout) does
-            # not wait: queued shards are dropped, and running ones finish in
-            # their workers, which then exit.
-            pool.shutdown(wait=not cancelled, cancel_futures=cancelled)
+            shards = [future.result() for future in futures]
     wall = time.perf_counter() - start
     result = SuiteResult(
         shards=shards,

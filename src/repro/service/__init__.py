@@ -9,20 +9,24 @@ requests.  The pieces:
   *all* failures are collected into one structured 400 payload
   (``[{"field", "message"}, ...]``), never a bare string;
 * :mod:`repro.service.jobs` — executes a validated :class:`JobRequest`
-  (``check`` / ``analyze`` / ``suite``) on the existing engine registry and
-  :mod:`repro.runner` shard machinery, returning the same
-  ``features`` / ``timings`` records the suite runner emits.
-  Shared by the HTTP server *and* the one-shot ``specmatcher check --json``
-  path, so a served verdict byte-matches the CLI's;
+  (``check`` / ``analyze``) on the existing engine registry, returning the
+  same ``features`` / ``timings`` records the suite runner emits.
+  Shared by the HTTP server *and* the one-shot ``specmatcher check`` /
+  ``analyze`` commands, so a served verdict byte-matches the CLI's;
 * :mod:`repro.service.quota` — per-client token-bucket quotas (429 with a
   ``Retry-After`` hint when a bucket runs dry);
 * :mod:`repro.service.server` — the stdlib ``ThreadingHTTPServer`` daemon:
-  ``POST /v1/{check,analyze,suite}``, ``GET /healthz``, ``GET /metrics``
+  ``POST /v1/{check,analyze}``, ``GET /healthz``, ``GET /metrics``
   (backed by :mod:`repro.obs.metrics`), per-request cancel-token timeouts and
   a graceful SIGTERM drain (stop accepting, finish in-flight jobs, flush the
   trace exporter);
 * :mod:`repro.service.client` — the thin stdlib client behind
   ``specmatcher submit``.
+
+The daemon serves single-query jobs only: the sharded batch runner is
+``specmatcher suite`` (:mod:`repro.runner`), and a daemon started with
+``--cache-dir D`` shares its result cache with ``specmatcher suite
+--cache-dir D``.
 
 Everything is standard library only, like the rest of the repository.
 """
@@ -36,7 +40,6 @@ from .jobs import (
     JobRequest,
     JobTimeout,
     ProblemMemo,
-    ServiceDefaults,
     execute_job,
     exit_code_for,
 )
@@ -51,7 +54,6 @@ __all__ = [
     "JobRequest",
     "JobTimeout",
     "ProblemMemo",
-    "ServiceDefaults",
     "execute_job",
     "exit_code_for",
     "TokenBucket",

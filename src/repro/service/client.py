@@ -91,9 +91,6 @@ class ServiceClient:
     def analyze(self, design: str, **fields) -> Dict[str, object]:
         return self.submit("analyze", {"design": design, **fields})
 
-    def suite(self, **fields) -> Dict[str, object]:
-        return self.submit("suite", dict(fields))
-
     # -- introspection ---------------------------------------------------------
     def health(self) -> Dict[str, object]:
         return self._request("GET", "/healthz")

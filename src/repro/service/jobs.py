@@ -20,8 +20,11 @@ Per-request timeouts reuse the portfolio's cooperative cancellation tokens
 every engine search loop already polls it, and a fired timer surfaces as
 :class:`JobTimeout` (the HTTP layer's 504).  ``SIGALRM`` is useless here —
 handler threads are never the main thread — which is exactly why the tokens
-exist.  A suite job's shards poll the same token (and their own nested
-shard deadlines), and its process-pool wait polls it too.
+exist.
+
+The service runs single-query jobs only; the sharded batch runner is
+``specmatcher suite`` (:mod:`repro.runner`), which can point at the daemon's
+``--cache-dir`` to share its result-cache entries.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ __all__ = [
     "JobRequest",
     "JobTimeout",
     "ProblemMemo",
-    "ServiceDefaults",
     "execute_job",
     "exit_code_for",
 ]
@@ -59,37 +61,17 @@ class JobTimeout(Exception):
 class JobRequest:
     """One validated job (the only shape the execution layer accepts)."""
 
-    kind: str  # "check" | "analyze" | "suite"
+    kind: str  # "check" | "analyze"
     engine: str = "explicit"
     bound: int = 12
     #: Per-request wall-clock budget in seconds (``None`` = server default).
     timeout: Optional[float] = None
-    # check / analyze
     design: Optional[str] = None
     index: Optional[int] = None  # check: one architectural conjunct
+    # analyze
     max_witnesses: int = 3
     depth: int = 5
     witnesses: bool = True
-    # suite
-    designs: Optional[Tuple[str, ...]] = None
-    random: int = 0
-    seed: int = 0
-    include_signals: bool = True
-    workers: int = 1
-    shard_timeout: Optional[float] = None
-
-
-@dataclass(frozen=True)
-class ServiceDefaults:
-    """Server-side knobs the execution layer needs (all optional).
-
-    ``cache_dir`` is forwarded to suite jobs so process-pool workers share
-    the daemon's persistent cache directory; ``max_suite_workers`` caps what
-    a request may ask for.
-    """
-
-    cache_dir: Optional[str] = None
-    max_suite_workers: int = 4
 
 
 class ProblemMemo:
@@ -119,9 +101,7 @@ class ProblemMemo:
 
 
 def execute_job(
-    request: JobRequest,
-    defaults: Optional[ServiceDefaults] = None,
-    problems: Optional[ProblemMemo] = None,
+    request: JobRequest, problems: Optional[ProblemMemo] = None
 ) -> Dict[str, object]:
     """Run one validated job and return its JSON-ready response payload.
 
@@ -130,19 +110,14 @@ def execute_job(
     ``request.timeout`` fires first; any other exception propagates (the
     HTTP layer maps it to a 500).
     """
-    defaults = defaults or ServiceDefaults()
     if problems is None:
         problems = ProblemMemo()
-    runner = {
-        "check": _run_check,
-        "analyze": _run_analyze,
-        "suite": _run_suite,
-    }[request.kind]
+    runner = {"check": _run_check, "analyze": _run_analyze}[request.kind]
     if request.timeout is None:
-        return runner(request, defaults, problems)
+        return runner(request, problems)
     try:
         with cancel_after(request.timeout):
-            return runner(request, defaults, problems)
+            return runner(request, problems)
     except Cancelled:
         raise JobTimeout(request.timeout) from None
 
@@ -151,18 +126,13 @@ def exit_code_for(payload: Dict[str, object]) -> int:
     """The one-shot CLI exit code a job payload maps to.
 
     Mirrors the existing subcommands: ``check`` fails (1) when the verdict
-    contradicts the catalog's expected coverage, ``suite`` fails when any
-    shard errored or timed out, ``analyze`` always succeeds.
+    contradicts the catalog's expected coverage, ``analyze`` always succeeds.
     """
     if payload.get("job") == "check":
         expected = payload.get("expected_covered")
         if expected is None:
             return 0
         return 0 if payload["verdict"]["covered"] == expected else 1
-    if payload.get("job") == "suite":
-        counts = payload.get("counts", {})
-        failed = counts.get("error", 0) + counts.get("timeout", 0)
-        return 1 if failed else 0
     return 0
 
 
@@ -173,9 +143,7 @@ def _cache_block(lookups) -> Dict[str, int]:
     return {"hits": lookups.hits, "misses": lookups.misses, "stores": lookups.stores}
 
 
-def _run_check(
-    request: JobRequest, defaults: ServiceDefaults, problems: ProblemMemo
-) -> Dict[str, object]:
+def _run_check(request: JobRequest, problems: ProblemMemo) -> Dict[str, object]:
     from ..designs import get_design
     from ..engines import get_engine
     from ..obs import PhaseAggregator
@@ -225,9 +193,7 @@ def _run_check(
     }
 
 
-def _run_analyze(
-    request: JobRequest, defaults: ServiceDefaults, problems: ProblemMemo
-) -> Dict[str, object]:
+def _run_analyze(request: JobRequest, problems: ProblemMemo) -> Dict[str, object]:
     from ..core import CoverageOptions, analyze_problem, format_report
     from ..designs import get_design
     from ..obs import PhaseAggregator
@@ -258,30 +224,3 @@ def _run_analyze(
             report.primary_seconds + report.tm_seconds + report.gap_seconds, 6
         ),
     }
-
-
-def _run_suite(
-    request: JobRequest, defaults: ServiceDefaults, problems: ProblemMemo
-) -> Dict[str, object]:
-    from ..runner import expand_jobs, run_suite
-    from ..runner.report import suite_to_dict
-
-    jobs = expand_jobs(
-        list(request.designs) if request.designs is not None else None,
-        engine=request.engine,
-        bound=request.bound,
-        include_signals=request.include_signals,
-        random_count=request.random,
-        random_seed=request.seed,
-    )
-    workers = min(request.workers, defaults.max_suite_workers)
-    result = run_suite(
-        jobs,
-        workers=workers,
-        cache_dir=defaults.cache_dir,
-        use_cache=True,
-        shard_timeout=request.shard_timeout,
-    )
-    payload = suite_to_dict(result)
-    payload["job"] = "suite"
-    return payload

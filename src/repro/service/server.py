@@ -9,7 +9,7 @@ directory-backed).  Requests are plain JSON over HTTP/1.0 (one
 connection per request — which keeps the graceful drain story simple: no
 idle keep-alive sockets to wait out):
 
-``POST /v1/check`` / ``POST /v1/analyze`` / ``POST /v1/suite``
+``POST /v1/check`` / ``POST /v1/analyze``
     One job each; bodies are validated by
     :mod:`repro.service.validation` (400 with a structured error list),
     throttled by per-client token buckets (429 + ``Retry-After``), bounded
@@ -40,7 +40,7 @@ from typing import Dict, Optional
 
 from .. import __version__
 from ..obs import metrics
-from .jobs import JobTimeout, ProblemMemo, ServiceDefaults, execute_job
+from .jobs import JobTimeout, ProblemMemo, execute_job
 from .quota import QuotaRegistry
 from .validation import JOB_KINDS, RequestValidationError, validate_request
 
@@ -70,8 +70,6 @@ class ServiceConfig:
     quota_burst: int = 40
     #: Default per-request budget (seconds) when the job names none.
     request_timeout: float = 300.0
-    #: Cap on the process-pool size a suite job may request.
-    max_suite_workers: int = 4
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -79,6 +77,10 @@ class _Handler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.0"
     server_version = f"specmatcher/{__version__}"
+    #: Seconds a connection may stall mid-request (say, a body shorter than
+    #: its ``Content-Length``) before the handler closes it and frees its
+    #: thread.  ``StreamRequestHandler`` applies it to the socket.
+    timeout = 30.0
     #: Set by :class:`CoverageService` on the server object.
     service: "CoverageService"
 
@@ -189,7 +191,7 @@ class _Handler(BaseHTTPRequestHandler):
                 # worker slot; it was already in flight (counted) by then,
                 # so it runs to completion — the drain waits for it.
                 try:
-                    payload = execute_job(request, service.defaults, service.problems)
+                    payload = execute_job(request, service.problems)
                 except JobTimeout as exc:
                     metrics().inc("service.timeouts")
                     self._send(
@@ -236,10 +238,6 @@ class CoverageService:
 
     def __init__(self, config: ServiceConfig):
         self.config = config
-        self.defaults = ServiceDefaults(
-            cache_dir=config.cache_dir,
-            max_suite_workers=config.max_suite_workers,
-        )
         self.quotas = QuotaRegistry(config.quota_rate, max(1, config.quota_burst))
         #: Each design's problem, built on its first request; lives as long
         #: as the daemon.
@@ -259,8 +257,9 @@ class CoverageService:
     def install_cache(self) -> None:
         """Install the process-wide result cache the engines will consult.
 
-        Directory-backed when configured (so restarts and suite process-pool
-        workers share entries), warm in-memory otherwise.  Idempotent.
+        Directory-backed when configured (so restarts and local
+        ``specmatcher suite --cache-dir`` runs share entries), warm in-memory
+        otherwise.  Idempotent.
         """
         from ..runner.cache import ResultCache, active_result_cache, cache_for_dir, set_result_cache
 

@@ -34,15 +34,13 @@ __all__ = [
 ]
 
 #: The job kinds the service accepts (each is one ``POST /v1/<kind>``).
-JOB_KINDS = ("check", "analyze", "suite")
+JOB_KINDS = ("check", "analyze")
 
 #: Hard ceilings a single request may ask for, regardless of server
 #: configuration — defense against one client monopolising the daemon.
 MAX_BOUND = 64
 MAX_WITNESSES = 16
 MAX_DEPTH = 16
-MAX_RANDOM_DESIGNS = 16
-MAX_SUITE_WORKERS = 8
 MAX_TIMEOUT_SECONDS = 600.0
 
 
@@ -132,22 +130,6 @@ def _design(value, field: str) -> str:
     return name
 
 
-def _design_list(value, field: str) -> Tuple[str, ...]:
-    if not isinstance(value, list):
-        raise ValidationError(field, f"expected a list of design names, got {type(value).__name__}")
-    names: List[str] = []
-    errors: List[ValidationError] = []
-    for i, item in enumerate(value):
-        try:
-            names.append(_design(item, f"{field}[{i}]"))
-        except ValidationError as error:
-            errors.append(error)
-    if errors:
-        # Every bad entry is reported, not just the first.
-        raise RequestValidationError(errors)
-    return tuple(names)
-
-
 def _engine(value, field: str) -> str:
     from ..engines import engine_names
 
@@ -196,15 +178,6 @@ _SCHEMAS: Dict[str, Dict[str, Tuple[_Validator, bool, object]]] = {
         "depth": (lambda v, f: _int(v, f, minimum=1, maximum=MAX_DEPTH), False, 5),
         "witnesses": (_bool, False, True),
     },
-    "suite": {
-        **_COMMON,
-        "designs": (_design_list, False, None),
-        "random": (lambda v, f: _int(v, f, minimum=0, maximum=MAX_RANDOM_DESIGNS), False, 0),
-        "seed": (lambda v, f: _int(v, f), False, 0),
-        "include_signals": (_bool, False, True),
-        "workers": (lambda v, f: _int(v, f, minimum=1, maximum=MAX_SUITE_WORKERS), False, 1),
-        "shard_timeout": (_timeout, False, None),
-    },
 }
 
 
@@ -243,8 +216,6 @@ def validate_request(kind: str, payload: object) -> "JobRequest":
         if field in payload:
             try:
                 values[field] = validator(payload[field], field)
-            except RequestValidationError as error:
-                errors.extend(error.errors)
             except ValidationError as error:
                 errors.append(error)
         elif required:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
 
 import pytest
 
@@ -131,8 +132,8 @@ class TestExecution:
         assert result.cache_misses == 0
 
     def test_shard_counts_only_its_own_lookups(self):
-        """A suite sharing an active cache with another thread (a daemon's
-        in-process suite job) counts only its shards' lookups."""
+        """A suite sharing an active cache with another thread counts only
+        its shards' lookups."""
         import threading
 
         from repro.designs import get_design
@@ -208,6 +209,12 @@ class TestExecution:
         jobs = expand_jobs(["paper_example"], include_signals=False)
         result = run_suite(jobs, workers=2, use_cache=False, shard_timeout=0.001)
         assert [shard.status for shard in result.shards] == ["timeout"]
+
+    def test_parallel_run_leaves_no_worker_processes(self):
+        before = set(multiprocessing.active_children())
+        result = run_suite(expand_jobs(**RANDOM_JOBS), workers=2, use_cache=False)
+        assert result.succeeded
+        assert [p for p in multiprocessing.active_children() if p not in before] == []
 
 
 class TestDeterminism:

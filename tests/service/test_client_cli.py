@@ -102,18 +102,6 @@ def test_one_shot_json_index(capsys):
     assert json.loads(out)["index"] == 0
 
 
-def test_submit_suite(capsys, served_port):
-    code, out, _ = run_cli(
-        capsys,
-        ["submit", "suite", "--port", str(served_port), "--designs", "mal_fig2",
-         "--no-signals"],
-    )
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["job"] == "suite"
-    assert payload["counts"]["error"] == 0
-
-
 def test_submit_validation_failure_exits_2_with_structured_stderr(capsys, served_port):
     code, out, err = run_cli(
         capsys, ["submit", "analyze", "mal_fig2", "--port", str(served_port),
@@ -155,15 +143,21 @@ def test_submit_unreachable_service_exits_2(capsys):
     assert "unreachable" in err
 
 
+def run_cli_usage_error(capsys, argv):
+    """Exit code and stderr of an invocation argparse rejects."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    return excinfo.value.code, capsys.readouterr().err
+
+
 def test_submit_check_requires_design(capsys, served_port):
-    code, _, err = run_cli(capsys, ["submit", "check", "--port", str(served_port)])
+    code, err = run_cli_usage_error(capsys, ["submit", "check", "--port", str(served_port)])
     assert code == 2
-    assert "needs a design" in err
+    assert "the following arguments are required: design" in err
 
 
-def test_submit_suite_rejects_positional_design(capsys, served_port):
-    code, _, err = run_cli(
-        capsys, ["submit", "suite", "mal_fig2", "--port", str(served_port)]
-    )
+def test_submit_has_no_suite_kind(capsys):
+    """The suite is `specmatcher suite`; the daemon runs check and analyze jobs."""
+    code, err = run_cli_usage_error(capsys, ["submit", "suite", "--port", "1"])
     assert code == 2
-    assert "--designs" in err
+    assert "invalid choice: 'suite'" in err

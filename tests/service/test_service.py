@@ -6,9 +6,15 @@ tests; quota and drain behaviour get short-lived dedicated instances.
 
 from __future__ import annotations
 
+import math
+import os
+import socket
+import subprocess
+import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
@@ -52,8 +58,7 @@ def test_healthz(client):
 def test_info_lists_endpoints(client):
     info = client.info()
     assert info["service"] == "specmatcher"
-    assert "/v1/check" in info["endpoints"]
-    assert "/healthz" in info["endpoints"]
+    assert info["endpoints"] == ["/v1/check", "/v1/analyze", "/healthz", "/metrics"]
 
 
 def test_metrics_carries_service_counters(client):
@@ -145,14 +150,15 @@ def test_second_identical_check_hits_warm_cache(client):
 
 
 def test_analyze_and_suite_jobs(client):
+    """An analyze job is served; a suite job is not (`specmatcher suite` runs it)."""
     analysis = client.analyze("mal_fig2", engine="explicit")
     assert analysis["covered"] is True
     assert analysis["gap_count"] == 0
     assert "covered" in analysis["report"]
-    suite = client.suite(designs=["mal_fig2"], include_signals=False)
-    assert suite["job"] == "suite"
-    assert suite["counts"]["error"] == 0
-    assert suite["counts"]["timeout"] == 0
+    with pytest.raises(ServiceError) as excinfo:
+        client.submit("suite", {"designs": ["mal_fig2"], "include_signals": False})
+    assert excinfo.value.status == 404
+    assert excinfo.value.payload["known"] == ["/v1/check", "/v1/analyze"]
 
 
 def test_check_index_selects_one_conjunct(client):
@@ -203,6 +209,77 @@ def test_http_non_json_body_is_structured_400(client):
         assert payload["errors"][0]["field"] == "body"
     finally:
         connection.close()
+
+
+# -- a cache directory shared with `specmatcher suite` ---------------------------
+
+
+def test_daemon_replays_what_a_local_suite_stored(tmp_path):
+    """The daemon runs no suite; `suite --cache-dir D` and a daemon on D share entries."""
+    cache_dir = str(tmp_path / "cache")
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    subprocess.run(
+        [sys.executable, "-m", "repro.cli", "suite", "--designs", "mal_fig2",
+         "--no-signals", "--cache-dir", cache_dir],
+        env=env, check=True, capture_output=True, timeout=300,
+    )
+    svc = CoverageService(ServiceConfig(port=0, quota_rate=0, cache_dir=cache_dir))
+    port = svc.start()
+    try:
+        payload = ServiceClient(port=port).check("mal_fig2")
+    finally:
+        assert svc.drain(timeout=30.0)
+    assert payload["cache"]["hits"] >= 1
+    assert payload["cache"]["misses"] == 0
+
+
+# -- stalled connections -------------------------------------------------------
+
+
+def test_handler_timeout_is_finite():
+    from repro.service.server import _Handler
+
+    assert isinstance(_Handler.timeout, (int, float))
+    assert 0 < _Handler.timeout < math.inf
+
+
+def test_stalled_body_is_dropped_and_the_daemon_keeps_serving(monkeypatch):
+    """A body shorter than its Content-Length must not hold a handler thread."""
+    from repro.service.server import _Handler
+
+    monkeypatch.setattr(_Handler, "timeout", 0.5)
+    svc = CoverageService(ServiceConfig(port=0, quota_rate=0))
+    port = svc.start()
+    try:
+        with socket.create_connection(("127.0.0.1", port), timeout=5.0) as stalled:
+            stalled.sendall(
+                b"POST /v1/check HTTP/1.0\r\nContent-Length: 100\r\n\r\n" + b'{"design"'
+            )
+            started = time.monotonic()
+            assert stalled.recv(1024) == b""  # the daemon closed the connection
+            assert time.monotonic() - started < 5.0
+        assert ServiceClient(port=port).check("mal_fig2")["verdict"]["covered"] is True
+    finally:
+        assert svc.drain(timeout=30.0)
+
+
+def test_stalled_headers_are_dropped(monkeypatch):
+    """Headers that never end are timed out like a short body, before any job runs."""
+    from repro.service.server import _Handler
+
+    monkeypatch.setattr(_Handler, "timeout", 0.5)
+    svc = CoverageService(ServiceConfig(port=0, quota_rate=0))
+    port = svc.start()
+    try:
+        with socket.create_connection(("127.0.0.1", port), timeout=5.0) as stalled:
+            stalled.sendall(b"POST /v1/check HTTP/1.0\r\nContent-Le")
+            started = time.monotonic()
+            assert stalled.recv(1024) == b""
+            assert time.monotonic() - started < 5.0
+    finally:
+        assert svc.drain(timeout=30.0)
 
 
 # -- quotas --------------------------------------------------------------------

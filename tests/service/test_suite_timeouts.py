@@ -1,50 +1,38 @@
-"""A served suite job honours its timeouts; a drained daemon restores the cache.
+"""Shard deadlines hold off the main thread; a drained daemon restores the cache.
 
-The suite runs in the caller's thread (``workers=1``) or on a process pool,
-and a daemon handler calls :func:`repro.service.execute_job` from a thread
-that is not the main thread.  In every case the job's timeout must end the
-job with :class:`JobTimeout` (the HTTP 504), and a shard deadline must stop
-its shard, without ``SIGALRM``.
+``specmatcher suite`` runs each shard under a cancel-token deadline, in the
+caller's thread (``workers=1``) or in a process-pool worker.  Neither needs
+``SIGALRM``, so a deadline holds when the suite is started from a thread
+that is not the main thread.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 
 import pytest
 
+from repro.runner import expand_jobs, run_suite
 from repro.runner.cache import ResultCache, active_result_cache, using_result_cache
-from repro.service import CoverageService, JobRequest, JobTimeout, ServiceConfig, execute_job
-
-#: 22 shards that take well over a second to decide, on one worker or two.
-SLOW_SUITE = dict(kind="suite", designs=("mal_table1", "paper_example"))
-
-
-@pytest.mark.parametrize("workers", [1, 2])
-def test_suite_job_raises_its_timeout(workers):
-    started = time.monotonic()
-    with using_result_cache(None):
-        with pytest.raises(JobTimeout):
-            execute_job(JobRequest(workers=workers, timeout=0.05, **SLOW_SUITE))
-    # The job stops at its deadline instead of deciding every shard.
-    assert time.monotonic() - started < 1.0
+from repro.service import CoverageService, ServiceConfig
 
 
 def test_shard_deadline_holds_off_the_main_thread():
-    outcome = {}
+    jobs = expand_jobs(["mal_table1"])
+    results = {}
 
-    def handler():
-        request = JobRequest(kind="suite", designs=("mal_table1",), shard_timeout=0.001)
-        outcome["payload"] = execute_job(request)
+    def run():
+        for workers in (1, 2):
+            results[workers] = run_suite(jobs, workers=workers, shard_timeout=0.001)
 
     with using_result_cache(None):
-        thread = threading.Thread(target=handler)
+        thread = threading.Thread(target=run)
         thread.start()
         thread.join(timeout=120)
-    payload = outcome["payload"]
-    assert payload["counts"]["ok"] == 0, payload["counts"]
-    assert payload["counts"]["timeout"] == payload["shard_count"]
+    assert not thread.is_alive()
+    for workers in (1, 2):
+        statuses = [shard.status for shard in results[workers].shards]
+        assert statuses and set(statuses) == {"timeout"}, (workers, statuses)
 
 
 @pytest.mark.parametrize("with_cache_dir", [False, True])

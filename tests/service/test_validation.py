@@ -48,15 +48,6 @@ def test_full_check_request_round_trips():
     assert request.index == 0
 
 
-def test_suite_request_defaults_and_designs():
-    request = validate_request("suite", {"designs": ["mal_fig2", "paper_example"]})
-    assert request.designs == ("mal_fig2", "paper_example")
-    assert request.include_signals is True
-    assert request.workers == 1
-    empty = validate_request("suite", {})
-    assert empty.designs is None  # None = whole catalog
-
-
 def test_matching_kind_field_in_body_is_tolerated():
     request = validate_request("check", {"design": "mal_fig2", "kind": "check"})
     assert request.kind == "check"
@@ -133,11 +124,11 @@ def test_unknown_engine_and_backend():
 
 
 @pytest.mark.parametrize("field,value", [("prop_backend", "auto"), ("slicing", False)])
-@pytest.mark.parametrize("kind", ["check", "analyze", "suite"])
+@pytest.mark.parametrize("kind", ["check", "analyze"])
 def test_removed_field_is_an_unknown_field(kind, field, value):
     """One propositional policy and one slicing rule: the fields that used to
     choose them are rejected like any unknown field."""
-    body = {field: value} if kind == "suite" else {"design": "mal_fig2", field: value}
+    body = {"design": "mal_fig2", field: value}
     with pytest.raises(RequestValidationError) as excinfo:
         validate_request(kind, body)
     assert excinfo.value.entries() == [{"field": field, "message": "unknown field"}]
@@ -145,9 +136,8 @@ def test_removed_field_is_an_unknown_field(kind, field, value):
 
 @pytest.mark.parametrize("engine", ["explicit", "bmc", "symbolic", "portfolio", "auto"])
 def test_registered_engines_accepted(engine):
-    for kind in ("check", "analyze", "suite"):
-        body = {"engine": engine} if kind == "suite" else {"design": "mal_fig2", "engine": engine}
-        assert validate_request(kind, body).engine == engine, kind
+    for kind in ("check", "analyze"):
+        assert validate_request(kind, {"design": "mal_fig2", "engine": engine}).engine == engine, kind
 
 
 @pytest.mark.parametrize("alias", ["mc", "nested-dfs", "sym", "bdd-fixpoint", "race", "learned"])
@@ -169,18 +159,12 @@ _COMMON_FIELDS = {"engine", "bound", "timeout"}
     [
         ("check", _COMMON_FIELDS | {"design", "index"}),
         ("analyze", _COMMON_FIELDS | {"design", "max_witnesses", "depth", "witnesses"}),
-        (
-            "suite",
-            _COMMON_FIELDS
-            | {"designs", "random", "seed", "include_signals", "workers", "shard_timeout"},
-        ),
     ],
 )
 def test_request_fields_are_pinned(kind, fields):
     """Request fields may only be removed: a new one must be added here on
     purpose.  Every listed field fills the request; nothing else validates."""
-    body = {} if kind == "suite" else {"design": "mal_fig2"}
-    request = validate_request(kind, body)
+    request = validate_request(kind, {"design": "mal_fig2"})
     for field in fields:
         assert hasattr(request, field), field
     assert set(_SCHEMAS[kind]) == fields
@@ -190,24 +174,6 @@ def test_negative_index_rejected():
     with pytest.raises(RequestValidationError) as excinfo:
         validate_request("check", {"design": "mal_fig2", "index": -1})
     assert fields_of(excinfo) == ["index"]
-
-
-def test_design_list_entries_validated_individually():
-    with pytest.raises(RequestValidationError) as excinfo:
-        validate_request("suite", {"designs": ["mal_fig2", "bogus", 7]})
-    assert fields_of(excinfo) == ["designs[1]", "designs[2]"]
-
-
-def test_designs_must_be_a_list():
-    with pytest.raises(RequestValidationError) as excinfo:
-        validate_request("suite", {"designs": "mal_fig2"})
-    assert fields_of(excinfo) == ["designs"]
-
-
-def test_suite_workers_capped():
-    with pytest.raises(RequestValidationError) as excinfo:
-        validate_request("suite", {"workers": 999})
-    assert fields_of(excinfo) == ["workers"]
 
 
 def test_analyze_witness_fields_typed():
@@ -229,6 +195,15 @@ def test_unknown_kind_rejected():
     with pytest.raises(RequestValidationError) as excinfo:
         validate_request("prove", {"design": "mal_fig2"})
     assert fields_of(excinfo) == ["kind"]
+
+
+def test_suite_is_not_a_job_kind():
+    """The service runs check and analyze jobs; the suite is `specmatcher suite`."""
+    with pytest.raises(RequestValidationError) as excinfo:
+        validate_request("suite", {})
+    assert excinfo.value.entries() == [
+        {"field": "kind", "message": "unknown job kind 'suite' (known: check, analyze)"}
+    ]
 
 
 def test_mismatched_kind_field_rejected():

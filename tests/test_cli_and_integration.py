@@ -58,8 +58,18 @@ _SUBCOMMAND_FLAGS = {
         "--quota-rate",
         "--ready-file",
         "--request-timeout",
-        "--suite-workers",
         "--workers",
+    ],
+    "submit": _BACKEND_FLAGS
+    + [
+        "--client",
+        "--depth",
+        "--host",
+        "--index",
+        "--job-timeout",
+        "--max-witnesses",
+        "--no-witnesses",
+        "--port",
     ],
 }
 
