@@ -13,9 +13,13 @@ RTL specification (properties + concrete modules):
 5. *weaken* ``F_A`` with those literals, keep the weakest candidates that
    provably close the gap (step 2(d)), and verify closure with Theorem 1.
 
-Each model-checking query is asked once: the witness enumeration starts from
-the primary check's witness, and a reported gap property's closure verdict is
-the one its selection already decided.
+Each distinct model-checking question is asked once, up to the canonical key
+(:func:`repro.ltl.rewrite.canonical`): the witness enumeration starts from
+the primary check's witness, two spellings of one weakened candidate share
+one closure check, and a reported gap property's closure verdict is the one
+its selection already decided.  The ``gap_search`` span's
+``closure_checks`` and ``closure_reused`` attributes count the closure
+questions the engine was asked and the candidates an equal key answered.
 
 ``analyze_problem`` runs the pipeline for every architectural property and
 aggregates the phase timings in the shape of the paper's Table 1 (primary
@@ -25,6 +29,7 @@ coverage question time / ``T_M`` building time / gap finding time).
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -32,6 +37,7 @@ from ..engines.coverage import EngineVerdict, engine_from_options
 from ..ltl.ast import Formula
 from ..obs import span
 from ..ltl.printer import to_str
+from ..ltl.rewrite import canonical
 from .hole import CoverageHole, coverage_hole
 from .primary import primary_coverage_check
 from .push import PushResult, push_terms
@@ -187,7 +193,7 @@ def find_coverage_gap(
         )
 
     gap_start = time.perf_counter()
-    with span("gap_search", problem=problem.name):
+    with span("gap_search", problem=problem.name) as search:
         # Steps 2(a)/(b): uncovered terms from witness runs, projected onto
         # APR/APA.  The enumeration's first query is the primary question, so
         # it starts from the primary witness instead of asking it again.
@@ -229,11 +235,21 @@ def find_coverage_gap(
             candidates = filtered
         candidates = candidates[: options.max_closure_checks]
 
+        asked: List[Formula] = []
+
         def closes(candidate: Formula) -> bool:
+            asked.append(canonical(candidate))
             return engine.is_covered_with(problem, [candidate], architectural=architectural)
 
         gap_properties = select_weakest(
             architectural, candidates, closes, max_reported=options.max_reported_gaps
+        )
+        # select_weakest asks once per canonical key: every later candidate
+        # under an asked key took that question's verdict.
+        spellings = Counter(canonical(candidate.formula) for candidate in candidates)
+        search.set(
+            closure_checks=len(asked),
+            closure_reused=sum(spellings[key] - 1 for key in asked),
         )
 
         # With no closing weakening, fall back to the exact hole formula of

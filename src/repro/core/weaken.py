@@ -31,7 +31,7 @@ from typing import Callable, Dict, List, Sequence, Tuple
 
 from ..ltl.ast import And, Atom, Formula, Next, Not, Or
 from ..ltl.printer import to_str
-from ..ltl.rewrite import simplify, substitute_atom_instance
+from ..ltl.rewrite import canonical, simplify, substitute_atom_instance
 from ..ltl.sat import implies as ltl_implies
 from .push import WeakeningSuggestion
 
@@ -121,18 +121,36 @@ def select_weakest(
     ``closes_gap`` is the model-relative Theorem-1 check supplied by the
     coverage driver.  Candidates that are not implied by the original property
     are discarded (they would strengthen the intent rather than decompose it).
+
+    Each distinct question is asked once, up to the canonical key
+    (:func:`repro.ltl.rewrite.canonical`): a candidate whose key an earlier
+    candidate has is another spelling of a decided formula and is skipped (the
+    earlier spelling is the one reported), and two formulas with one key
+    imply each other without a tableau.
     """
+    key = {original: canonical(original)}
     # The dominance and dedup loops below meet the same pairs again.
     answers: Dict[Tuple[Formula, Formula], bool] = {}
 
     def implies(antecedent: Formula, consequent: Formula) -> bool:
-        answer = answers.get((antecedent, consequent))
+        pair = (key[antecedent], key[consequent])
+        if pair[0] == pair[1]:
+            return True
+        answer = answers.get(pair)
         if answer is None:
-            answer = answers[antecedent, consequent] = ltl_implies(antecedent, consequent)
+            answer = answers[pair] = ltl_implies(antecedent, consequent)
         return answer
 
+    decided = set()
     closing: List[GapCandidate] = []
     for candidate in candidates:
+        candidate_key = key[candidate.formula] = canonical(candidate.formula)
+        # Equal keys get equal implication answers and closure verdicts, so
+        # a later spelling could only repeat the earlier one's outcome (the
+        # dedup below would drop it).
+        if candidate_key in decided:
+            continue
+        decided.add(candidate_key)
         if not implies(original, candidate.formula):
             continue
         # A candidate equivalent to the original is useless as a gap
@@ -149,8 +167,6 @@ def select_weakest(
     for candidate in closing:
         dominated = False
         for other in closing:
-            if other.formula == candidate.formula:
-                continue
             if implies(candidate.formula, other.formula) and not implies(
                 other.formula, candidate.formula
             ):

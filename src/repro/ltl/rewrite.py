@@ -8,6 +8,8 @@ automaton layer:
 * :func:`simplify` applies cheap semantics-preserving rules so that formulas
   produced mechanically (e.g. the coverage hole ``A | !(R & T_M)``) stay
   readable,
+* :func:`canonical` gives one spelling of a formula, the key under which
+  Algorithm 1 decides each distinct question once,
 * :func:`substitute_atom_instance` replaces one *atom instance* inside a
   property, for the weakening heuristics of Algorithm 1.
 """
@@ -36,10 +38,12 @@ from .ast import (
     WeakUntil,
     conj,
 )
+from .printer import to_str
 
 __all__ = [
     "negate",
     "nnf",
+    "canonical",
     "simplify",
     "remove_derived_operators",
     "substitute_atom_instance",
@@ -138,6 +142,49 @@ def _nnf(formula: Formula, positive: bool) -> Formula:
         right = _nnf(formula.right, positive)
         return Release(left, right) if positive else Until(left, right)
     raise TypeError(f"unexpected formula in NNF conversion: {type(formula).__name__}")
+
+
+def canonical(formula: Formula) -> Formula:
+    """One spelling per formula: :func:`nnf` with flat, sorted ``&``/``|`` chains.
+
+    Every ``&`` and ``|`` chain of the NNF is flattened, duplicate operands
+    are dropped and the rest are sorted by their printed text, so commuted,
+    re-associated and repeated operands, and ``->``/``<->``/``F``/``G``/``W``
+    against their core spellings, give one key.  Each rewrite keeps both the
+    meaning and the atom set: equal keys are equivalent formulas with the
+    same cone-of-influence slice, so any engine's verdict on one, a bounded
+    BMC verdict included, is its verdict on the other.  The key never
+    depends on ``PYTHONHASHSEED``.
+    """
+    return _canonical(nnf(formula))
+
+
+def _canonical(formula: Formula) -> Formula:
+    if isinstance(formula, (And, Or)):
+        chain = type(formula)
+        parts = {}
+        for operand in _chain_operands(formula, chain):
+            # A collapsed operand (``(a & b) | (a & b)`` is ``a & b``) may
+            # itself continue the chain.
+            for part in _chain_operands(_canonical(operand), chain):
+                parts.setdefault(to_str(part), part)
+        ordered = [parts[text] for text in sorted(parts)]
+        result = ordered[0]
+        for part in ordered[1:]:
+            result = chain(result, part)
+        return result
+    if isinstance(formula, Next):
+        return Next(_canonical(formula.operand))
+    if isinstance(formula, (Until, Release)):
+        return type(formula)(_canonical(formula.left), _canonical(formula.right))
+    # Atoms, negated atoms and constants.
+    return formula
+
+
+def _chain_operands(formula: Formula, chain: type) -> Tuple[Formula, ...]:
+    if isinstance(formula, chain):
+        return _chain_operands(formula.left, chain) + _chain_operands(formula.right, chain)
+    return (formula,)
 
 
 def simplify(formula: Formula) -> Formula:

@@ -18,7 +18,7 @@ from repro.core import (
     uncovered_terms,
 )
 from repro.core.push import WeakeningSuggestion
-from repro.core.weaken import MAX_CANDIDATES
+from repro.core.weaken import MAX_CANDIDATES, GapCandidate
 from repro.designs import expected_gap_property
 from repro.ltl import TemporalTerm, equivalent, evaluate, implies, parse
 
@@ -162,6 +162,28 @@ class TestWeaken:
         # The dominance and dedup loops meet pairs the filter already asked.
         assert len(asked) == len(set(asked))
         assert len(asked) > 2 * len(candidates)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_select_weakest_decides_two_spellings_once(self, reverse):
+        intent = parse("G(!wait & r1 & X(r1 U r2) -> X(!d2 U d1))")
+        r1 = next(i for i in atom_instance_table(intent) if i.name == "r1")
+        built = generate_candidates(intent, [WeakeningSuggestion(r1, "g1", False, 0)])[0]
+        assert str(built.formula) == "G (!wait & (r1 & !g1) & X (r1 U r2) -> X (!d2 U d1))"
+        respelled = GapCandidate(
+            parse("G(!(wait | g1) & r1 & X(r1 U r2) -> X(!d2 U d1))"),
+            built.suggestion,
+            built.description,
+        )
+        spellings = [respelled, built] if reverse else [built, respelled]
+        asked = []
+
+        def closes_gap(formula):
+            asked.append(formula)
+            return True
+
+        chosen = select_weakest(intent, spellings, closes_gap)
+        assert asked == [spellings[0].formula]
+        assert chosen == [spellings[0]]
 
 
 class TestOptions:

@@ -1,10 +1,13 @@
-"""Algorithm 1 asks each model-checking query once, and its reports stay put.
+"""Algorithm 1 asks each distinct model-checking query once, and its reports stay put.
 
 The witness enumeration's first query is the primary coverage question
 itself, and verifying a reported gap property's closure is the query that
 selected it.  Both are answered once: the enumeration starts from the
-primary witness, and the closure verdict is reused.  The pinned reports make
-a change in which witness a run finds show up as a failure.
+primary witness, and the closure verdict is reused.  Two spellings of one
+weakened candidate share a canonical key (:func:`repro.ltl.rewrite.canonical`),
+so they share one closure check and one set of implication checks.  The
+pinned reports make a change in which witness a run finds show up as a
+failure.
 """
 
 from __future__ import annotations
@@ -16,12 +19,14 @@ from collections import Counter
 
 import pytest
 
+import repro.core.weaken
 from repro.core import CoverageOptions, collect_gap_witnesses, find_coverage_gap
 from repro.core.primary import primary_coverage_check
 from repro.designs import CATALOG
 from repro.designs.random import RandomDesignSpec, random_problem
 from repro.engines.coverage import CoverageEngine, engine_from_options
 from repro.ltl.printer import to_str
+from repro.obs import add_sink, remove_sink
 from repro.runner.cache import query_key, using_result_cache
 
 #: The reduced Algorithm-1 options of the benchmark's ``gap_analysis`` workload.
@@ -96,12 +101,55 @@ def decided(monkeypatch):
     return keys
 
 
+@pytest.fixture
+def calls(monkeypatch):
+    """Closure checks and tableau implication checks an analysis makes."""
+    counts = Counter()
+    is_covered_with = CoverageEngine.is_covered_with
+    ltl_implies = repro.core.weaken.ltl_implies
+
+    def counted_closure(self, *args, **kwargs):
+        counts["is_covered_with"] += 1
+        return is_covered_with(self, *args, **kwargs)
+
+    def counted_implication(antecedent, consequent):
+        counts["ltl_implies"] += 1
+        return ltl_implies(antecedent, consequent)
+
+    monkeypatch.setattr(CoverageEngine, "is_covered_with", counted_closure)
+    monkeypatch.setattr(repro.core.weaken, "ltl_implies", counted_implication)
+    return counts
+
+
+@pytest.fixture
+def gap_search_attrs():
+    """Attributes of each closed ``gap_search`` span."""
+    attrs = []
+
+    class Sink:
+        def record(self, record):
+            if record.name == "gap_search":
+                attrs.append(record.attrs)
+
+    sink = Sink()
+    add_sink(sink)
+    yield attrs
+    remove_sink(sink)
+
+
 @pytest.mark.parametrize("design,engine", CELLS)
-def test_no_query_is_decided_twice_and_the_report_is_pinned(design, engine, decided):
+def test_no_query_is_decided_twice_and_the_report_is_pinned(
+    design, engine, decided, calls, gap_search_attrs
+):
     problem = CATALOG[design].builder()
     analysis = find_coverage_gap(problem, problem.architectural[0], _options(engine))
     repeated = {key: n for key, n in Counter(decided).items() if n > 1}
     assert decided and not repeated, repeated
+    # Both closure slots hold spellings of the reported property: one
+    # closure check and the two implication checks of its first spelling
+    # (2 and 6 when each spelling was asked on its own).
+    assert calls == {"is_covered_with": 1, "ltl_implies": 2}
+    assert [(a["closure_checks"], a["closure_reused"]) for a in gap_search_attrs] == [(1, 1)]
     report, apa_terms = EXPECTED[design, engine]
     assert analysis.describe() == report
     assert [to_str(term.to_formula()) for term in analysis.terms.architectural_terms] == apa_terms

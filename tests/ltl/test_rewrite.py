@@ -1,6 +1,11 @@
-"""Tests for NNF conversion, simplification and instance substitution."""
+"""Tests for NNF conversion, the canonical key, simplification and instance substitution."""
+
+import os
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings
 
 from repro.ltl import (
     Atom,
@@ -16,8 +21,9 @@ from repro.ltl import (
     temporal_depth,
 )
 from repro.core.push import atom_instance_table
-from repro.ltl.ast import Always, Eventually, Release
-from repro.ltl.rewrite import remove_derived_operators
+from repro.ltl.ast import Always, And, Eventually, Or, Release
+from repro.ltl.rewrite import canonical, remove_derived_operators
+from test_tableau_properties import formulas
 
 
 class TestNNF:
@@ -58,6 +64,79 @@ def _negations(formula):
     from repro.ltl.ast import subformulas
 
     return [sub for sub in subformulas(formula) if isinstance(sub, Not)]
+
+
+#: Weakenings of the paper's intent that Algorithm 1 builds in both spellings.
+_PAPER_PAIR = (
+    "G (!wait & (r1 & !g1) & X (r1 U r2) -> X (!d2 U d1))",
+    "G (!(wait | g1) & r1 & X (r1 U r2) -> X (!d2 U d1))",
+)
+
+
+class TestCanonical:
+    @settings(max_examples=40, deadline=None)
+    @given(formulas())
+    def test_key_is_equivalent_idempotent_and_keeps_the_atoms(self, formula):
+        key = canonical(formula)
+        assert equivalent(key, formula)
+        assert canonical(key) == key
+        assert atoms_of(key) == atoms_of(formula)
+
+    @settings(max_examples=40, deadline=None)
+    @given(formulas(max_leaves=3), formulas(max_leaves=3), formulas(max_leaves=3))
+    def test_commuted_reassociated_and_repeated_operands_share_a_key(self, f, g, h):
+        for chain in (And, Or):
+            key = canonical(chain(chain(f, g), h))
+            assert canonical(chain(f, chain(g, h))) == key
+            assert canonical(chain(h, chain(g, f))) == key
+            assert canonical(chain(chain(f, g), chain(h, f))) == key
+            assert canonical(chain(f, f)) == canonical(f)
+
+    @pytest.mark.parametrize(
+        "left,right",
+        [
+            ("p -> q", "!p | q"),
+            ("p <-> q", "(p & q) | (!p & !q)"),
+            ("F p", "true U p"),
+            ("G p", "false R p"),
+            ("p W q", "q R (p | q)"),
+            ("!(p & X q)", "X !q | !p"),
+            ("(a & b) | (b & a) | c", "c | (b & a)"),
+            _PAPER_PAIR,
+        ],
+    )
+    def test_spellings_share_a_key(self, left, right):
+        assert canonical(parse(left)) == canonical(parse(right))
+
+    @pytest.mark.parametrize(
+        "left,right", [("p & q", "p | q"), ("p U q", "q U p"), ("X p & q", "p & X q")]
+    )
+    def test_different_formulas_keep_apart(self, left, right):
+        assert canonical(parse(left)) != canonical(parse(right))
+
+    def test_printed_key_is_the_same_under_two_hash_seeds(self):
+        """Operands sort by their printed text, never by a string hash."""
+        script = (
+            "from repro.ltl import parse, to_str\n"
+            "from repro.ltl.rewrite import canonical\n"
+            f"for text in {list(_PAPER_PAIR) + ['e | d | (c & b & a) | X (z | y)']!r}:\n"
+            "    print(to_str(canonical(parse(text))))\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        outputs = set()
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                [src] + env.get("PYTHONPATH", "").split(os.pathsep)
+            )
+            proc = subprocess.run(
+                [sys.executable, "-c", script],
+                capture_output=True, text=True, check=True, env=env,
+            )
+            outputs.add(proc.stdout)
+        assert len(outputs) == 1, "the canonical key depends on PYTHONHASHSEED"
+        lines = outputs.pop().splitlines()
+        assert len(lines) == 3 and lines[0] == lines[1]
 
 
 class TestSimplify:
