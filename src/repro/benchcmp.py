@@ -3,8 +3,8 @@
 The quick benchmark (``benchmarks/bench_backends.py --quick``) emits a JSON
 trajectory: per design × engine, the verdict and wall-clock seconds.  A copy
 of one run is committed as ``BENCH_engines.json``; this module diffs a fresh
-run against it so both the CI benchmark lane and ``specmatcher bench
---compare`` fail loudly when an engine×design cell regresses.
+run against it (``python -m repro.benchcmp CURRENT BASELINE``, the CI
+benchmark lane's gate) and fails loudly when an engine×design cell regresses.
 
 Timing on shared runners is noisy, so the comparison is deliberately coarse:
 a cell only counts as a regression when it got more than ``max_ratio`` times

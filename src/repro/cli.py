@@ -14,13 +14,10 @@ Sub-commands
     Print the Figure 3 timing diagrams from simulation.
 ``specmatcher suite``
     Run the sharded coverage suite over the catalog (and random designs) on a
-    worker pool with a persistent result cache; report as text/JSON/markdown.
-``specmatcher bench``
-    Run the quick engine-trajectory benchmark in-process; ``--output`` writes
-    the JSON payload, ``--compare BASELINE`` applies the CI lane's per-cell
-    regression gate (exit 1 on regression).
+    worker pool with a persistent result cache; report as text or JSON.
 ``specmatcher cache``
-    Inspect (``stats``) or wipe (``clear``) the persistent result cache.
+    Inspect (``stats``: entries and bytes on disk) or wipe (``clear``) the
+    persistent result cache.
 ``specmatcher serve``
     Run the long-lived coverage service: an HTTP/JSON daemon that keeps the
     compiled-problem and result caches warm across requests, with per-client
@@ -203,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     suite_parser.add_argument(
         "--report",
-        choices=("text", "json", "markdown"),
+        choices=("text", "json"),
         default="text",
         help="report format (default: %(default)s)",
     )
@@ -219,34 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--output", metavar="FILE", help="write the report to FILE instead of stdout"
     )
     add_backend_flags(suite_parser)
-
-    bench_parser = sub.add_parser(
-        "bench",
-        parents=[common],
-        help="run the quick engine benchmark, optionally diffing a baseline",
-    )
-    bench_parser.add_argument(
-        "--designs", nargs="+", metavar="NAME",
-        help="designs to benchmark (default: the quick catalog set)",
-    )
-    bench_parser.add_argument(
-        "--bound", type=_non_negative_int, default=6,
-        help="BMC bound for the bmc cells (default: %(default)s)",
-    )
-    bench_parser.add_argument(
-        "--output", metavar="FILE", help="write the JSON trajectory to FILE"
-    )
-    bench_parser.add_argument(
-        "--compare", metavar="BASELINE",
-        help=(
-            "diff the run against a baseline trajectory (e.g. the committed "
-            "BENCH_engines.json); exit 1 on any cell regression"
-        ),
-    )
-    bench_parser.add_argument(
-        "--max-ratio", type=float, default=None, metavar="X",
-        help="with --compare: fail cells more than X times slower (default 1.25)",
-    )
 
     cache_parser = sub.add_parser(
         "cache", parents=[common], help="inspect or clear the persistent result cache"
@@ -465,7 +434,7 @@ def _cmd_table1(args: argparse.Namespace) -> int:
 
 
 def _cmd_suite(args: argparse.Namespace) -> int:
-    from .runner import expand_jobs, render_json, render_markdown, render_text, run_suite
+    from .runner import expand_jobs, render_json, render_text, run_suite
 
     jobs = expand_jobs(
         args.designs,
@@ -483,7 +452,7 @@ def _cmd_suite(args: argparse.Namespace) -> int:
         shard_timeout=args.timeout,
         trace=args.trace,
     )
-    renderers = {"text": render_text, "json": render_json, "markdown": render_markdown}
+    renderers = {"text": render_text, "json": render_json}
     report = renderers[args.report](result, profile=args.profile)
     counts = result.counts()
     if args.output:
@@ -511,56 +480,6 @@ def _cmd_suite(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    """Run the quick engine-trajectory benchmark in-process.
-
-    Reuses ``benchmarks/bench_backends.py`` (loaded by path — the benchmarks
-    directory is not a package) so the CLI, the CI lane and a by-hand run all
-    measure exactly the same thing; ``--compare`` then applies the same
-    per-cell gate as the CI benchmark lane via :mod:`repro.benchcmp`.
-    """
-    import importlib.util
-    import json
-    from pathlib import Path
-
-    script = Path(__file__).resolve().parents[2] / "benchmarks" / "bench_backends.py"
-    if not script.is_file():
-        print(
-            f"error: benchmark script not found at {script} "
-            "(specmatcher bench needs a source checkout)",
-            file=sys.stderr,
-        )
-        return 2
-    spec = importlib.util.spec_from_file_location("_specmatcher_bench", script)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-
-    payload = module.run_engine_trajectory(args.designs, bound=args.bound)
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-        print(f"engine trajectory written to {args.output}")
-    for name, row in payload["designs"].items():
-        cells = "  ".join(
-            f"{engine}={cell['seconds']:.3f}s" for engine, cell in sorted(row.items())
-        )
-        print(f"  {name:<16} {cells}")
-
-    if args.compare:
-        from .benchcmp import compare_trajectories, load_trajectory
-
-        kwargs = {}
-        if args.max_ratio is not None:
-            kwargs["max_ratio"] = args.max_ratio
-        comparison = compare_trajectories(
-            payload, load_trajectory(args.compare), **kwargs
-        )
-        print(comparison.summary())
-        return 0 if comparison.ok else 1
-    return 0
-
-
 def _cmd_cache(args: argparse.Namespace) -> int:
     from .runner.cache import cache_dir_stats, clear_cache_dir
 
@@ -576,11 +495,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         else:
             human = f"{size} B"
         print(f"size      : {human} ({size} bytes)")
-        print(f"hits      : {stats['hits']}")
-        print(f"misses    : {stats['misses']}")
-        print(f"stores    : {stats['stores']}")
-        print(f"evictions : {stats['evictions']}")
-        print(f"hit ratio : {100.0 * stats['hit_ratio']:.1f}%")
         return 0
     if args.action == "clear":
         import os
@@ -740,8 +654,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             return _cmd_table1(args)
         if args.command == "suite":
             return _cmd_suite(args)
-        if args.command == "bench":
-            return _cmd_bench(args)
         if args.command == "cache":
             return _cmd_cache(args)
         if args.command == "serve":

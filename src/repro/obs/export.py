@@ -8,9 +8,9 @@ snapshot of the process-wide registry (:mod:`repro.obs.metrics`).
 Multi-process safety: suite workers install their own exporter on the *same*
 path (opened ``O_APPEND``) and each line is emitted with a single ``write``
 call, so concurrent writers interleave only at line boundaries — the stream
-stays valid JSONL.  Worker exporters flush their metrics record at process
-exit (``atexit``), so a trace of a parallel suite run ends with one metrics
-record per participating process; consumers sum the counters across records.
+stays valid JSONL.  Each worker flushes its own metrics record when the pool
+shuts it down, so a trace of a parallel suite run holds one metrics record
+per participating process; consumers sum the counters across records.
 
 Record shapes
 -------------
@@ -42,6 +42,7 @@ class JsonlExporter:
 
     def __init__(self, path: str):
         self.path = os.path.abspath(path)
+        self.pid = os.getpid()
         directory = os.path.dirname(self.path)
         if directory:
             os.makedirs(directory, exist_ok=True)
@@ -125,11 +126,17 @@ def install_trace_exporter(path: str) -> JsonlExporter:
     """Install a :class:`JsonlExporter` on ``path`` for this process.
 
     Idempotent per path: re-installing on the already-active path returns the
-    active exporter.  The exporter is registered with ``atexit`` so a worker
-    process that never calls :meth:`JsonlExporter.close` still flushes its
-    metrics record on exit.
+    active exporter.  An exporter inherited through ``fork`` belongs to the
+    parent: it stops being a sink here, unclosed (closing it would write the
+    parent's counters as this process's record), and this process gets its
+    own.  The exporter is registered with ``atexit`` so a process that never
+    calls :meth:`JsonlExporter.close` still flushes its metrics record on a
+    normal exit.
     """
     global _ACTIVE
+    if _ACTIVE is not None and _ACTIVE.pid != os.getpid():
+        remove_sink(_ACTIVE)
+        _ACTIVE = None
     if _ACTIVE is not None and _ACTIVE.path == os.path.abspath(path):
         return _ACTIVE
     exporter = JsonlExporter(path)

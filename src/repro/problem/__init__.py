@@ -11,7 +11,6 @@ once per (design × formulas × observed signals), and every coverage engine
 from .ir import (
     CompiledProblem,
     clear_compile_caches,
-    compile_cache_stats,
     compile_problem,
     compiled_automata,
 )
@@ -20,6 +19,5 @@ __all__ = [
     "CompiledProblem",
     "compile_problem",
     "compiled_automata",
-    "compile_cache_stats",
     "clear_compile_caches",
 ]

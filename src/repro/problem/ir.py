@@ -50,7 +50,6 @@ __all__ = [
     "CompiledProblem",
     "compile_problem",
     "compiled_automata",
-    "compile_cache_stats",
     "clear_compile_caches",
     "AUTO_SLICE_THRESHOLD",
 ]
@@ -187,31 +186,15 @@ def compiled_automata(formulas: Sequence[Formula]) -> Tuple[GeneralizedBuchi, ..
 # -- problem compilation (memoized structurally) -------------------------------
 
 
-@dataclass
-class CompileCacheStats:
-    """Hit/miss counters of the process-wide problem-compile cache."""
-
-    hits: int = 0
-    misses: int = 0
-
-
 _COMPILE_LOCK = threading.Lock()
 _COMPILE_CACHE: "OrderedDict[Tuple, CompiledProblem]" = OrderedDict()
 _COMPILE_CACHE_LIMIT = 512
-_COMPILE_STATS = CompileCacheStats()
-
-
-def compile_cache_stats() -> CompileCacheStats:
-    """The (live) hit/miss counters of the compile cache."""
-    return _COMPILE_STATS
 
 
 def clear_compile_caches() -> None:
     """Drop the problem and automaton caches (tests / memory pressure)."""
     with _COMPILE_LOCK:
         _COMPILE_CACHE.clear()
-        _COMPILE_STATS.hits = 0
-        _COMPILE_STATS.misses = 0
     with _AUTOMATA_LOCK:
         _AUTOMATA_CACHE.clear()
 
@@ -286,11 +269,9 @@ def compile_problem(
     with _COMPILE_LOCK:
         cached = _COMPILE_CACHE.get(key)
         if cached is not None:
-            _COMPILE_STATS.hits += 1
             _COMPILE_CACHE.move_to_end(key)
             metrics().inc("compile.cache_hits")
             return cached
-        _COMPILE_STATS.misses += 1
     metrics().inc("compile.cache_misses")
 
     with span("compile_problem", design=module.name) as sp:

@@ -6,7 +6,7 @@
 * :mod:`repro.runner.suite` — expansion of the designs catalog (plus seeded
   random designs) into independent shards, executed on a process pool with
   deterministic ordering, per-shard timeouts and a serial fallback.
-* :mod:`repro.runner.report` — text / JSON / markdown suite reports.
+* :mod:`repro.runner.report` — text / JSON suite reports.
 """
 
 from .cache import (
@@ -21,7 +21,7 @@ from .cache import (
     set_result_cache,
     using_result_cache,
 )
-from .report import render_json, render_markdown, render_text, suite_to_dict
+from .report import render_json, render_text, suite_to_dict
 from .suite import CoverageJob, ShardResult, SuiteResult, execute_shard, expand_jobs, run_suite
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "set_result_cache",
     "using_result_cache",
     "render_json",
-    "render_markdown",
     "render_text",
     "suite_to_dict",
     "CoverageJob",

@@ -27,24 +27,27 @@ fingerprints of its drivers.
 Engines consult the process-wide *active* cache through
 :func:`active_result_cache`; the suite runner, the daemon and library
 callers install one via :func:`set_result_cache` / :func:`using_result_cache`.
+
+Each lookup, store and eviction is counted in two places: the process
+metrics registry (``result_cache.*``: ``/metrics``, ``--trace``, perfbench)
+and the counter of the job that made it (:func:`counting_lookups`: the
+``cache`` block of a payload or suite report).  A cache directory holds only
+entries; :func:`cache_dir_stats` reports what is on disk.
 """
 
 from __future__ import annotations
 
+import glob
 import hashlib
 import json
 import os
+import re
 import tempfile
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
-
-try:  # POSIX only; the sidecar merge degrades to lockless on other platforms
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX
-    fcntl = None
 
 from ..logic.boolexpr import AndExpr, BoolExpr, Const, NotExpr, OrExpr, Var, XorExpr
 from ..obs import metrics
@@ -81,8 +84,6 @@ __all__ = [
     "cache_for_dir",
     "cache_dir_stats",
     "clear_cache_dir",
-    "merge_persistent_stats",
-    "read_persistent_stats",
     "active_result_cache",
     "set_result_cache",
     "using_result_cache",
@@ -278,20 +279,12 @@ def decode_trace(payload: Optional[dict]) -> Optional[LassoTrace]:
 
 @dataclass
 class CacheStats:
-    """Hit/miss/store/eviction counters of one :class:`ResultCache`."""
+    """Hit/miss/store/eviction counts of one job's lookups (:func:`counting_lookups`)."""
 
     hits: int = 0
     misses: int = 0
     stores: int = 0
     evictions: int = 0
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_ratio(self) -> float:
-        return self.hits / self.lookups if self.lookups else 0.0
 
 
 class ResultCache:
@@ -308,8 +301,8 @@ class ResultCache:
     evicting the least-recently-used payloads keeps long suite runs from
     holding every witness trace in RAM.  Memory-only caches default to
     unbounded — there is no disk layer to refill from.  Every lookup / store /
-    eviction is mirrored into the process metrics registry
-    (``result_cache.*``).
+    eviction is counted in the process metrics registry (``result_cache.*``)
+    and in the counter of the job that made it (:func:`counting_lookups`).
     """
 
     #: Default memory-layer bound of directory-backed caches.
@@ -332,7 +325,6 @@ class ResultCache:
         # a lock.  Disk I/O stays outside the lock — entry files are written
         # atomically and identical for a given key.
         self._memory_lock = threading.RLock()
-        self.stats = CacheStats()
         if self.cache_dir:
             os.makedirs(self.cache_dir, exist_ok=True)
 
@@ -346,7 +338,6 @@ class ResultCache:
             self._memory.move_to_end(key)
             if self.memory_limit is not None and len(self._memory) > self.memory_limit:
                 self._memory.popitem(last=False)
-                self.stats.evictions += 1
                 metrics().inc("result_cache.evictions")
                 _count_lookup("evictions")
 
@@ -365,11 +356,9 @@ class ResultCache:
             else:
                 self._remember(key, payload)
         if payload is None:
-            self.stats.misses += 1
             metrics().inc("result_cache.misses")
             _count_lookup("misses")
         else:
-            self.stats.hits += 1
             metrics().inc("result_cache.hits")
             _count_lookup("hits")
         return payload
@@ -377,7 +366,6 @@ class ResultCache:
     def put(self, key: str, payload: dict) -> None:
         """Store a payload in memory and (when configured) on disk."""
         self._remember(key, payload)
-        self.stats.stores += 1
         metrics().inc("result_cache.stores")
         _count_lookup("stores")
         if not self.cache_dir:
@@ -391,26 +379,17 @@ class ResultCache:
     def __len__(self) -> int:
         return len(self._memory)
 
-    def disk_entry_count(self) -> int:
-        """Number of entries persisted under ``cache_dir`` (0 when memory-only)."""
-        if not self.cache_dir:
-            return 0
-        count = 0
-        for _, _, files in os.walk(self.cache_dir):
-            count += sum(1 for name in files if name.endswith(".json") and not name.startswith("."))
-        return count
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         where = self.cache_dir or "memory"
-        return f"<ResultCache {where} entries={len(self._memory)} stats={self.stats}>"
+        return f"<ResultCache {where} entries={len(self._memory)}>"
 
 
 # -- per-job lookup counts ----------------------------------------------------
 #
-# ``ResultCache.stats`` counts every thread's lookups, so around one job it
-# also counts whatever other jobs of a daemon did meanwhile.  A job (or a
-# suite shard) installs its own counter here instead; helper threads working
-# for it (portfolio members) install the same counter.
+# The ``result_cache.*`` metrics count every thread's lookups, so around one
+# job they also count whatever other jobs of a daemon did meanwhile.  A job
+# (or a suite shard) installs its own counter here as well; helper threads
+# working for it (portfolio members) install the same counter.
 
 _LOOKUPS = threading.local()
 _LOOKUPS_LOCK = threading.Lock()
@@ -440,21 +419,14 @@ def _count_lookup(field: str) -> None:
             setattr(stats, field, getattr(stats, field) + 1)
 
 
-# -- persistent per-directory statistics (the `specmatcher cache` CLI) --------
-
-#: Sidecar file of cumulative hit counters; the leading dot keeps it out of
-#: :meth:`ResultCache.disk_entry_count`.
-STATS_FILENAME = ".stats.json"
-#: Lock file guarding the sidecar's read-modify-write (POSIX flock).
-STATS_LOCK_FILENAME = ".stats.lock"
+# -- the cache directory (the `specmatcher cache` CLI) ------------------------
 
 
 def _atomic_write_json(path: str, payload: dict) -> None:
     """Write ``payload`` to ``path`` via temp file + :func:`os.replace`.
 
-    The shared write path of cache entries and the stats sidecar: readers
-    never observe a torn file.  Raises :class:`OSError` on failure; callers
-    decide whether that is fatal.
+    The write path of cache entries: readers never observe a torn file.
+    Raises :class:`OSError` on failure; callers decide whether that is fatal.
     """
     directory = os.path.dirname(path)
     if directory:
@@ -475,111 +447,47 @@ def _atomic_write_json(path: str, payload: dict) -> None:
         raise
 
 
-@contextmanager
-def _stats_lock(directory: str) -> Iterator[None]:
-    """Hold the sidecar's flock while merging (no-op where flock is missing)."""
-    if fcntl is None:  # pragma: no cover - non-POSIX
-        yield
-        return
-    lock_path = os.path.join(directory, STATS_LOCK_FILENAME)
-    try:
-        fd = os.open(lock_path, os.O_WRONLY | os.O_CREAT, 0o644)
-    except OSError:  # pragma: no cover - permissions
-        yield
-        return
-    try:
-        fcntl.flock(fd, fcntl.LOCK_EX)
-        yield
-    finally:
-        try:
-            fcntl.flock(fd, fcntl.LOCK_UN)
-        except OSError:  # pragma: no cover
-            pass
-        os.close(fd)
+_ENTRY_NAME = re.compile(r"[0-9a-f]{64}\.json")
 
 
-def read_persistent_stats(cache_dir: str) -> Dict[str, int]:
-    """Cumulative counters recorded for a cache directory (zeros if none)."""
-    path = os.path.join(os.path.abspath(cache_dir), STATS_FILENAME)
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except (OSError, ValueError):
-        payload = {}
-    return {
-        "hits": int(payload.get("hits", 0)),
-        "misses": int(payload.get("misses", 0)),
-        "stores": int(payload.get("stores", 0)),
-        "evictions": int(payload.get("evictions", 0)),
-    }
+def _entry_paths(directory: str) -> List[str]:
+    """The entry files under ``directory``: ``<key[:2]>/<key>.json`` only.
 
-
-def merge_persistent_stats(
-    cache_dir: str,
-    *,
-    hits: int,
-    misses: int,
-    stores: int = 0,
-    evictions: int = 0,
-) -> Dict[str, int]:
-    """Accumulate one run's counters into the directory's sidecar.
-
-    The read-modify-write is serialised across processes with a ``flock`` on
-    a lock file next to the sidecar, and the sidecar itself is replaced
-    atomically — concurrent suite runs sharing a cache directory neither
-    tear the file nor lose each other's increments.
+    That is the layout :meth:`ResultCache._path` writes; every other file
+    (temp files, a report saved next to the entries) is foreign.
     """
-    directory = os.path.abspath(cache_dir)
-    try:
-        os.makedirs(directory, exist_ok=True)
-    except OSError:  # pragma: no cover - permissions
-        pass
-    with _stats_lock(directory):
-        totals = read_persistent_stats(directory)
-        totals["hits"] += int(hits)
-        totals["misses"] += int(misses)
-        totals["stores"] += int(stores)
-        totals["evictions"] += int(evictions)
-        try:
-            _atomic_write_json(os.path.join(directory, STATS_FILENAME), totals)
-        except OSError:  # pragma: no cover - disk full / permissions
-            pass
-    return totals
+    paths = []
+    for path in glob.glob(os.path.join(glob.escape(directory), "[0-9a-f][0-9a-f]", "*.json")):
+        shard, name = os.path.split(path)
+        if (
+            _ENTRY_NAME.fullmatch(name)
+            and name.startswith(os.path.basename(shard))
+            and os.path.isfile(path)
+        ):
+            paths.append(path)
+    return paths
 
 
 def cache_dir_stats(cache_dir: str) -> Dict[str, object]:
-    """Inspection summary of a cache directory: entries, bytes, hit counters."""
+    """What a cache directory holds on disk: its entries and their bytes."""
     directory = os.path.abspath(cache_dir)
-    entries = 0
+    paths = _entry_paths(directory)
     size_bytes = 0
-    for root, _, files in os.walk(directory):
-        for name in files:
-            if name.startswith("."):
-                continue
-            if not name.endswith(".json"):
-                continue
-            entries += 1
-            try:
-                size_bytes += os.path.getsize(os.path.join(root, name))
-            except OSError:  # pragma: no cover - raced removal
-                pass
-    counters = read_persistent_stats(directory)
-    lookups = counters["hits"] + counters["misses"]
+    for path in paths:
+        try:
+            size_bytes += os.path.getsize(path)
+        except OSError:  # pragma: no cover - raced removal
+            pass
     return {
         "dir": directory,
         "exists": os.path.isdir(directory),
-        "entries": entries,
+        "entries": len(paths),
         "size_bytes": size_bytes,
-        "hits": counters["hits"],
-        "misses": counters["misses"],
-        "stores": counters["stores"],
-        "evictions": counters["evictions"],
-        "hit_ratio": counters["hits"] / lookups if lookups else 0.0,
     }
 
 
 def clear_cache_dir(cache_dir: str) -> int:
-    """Delete every cache entry (and the stats sidecar) under ``cache_dir``.
+    """Delete every cache entry under ``cache_dir``.
 
     Returns the number of entries removed.  The directory itself and any
     foreign files are left alone; the in-memory layer of a live
@@ -587,19 +495,12 @@ def clear_cache_dir(cache_dir: str) -> int:
     """
     directory = os.path.abspath(cache_dir)
     removed = 0
-    for root, _, files in os.walk(directory):
-        for name in files:
-            if not name.endswith(".json"):
-                continue
-            is_entry = not name.startswith(".")
-            if not is_entry and name != STATS_FILENAME:
-                continue
-            try:
-                os.remove(os.path.join(root, name))
-            except OSError:  # pragma: no cover - raced removal
-                continue
-            if is_entry:
-                removed += 1
+    for path in _entry_paths(directory):
+        try:
+            os.remove(path)
+        except OSError:  # pragma: no cover - raced removal
+            continue
+        removed += 1
     cache = _DIR_CACHES.get(directory)
     if cache is not None:
         cache._memory.clear()
@@ -607,7 +508,7 @@ def clear_cache_dir(cache_dir: str) -> int:
 
 
 # One ResultCache per directory per process, so every consumer of the same
-# directory shares the in-memory layer (and its statistics).
+# directory shares the in-memory layer.
 _DIR_CACHES: Dict[str, ResultCache] = {}
 
 

@@ -1,8 +1,8 @@
-"""Rendering of suite results: text, JSON and markdown reports.
+"""Rendering of suite results: text and JSON reports.
 
 The JSON shape is the machine contract used by CI (cache-effectiveness
-assertions) and by the benchmark harness; the markdown table is meant for
-dropping into PRs/issues; the text form is the default CLI output.
+assertions) and by the benchmark harness; the text form is the default CLI
+output.
 
 ``suite --profile`` adds a per-design phase breakdown built from the shard
 ``timings`` records (:func:`profile_suite`): total wall seconds per span name
@@ -20,7 +20,6 @@ from .suite import ShardResult, SuiteResult
 __all__ = [
     "suite_to_dict",
     "render_json",
-    "render_markdown",
     "render_text",
     "profile_suite",
 ]
@@ -104,51 +103,6 @@ def suite_to_dict(result: SuiteResult, *, profile: bool = False) -> Dict[str, ob
 
 def render_json(result: SuiteResult, *, profile: bool = False) -> str:
     return json.dumps(suite_to_dict(result, profile=profile), indent=2, sort_keys=False)
-
-
-def _profile_lines_markdown(result: SuiteResult) -> List[str]:
-    profile = profile_suite(result)
-    lines = [
-        "",
-        "## Profile (per design, wall seconds per phase)",
-        "",
-        "| design | slowest phase | s | phases |",
-        "|---|---|---:|---|",
-    ]
-    for design, entry in profile["designs"].items():
-        phase_text = ", ".join(
-            f"{name}={seconds:.3f}" for name, seconds in entry["phases"].items()
-        )
-        lines.append(
-            f"| {design} | {entry['slowest_phase'] or '-'} "
-            f"| {entry['slowest_seconds']:.3f} | {phase_text} |"
-        )
-    return lines
-
-
-def render_markdown(result: SuiteResult, *, profile: bool = False) -> str:
-    lines: List[str] = [
-        "# Coverage suite report",
-        "",
-        f"- shards: {len(result.shards)} ({result.workers} worker(s), "
-        f"{result.wall_seconds:.2f} s wall)",
-        f"- cache: {'on' if result.cache_enabled else 'off'}"
-        + (f" ({result.cache_dir})" if result.cache_dir else "")
-        + f", {result.cache_hits} hits / {result.cache_misses} misses "
-        f"({100.0 * result.cache_hit_ratio:.1f}% hit ratio)",
-        "",
-        "| design | kind | target | verdict | time (s) | cache h/m |",
-        "|---|---|---|---|---:|---:|",
-    ]
-    for shard in result.shards:
-        lines.append(
-            f"| {shard.job.design} | {shard.job.kind} | {shard.job.target} "
-            f"| {_verdict_text(shard)} | {shard.elapsed_seconds:.3f} "
-            f"| {shard.cache_hits}/{shard.cache_misses} |"
-        )
-    if profile:
-        lines.extend(_profile_lines_markdown(result))
-    return "\n".join(lines)
 
 
 def _profile_lines_text(result: SuiteResult) -> List[str]:

@@ -42,6 +42,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import lru_cache
+from multiprocessing.util import Finalize
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.spec import CoverageProblem
@@ -50,7 +51,7 @@ from ..designs.random import RandomDesignSpec, random_problem
 from ..engines.cancel import Cancelled, cancel_after
 from ..engines.coverage import get_engine
 from ..ltl.ast import Atom, Eventually
-from ..obs import PhaseAggregator
+from ..obs import Metrics, PhaseAggregator, install_trace_exporter, set_metrics
 from .cache import (
     CacheStats,
     ResultCache,
@@ -369,14 +370,18 @@ def _worker_init(
 ) -> None:
     """Per-worker setup: install the result cache and the trace exporter.
 
+    The worker starts an empty metrics registry (a forked one inherits the
+    parent's counts), so its metrics record counts only its own shards.
     Workers append to the *same* trace file as the parent (O_APPEND keeps
-    lines whole) and flush their own metrics record at process exit.
+    lines whole).  A pool worker leaves through ``os._exit``, which skips
+    ``atexit``, so the worker registers its exporter's close as a
+    multiprocessing finalizer, which runs when the pool shuts the worker down.
     """
     set_result_cache(_select_cache(cache_dir, use_cache))
+    set_metrics(Metrics())
     if trace:
-        from ..obs import install_trace_exporter
-
-        install_trace_exporter(trace)
+        exporter = install_trace_exporter(trace)
+        Finalize(exporter, exporter.close, exitpriority=0)
 
 
 def run_suite(
@@ -398,8 +403,6 @@ def run_suite(
     """
     ordered = sorted(jobs, key=CoverageJob.sort_key)
     if trace:
-        from ..obs import install_trace_exporter
-
         install_trace_exporter(trace)
     start = time.perf_counter()
     if workers <= 1:
@@ -414,23 +417,10 @@ def run_suite(
             futures = [pool.submit(execute_shard, job, shard_timeout) for job in ordered]
             shards = [future.result() for future in futures]
     wall = time.perf_counter() - start
-    result = SuiteResult(
+    return SuiteResult(
         shards=shards,
         workers=max(1, workers),
         wall_seconds=wall,
         cache_enabled=use_cache,
         cache_dir=os.path.abspath(cache_dir) if cache_dir else None,
     )
-    if use_cache and cache_dir:
-        # Accumulate this run's counters into the directory sidecar the
-        # `specmatcher cache stats` subcommand reports.
-        from .cache import merge_persistent_stats
-
-        merge_persistent_stats(
-            cache_dir,
-            hits=result.cache_hits,
-            misses=result.cache_misses,
-            stores=result.cache_stores,
-            evictions=result.cache_evictions,
-        )
-    return result

@@ -9,7 +9,7 @@ import pytest
 from repro.designs import CATALOG, get_design, random_design_entries
 from repro.engines import AutoEngine, get_engine
 from repro.engines.auto import EXPLICIT_ABOVE_STATES, pick_engine
-from repro.runner.cache import ResultCache, using_result_cache
+from repro.runner.cache import CacheStats, ResultCache, counting_lookups, using_result_cache
 
 _BMC_BOUND = 6
 _RANDOM_SEED = 20260808
@@ -154,9 +154,9 @@ def test_cache_replay_keeps_winner():
     cache = ResultCache()
     with using_result_cache(cache):
         first = engine.check_primary(problem)
-        hits_before = cache.stats.hits
-        second = engine.check_primary(problem)
-    assert cache.stats.hits > hits_before
+        with counting_lookups(CacheStats()) as lookups:
+            second = engine.check_primary(problem)
+    assert lookups.hits > 0
     assert second.covered == first.covered
     assert second.complete is True
     assert second.winner == first.winner == "explicit"
@@ -168,9 +168,9 @@ def test_fallback_winner_survives_cache_replay():
     cache = ResultCache()
     with using_result_cache(cache):
         first = engine.check_primary(problem)
-        hits_before = cache.stats.hits
-        second = engine.check_primary(problem)
-    assert cache.stats.hits > hits_before
+        with counting_lookups(CacheStats()) as lookups:
+            second = engine.check_primary(problem)
+    assert lookups.hits > 0
     assert first.winner == "explicit"
     assert second.winner == first.winner
     assert second.covered is first.covered is True
@@ -198,7 +198,7 @@ def test_auto_and_portfolio_cache_keys_do_not_collide():
     cache = ResultCache()
     with using_result_cache(cache):
         AutoEngine(max_bound=_BMC_BOUND).check_primary(problem)
-        stores = cache.stats.stores
-        get_engine("portfolio", max_bound=_BMC_BOUND).check_primary(problem)
+        with counting_lookups(CacheStats()) as lookups:
+            get_engine("portfolio", max_bound=_BMC_BOUND).check_primary(problem)
     # A colliding key would replay auto's entry and store nothing new.
-    assert cache.stats.stores > stores
+    assert lookups.stores > 0

@@ -14,7 +14,7 @@ from repro.engines import (
     using_cancel_token,
 )
 from repro.problem import compile_problem
-from repro.runner.cache import ResultCache, using_result_cache
+from repro.runner.cache import CacheStats, ResultCache, counting_lookups, using_result_cache
 
 _BMC_BOUND = 6
 _DESIGNS = ["mal_fig2", "mal_fig4", "paper_example", "telemetry_bank"]
@@ -237,11 +237,11 @@ class TestCaching:
         cache = ResultCache()
         with using_result_cache(cache):
             bounded = get_engine("bmc", max_bound=_BMC_BOUND).check_primary(problem)
-            stores = cache.stats.stores
-            full = get_engine("portfolio", max_bound=_BMC_BOUND).check_primary(problem)
+            with counting_lookups(CacheStats()) as lookups:
+                full = get_engine("portfolio", max_bound=_BMC_BOUND).check_primary(problem)
         assert not bounded.complete
         assert full.complete
-        assert cache.stats.stores > stores
+        assert lookups.stores > 0
 
     def test_race_populates_member_cache_keys(self):
         # The winning member's own cache entry must exist so a later pinned
@@ -251,10 +251,10 @@ class TestCaching:
         with using_result_cache(cache):
             verdict = get_engine("portfolio", max_bound=_BMC_BOUND).check_primary(problem)
             winner = verdict.winner
-            before = cache.stats.hits
-            pinned = get_engine(winner, max_bound=_BMC_BOUND).check_primary(problem)
+            with counting_lookups(CacheStats()) as lookups:
+                pinned = get_engine(winner, max_bound=_BMC_BOUND).check_primary(problem)
         assert pinned.covered == verdict.covered
-        assert cache.stats.hits > before
+        assert lookups.hits > 0
 
 
 class TestMode:
@@ -311,12 +311,12 @@ class TestLadderWinner:
     def test_ladder_winner_survives_cache_replay(self, no_race_threads):
         problem = get_design("mal_fig2").builder()
         engine = PortfolioEngine(max_bound=_BMC_BOUND)
-        with using_result_cache(ResultCache()) as cache:
+        with using_result_cache(ResultCache()):
             first = _primary_run(engine, problem)
-            hits = cache.stats.hits
-            second = _primary_run(engine, problem)
+            with counting_lookups(CacheStats()) as lookups:
+                second = _primary_run(engine, problem)
         assert first.winner is not None
-        assert cache.stats.hits == hits + 1
+        assert lookups.hits == 1
         assert second.winner == first.winner
 
     def test_ladder_winner_in_suite_rows(self):

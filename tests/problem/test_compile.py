@@ -7,7 +7,8 @@ from repro.designs import CATALOG, build_mal_with_gap, build_telemetry_bank
 from repro.ltl.ast import Not, atom_support
 from repro.ltl.parser import parse
 from repro.logic.boolexpr import and_, not_, var
-from repro.problem import clear_compile_caches, compile_cache_stats, compile_problem, compiled_automata
+from repro.obs import metrics
+from repro.problem import clear_compile_caches, compile_problem, compiled_automata
 from repro.rtl.netlist import Module
 from repro.runner.cache import query_key
 
@@ -80,10 +81,10 @@ class TestCompileProblem:
         module = _two_channel_module()
         formulas = (parse("F o1"),)
         first = compile_problem(module, formulas)
+        hits = metrics().counter("compile.cache_hits")
         second = compile_problem(module, formulas)
         assert first is second
-        stats = compile_cache_stats()
-        assert stats.hits >= 1
+        assert metrics().counter("compile.cache_hits") == hits + 1
         # A structurally identical module built independently also hits.
         third = compile_problem(_two_channel_module(name="other"), formulas)
         assert third is first

@@ -14,10 +14,15 @@ from repro.engines import get_engine
 from repro.logic.boolexpr import and_, not_, or_, var, xor
 from repro.ltl.parser import parse
 from repro.ltl.traces import LassoTrace
+from repro.obs import metrics
 from repro.rtl.netlist import Module
 from repro.runner.cache import (
+    CacheStats,
     ResultCache,
+    cache_dir_stats,
     cache_for_dir,
+    clear_cache_dir,
+    counting_lookups,
     decode_trace,
     encode_trace,
     expr_fingerprint,
@@ -134,23 +139,28 @@ class TestTraceCodec:
 class TestResultCache:
     def test_memory_hit_miss_stats(self):
         cache = ResultCache()
-        assert cache.get("k") is None
-        cache.put("k", {"satisfiable": False})
-        assert cache.get("k") == {"satisfiable": False}
-        assert cache.stats.hits == 1
-        assert cache.stats.misses == 1
-        assert cache.stats.stores == 1
-        assert 0.0 < cache.stats.hit_ratio < 1.0
+        before = metrics().snapshot()["counters"]
+        with counting_lookups(CacheStats()) as lookups:
+            assert cache.get("k") is None
+            cache.put("k", {"satisfiable": False})
+            assert cache.get("k") == {"satisfiable": False}
+        assert lookups == CacheStats(hits=1, misses=1, stores=1)
+        after = metrics().snapshot()["counters"]
+        # The process metrics count the same lookups (nothing else runs here).
+        for field in ("hits", "misses", "stores"):
+            name = f"result_cache.{field}"
+            assert after[name] - before.get(name, 0) == 1, name
 
     def test_disk_persistence_across_instances(self, tmp_path):
         first = ResultCache(str(tmp_path / "cache"))
         key = "ab" + "0" * 62
         first.put(key, {"satisfiable": True, "witness": None})
-        assert first.disk_entry_count() == 1
+        assert cache_dir_stats(str(tmp_path / "cache"))["entries"] == 1
 
         second = ResultCache(str(tmp_path / "cache"))
-        assert second.get(key) == {"satisfiable": True, "witness": None}
-        assert second.stats.hits == 1
+        with counting_lookups(CacheStats()) as lookups:
+            assert second.get(key) == {"satisfiable": True, "witness": None}
+        assert lookups.hits == 1
 
     def test_corrupt_disk_entry_is_a_miss(self, tmp_path):
         cache = ResultCache(str(tmp_path))
@@ -159,23 +169,49 @@ class TestResultCache:
         os.makedirs(os.path.dirname(path), exist_ok=True)
         with open(path, "w", encoding="utf-8") as handle:
             handle.write("{not json")
-        assert cache.get(key) is None
-        assert cache.stats.misses == 1
+        with counting_lookups(CacheStats()) as lookups:
+            assert cache.get(key) is None
+        assert lookups.misses == 1
 
     def test_cache_for_dir_is_shared(self, tmp_path):
         assert cache_for_dir(str(tmp_path)) is cache_for_dir(str(tmp_path))
+
+    def test_directory_holds_only_entries(self, tmp_path):
+        """Stats count, and clear deletes, only ``<key[:2]>/<key>.json`` files."""
+        directory = tmp_path / "cache"
+        key = "ef" + "2" * 62
+        ResultCache(str(directory)).put(key, {"satisfiable": True})
+        foreign = [
+            directory / "notes.json",
+            directory / "reports" / "suite.json",
+            directory / ".stats.json",
+            directory / ".stats.lock",
+            directory / "ef" / "not-a-key.json",
+            directory / "ab" / (key + ".json"),  # a key filed under another prefix
+        ]
+        for path in foreign:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text("{}", encoding="utf-8")
+        stats = cache_dir_stats(str(directory))
+        assert stats["entries"] == 1
+        assert stats["size_bytes"] == (directory / "ef" / (key + ".json")).stat().st_size
+        assert set(stats) == {"dir", "exists", "entries", "size_bytes"}
+        assert clear_cache_dir(str(directory)) == 1
+        assert not (directory / "ef" / (key + ".json")).exists()
+        assert all(path.exists() for path in foreign)
+        assert cache_dir_stats(str(directory))["entries"] == 0
 
 
 class TestEngineIntegration:
     def test_explicit_engine_replays_decided_queries(self):
         problem = build_mal()
         engine = get_engine("explicit")
-        with using_result_cache(ResultCache()) as cache:
+        with using_result_cache(ResultCache()), counting_lookups(CacheStats()) as lookups:
             cold = engine.check_primary(problem)
             warm = engine.check_primary(problem)
         assert cold.covered == warm.covered
-        assert cache.stats.hits == 1
-        assert cache.stats.misses == 1
+        assert lookups.hits == 1
+        assert lookups.misses == 1
 
     def test_bmc_engine_replays_with_witness(self):
         problem = build_mal()
@@ -185,7 +221,7 @@ class TestEngineIntegration:
         from repro.ltl.ast import Not
 
         formulas = [Not(target)] + problem.all_rtl_formulas()
-        with using_result_cache(ResultCache()) as cache:
+        with using_result_cache(ResultCache()), counting_lookups(CacheStats()) as lookups:
             cold = engine.find_run(module, formulas)
             warm = engine.find_run(module, formulas)
         assert warm.satisfiable == cold.satisfiable
@@ -193,7 +229,7 @@ class TestEngineIntegration:
             assert warm.witness is not None
             assert warm.witness.stem == cold.witness.stem
             assert warm.witness.loop == cold.witness.loop
-        assert cache.stats.hits >= 1
+        assert lookups.hits >= 1
 
     @pytest.mark.parametrize("engine_name", ["explicit", "bmc", "symbolic", "portfolio", "auto"])
     def test_stored_entry_keeps_what_replay_reads(self, engine_name):
@@ -205,13 +241,13 @@ class TestEngineIntegration:
         cache = ResultCache()
         with using_result_cache(cache):
             first = engine.check_primary(problem)
-            hits = cache.stats.hits
-            second = engine.check_primary(problem)
+            with counting_lookups(CacheStats()) as lookups:
+                second = engine.check_primary(problem)
         assert cache._memory
         for payload in cache._memory.values():
             assert sorted(payload) == ["bound", "complete", "satisfiable", "winner", "witness"]
             assert isinstance(payload["complete"], bool)
-        assert cache.stats.hits == hits + 1
+        assert lookups.hits == 1
         assert (second.covered, second.complete, second.winner) == (
             first.covered, first.complete, first.winner
         )
@@ -242,10 +278,9 @@ class TestEngineIntegration:
             "features": {"coi_size": 4, "registers": 2, "automaton_states": 32, "bound": 6},
             "timings": {"engine_run": 0.25},
         })
-        hits = cache.stats.hits
-        with using_result_cache(cache):
+        with using_result_cache(cache), counting_lookups(CacheStats()) as lookups:
             verdict = engine.check_primary(problem)
-        assert cache.stats.hits == hits + 1
+        assert lookups.hits == 1
         assert verdict.covered is True
         assert verdict.complete is complete
 
@@ -253,11 +288,11 @@ class TestEngineIntegration:
         """A bounded 'no witness' verdict must never answer a larger bound."""
         module = build_simple_latch()
         formulas = [parse("F(a & b & c)")]
-        with using_result_cache(ResultCache()) as cache:
+        with using_result_cache(ResultCache()), counting_lookups(CacheStats()) as lookups:
             get_engine("bmc", max_bound=2).find_run(module, formulas)
             get_engine("bmc", max_bound=6).find_run(module, formulas)
-        # Four lookups (two engine-level + two raw BMC), all distinct keys.
-        assert cache.stats.hits == 0
+        # Two lookups, one per bound, under distinct keys.
+        assert (lookups.hits, lookups.misses) == (0, 2)
 
     def test_no_cache_active_means_no_caching(self):
         problem = build_mal()
@@ -278,13 +313,14 @@ class TestAnalysisCaching:
         problem = build_paper_example()
         cache = cache_for_dir(str(tmp_path / "cache"))
         with using_result_cache(cache):
-            cold = analyze_problem(problem, options)
-            stores = cache.stats.stores
-            warm = analyze_problem(problem, options)
+            with counting_lookups(CacheStats()) as cold_lookups:
+                cold = analyze_problem(problem, options)
+            with counting_lookups(CacheStats()) as warm_lookups:
+                warm = analyze_problem(problem, options)
         assert [a.covered for a in cold.analyses] == [a.covered for a in warm.analyses]
-        assert stores > 0
+        assert cold_lookups.stores > 0
         # The warm run decided everything from the cache: no new stores.
-        assert cache.stats.stores == stores
+        assert warm_lookups.stores == 0
 
     def test_masked_cache_sees_no_lookups(self):
         from repro.core import CoverageOptions, find_coverage_gap
@@ -293,6 +329,7 @@ class TestAnalysisCaching:
         problem = build_mal()
         options = CoverageOptions(max_witnesses=1, unfold_depth=3)
         with using_result_cache(ResultCache()) as cache:
-            with using_result_cache(None):
+            with using_result_cache(None), counting_lookups(CacheStats()) as lookups:
                 find_coverage_gap(problem, problem.architectural[0], options)
-            assert cache.stats.lookups == 0
+        assert lookups == CacheStats()
+        assert len(cache) == 0

@@ -3,17 +3,14 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import pytest
 
-from repro.obs import metrics
+from repro.obs import Metrics, active_trace_exporter, metrics, set_metrics
 from repro.runner import expand_jobs, run_suite, suite_to_dict
-from repro.runner.cache import (
-    ResultCache,
-    merge_persistent_stats,
-    read_persistent_stats,
-)
-from repro.runner.report import profile_suite, render_markdown, render_text
+from repro.runner.cache import CacheStats, ResultCache, counting_lookups
+from repro.runner.report import profile_suite, render_text
 
 RANDOM_JOBS = dict(designs=[], random_count=3, random_seed=11)
 
@@ -75,11 +72,9 @@ class TestProfile:
             # reported as the slowest one.
             assert entry["slowest_phase"] != "engine_run"
 
-    def test_profile_renders_in_text_and_markdown(self, suite_result):
+    def test_profile_renders_in_text(self, suite_result):
         text = render_text(suite_result, profile=True)
         assert "slowest:" in text
-        markdown = render_markdown(suite_result, profile=True)
-        assert "## Profile" in markdown
 
     def test_profile_key_only_when_requested(self, suite_result):
         assert "profile" not in suite_to_dict(suite_result)
@@ -100,11 +95,42 @@ class TestTracedRuns:
             span_names = {r["name"] for r in records if r["type"] == "span"}
             assert "engine_run" in span_names
         finally:
-            from repro.obs import active_trace_exporter
-
             exporter = active_trace_exporter()
             if exporter is not None:
                 exporter.close()
+
+    def test_parallel_trace_has_each_workers_metrics_record(self, tmp_path):
+        """Every process that writes spans also writes one metrics record of
+        its own, no span line is written twice, and the records' cache
+        counters sum to the report's."""
+        jobs = expand_jobs(**RANDOM_JOBS)
+        cache_dir = str(tmp_path / "cache")
+        trace_path = tmp_path / "suite-trace.jsonl"
+        run_suite(jobs[::2], workers=1, cache_dir=cache_dir)  # so the traced run hits and misses
+        previous = set_metrics(Metrics())  # this process's record counts the traced run only
+        try:
+            result = run_suite(jobs, workers=2, cache_dir=cache_dir, trace=str(trace_path))
+        finally:
+            exporter = active_trace_exporter()
+            if exporter is not None:
+                exporter.close()
+            set_metrics(previous)
+        lines = trace_path.read_text(encoding="utf-8").splitlines()
+        records = [json.loads(line) for line in lines]
+        span_pids = {r["pid"] for r in records if r["type"] == "span"}
+        metrics_records = [r for r in records if r["type"] == "metrics"]
+        records_per_pid = Counter(r["pid"] for r in metrics_records)
+        assert span_pids and all(records_per_pid[pid] == 1 for pid in span_pids), (
+            span_pids, records_per_pid,
+        )
+        assert set(records_per_pid.values()) == {1}
+        assert len(set(lines)) == len(lines), "a span line was written twice"
+        summed = {
+            field: sum(r["counters"].get(f"result_cache.{field}", 0) for r in metrics_records)
+            for field in ("hits", "misses")
+        }
+        assert summed == {"hits": result.cache_hits, "misses": result.cache_misses}
+        assert result.cache_hits > 0 and result.cache_misses > 0
 
     def test_cache_metrics_reach_the_registry(self, tmp_path):
         jobs = expand_jobs(**RANDOM_JOBS)
@@ -114,35 +140,6 @@ class TestTracedRuns:
         warm = run_suite(jobs, workers=1, cache_dir=cache_dir)
         assert warm.cache_hit_ratio >= 0.9
         assert metrics().counter("result_cache.hits") >= before + warm.cache_hits
-
-
-class TestSidecarMerge:
-    def test_counters_accumulate_across_merges(self, tmp_path):
-        cache_dir = str(tmp_path / "cache")
-        merge_persistent_stats(cache_dir, hits=3, misses=1, stores=4, evictions=0)
-        totals = merge_persistent_stats(
-            cache_dir, hits=2, misses=2, stores=0, evictions=1
-        )
-        assert totals == {"hits": 5, "misses": 3, "stores": 4, "evictions": 1}
-        assert read_persistent_stats(cache_dir) == totals
-
-    def test_merge_survives_concurrent_writers(self, tmp_path):
-        import threading
-
-        cache_dir = str(tmp_path / "cache")
-
-        def bump():
-            for _ in range(25):
-                merge_persistent_stats(cache_dir, hits=1, misses=1)
-
-        threads = [threading.Thread(target=bump) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        totals = read_persistent_stats(cache_dir)
-        # The flock-serialised read-modify-write must not lose increments.
-        assert totals["hits"] == 100 and totals["misses"] == 100
 
 
 class TestMemoryLru:
@@ -156,13 +153,15 @@ class TestMemoryLru:
 
     def test_lru_evicts_least_recently_used(self, tmp_path):
         cache = ResultCache(str(tmp_path / "cache"), memory_limit=2)
-        cache.put("a" * 64, {"satisfiable": True})
-        cache.put("b" * 64, {"satisfiable": False})
-        assert cache.get("a" * 64) is not None  # refresh "a"
-        cache.put("c" * 64, {"satisfiable": True})  # evicts "b", not "a"
-        assert cache.stats.evictions == 1
+        with counting_lookups(CacheStats()) as lookups:
+            cache.put("a" * 64, {"satisfiable": True})
+            cache.put("b" * 64, {"satisfiable": False})
+            assert cache.get("a" * 64) is not None  # refresh "a"
+            cache.put("c" * 64, {"satisfiable": True})  # evicts "b", not "a"
+        assert lookups.evictions == 1
         assert ("a" * 64) in cache._memory and ("c" * 64) in cache._memory
         assert ("b" * 64) not in cache._memory
         # The evicted entry refills from disk — a hit, not a miss.
-        assert cache.get("b" * 64) == {"satisfiable": False}
-        assert cache.stats.misses == 0
+        with counting_lookups(CacheStats()) as lookups:
+            assert cache.get("b" * 64) == {"satisfiable": False}
+        assert (lookups.hits, lookups.misses) == (1, 0)

@@ -9,11 +9,11 @@ import pytest
 
 from repro.designs import CATALOG
 from repro.engines.auto import pick_engine
+from repro.obs import metrics
 from repro.runner import (
     CoverageJob,
     expand_jobs,
     render_json,
-    render_markdown,
     render_text,
     run_suite,
     suite_to_dict,
@@ -172,19 +172,21 @@ class TestExecution:
             assert len(cache) == 0
             result = run_suite(jobs, workers=1)
         assert result.succeeded
-        assert cache.stats.stores == len(cache) == len(jobs)
+        assert result.cache_stores == len(cache) == len(jobs)
 
     def test_shard_counts_the_evictions_its_stores_cause(self):
         from repro.runner.cache import ResultCache, using_result_cache
 
         jobs = expand_jobs(["mal_fig2"])
+        before = metrics().counter("result_cache.evictions")
         with using_result_cache(ResultCache(memory_limit=1)) as cache:
             result = run_suite(jobs, workers=1)
         assert result.succeeded
         # One entry fits: each shard's store evicts the previous shard's.
         assert [s.cache_stores for s in result.shards] == [1] * len(jobs)
         assert [s.cache_evictions for s in result.shards] == [0] + [1] * (len(jobs) - 1)
-        assert cache.stats.evictions == len(jobs) - 1
+        assert len(cache) == 1
+        assert metrics().counter("result_cache.evictions") - before == len(jobs) - 1
 
     def test_error_shard_does_not_kill_the_suite(self):
         bad = CoverageJob(design="no_such_design", kind="primary", target="0", index=0)
@@ -269,11 +271,6 @@ class TestReports:
             key: value for key, value in sorted(result.verdicts().items())
         }
         assert payload["shards"][0]["job"] == result.shards[0].job.job_id
-
-    def test_markdown_report(self, result):
-        text = render_markdown(result)
-        assert text.startswith("# Coverage suite report")
-        assert text.count("|") > len(result.shards)
 
     def test_text_report(self, result):
         text = render_text(result)

@@ -186,12 +186,13 @@ def test_cache_block_counts_only_the_jobs_own_lookups():
 
 
 def test_serial_portfolio_block_matches_the_shared_counters():
-    """Alone, a job's block equals the shared cache's delta, members included."""
-    cache = ResultCache()
+    """Alone, a job's block equals the process metrics' delta, members included."""
     request = JobRequest(kind="check", design="mal_fig4", engine="portfolio", bound=6)
-    with using_result_cache(cache):
+    fields = ("hits", "misses", "stores")
+    with using_result_cache(ResultCache()):
+        before = {field: metrics().counter(f"result_cache.{field}") for field in fields}
         cold = execute_job(request)
-        shared = {"hits": cache.stats.hits, "misses": cache.stats.misses, "stores": cache.stats.stores}
+        shared = {field: metrics().counter(f"result_cache.{field}") - before[field] for field in fields}
         warm = execute_job(request)
     assert cold["cache"] == shared
     # The race's own key plus at least one member's.

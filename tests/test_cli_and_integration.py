@@ -244,6 +244,27 @@ class TestCLI:
         assert excinfo.value.code == 2
         assert "invalid choice: 'sched'" in capsys.readouterr().err
 
+    def test_bench_subcommand_rejected(self, capsys):
+        """The engine benchmark runs as `python benchmarks/bench_backends.py`."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench", "--compare", "BENCH_engines.json"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+    def test_suite_report_formats_are_pinned(self, capsys):
+        parser = build_parser()
+        [subparsers] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        [report] = [
+            action
+            for action in subparsers.choices["suite"]._actions
+            if "--report" in action.option_strings
+        ]
+        assert set(report.choices) == {"json", "text"}
+        with pytest.raises(SystemExit) as excinfo:
+            parser.parse_args(["suite", "--report", "markdown"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'markdown'" in capsys.readouterr().err
+
     def test_check_sliced_and_unsliced_agree(self, capsys, force_slicing):
         assert main(["check", "telemetry_bank"]) == 0
         sliced = capsys.readouterr().out
@@ -265,16 +286,24 @@ class TestCacheCommand:
             == 0
         )
         capsys.readouterr()
+        # Files that are not cache entries are neither counted nor cleared.
+        foreign = [tmp_path / "cache" / "notes.json", tmp_path / "cache" / "reports" / "suite.json"]
+        for path in foreign:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text("{}", encoding="utf-8")
         assert main(["cache", "stats", "--cache-dir", cache_dir]) == 0
         out = capsys.readouterr().out
-        assert "entries   :" in out and "entries   : 0" not in out
-        assert "misses    : 0" not in out  # the cold run recorded misses
+        entries = int(out.split("entries   :")[1].split()[0])
+        assert entries == len(list((tmp_path / "cache").glob("??/*.json"))) > 0
+        # The directory holds entries only; lookups are counted in metrics.
+        assert "hits" not in out and "misses" not in out
         assert main(["cache", "clear", "--cache-dir", cache_dir]) == 0
-        capsys.readouterr()
+        assert f"removed {entries} cache entr" in capsys.readouterr().out
+        assert all(path.exists() for path in foreign)
         assert main(["cache", "stats", "--cache-dir", cache_dir]) == 0
         out = capsys.readouterr().out
         assert "entries   : 0" in out
-        assert "hits      : 0" in out
+        assert "size      : 0 B (0 bytes)" in out
 
     def test_stats_on_missing_dir(self, tmp_path, capsys):
         missing = str(tmp_path / "nope")
