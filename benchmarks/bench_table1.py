@@ -56,16 +56,22 @@ def test_table1_row(benchmark, name, bench_options, table1_rows):
 
 def test_table1_shape_toy_example_is_cheapest(table1_rows):
     """After the rows are collected: the toy example must be the cheapest row,
-    mirroring the paper's Table 1 ordering."""
+    mirroring the paper's Table 1 ordering.
+
+    Every row of the paper's Table 1 has a gap-finding time.  Here intel_like
+    is a covered synthetic substitute that runs no gap search, so the toy is
+    compared only against the rows that did search for a gap.
+    """
     if len(table1_rows) < 4:
         pytest.skip("row benchmarks did not all run")
     by_name = {row["circuit"]: row for row in table1_rows}
     toy = by_name.get("Paper Ex. (Fig 1)")
     if toy is None:
         pytest.skip("toy example row missing")
-    others = [row for row in table1_rows if row is not toy]
+    searched = [row for row in table1_rows if row is not toy and row["gap_finding_seconds"] > 0]
+    assert searched, "no row besides the toy ran a gap search"
     toy_total = toy["primary_coverage_seconds"] + toy["tm_building_seconds"]
-    for row in others:
+    for row in searched:
         assert toy_total <= row["primary_coverage_seconds"] + row["tm_building_seconds"] + row[
             "gap_finding_seconds"
         ]

@@ -141,12 +141,9 @@ class CoverageProblem:
         """``A`` as a single conjunction."""
         return conj(*self.architectural)
 
-    def rtl_conjunction(self, include_assumptions: bool = True) -> Formula:
-        """``R`` (optionally with assumptions) as a single conjunction."""
-        parts = list(self.rtl_properties)
-        if include_assumptions:
-            parts += list(self.assumptions)
-        return conj(*parts)
+    def rtl_conjunction(self) -> Formula:
+        """``R`` with the assumptions as a single conjunction."""
+        return conj(*self.all_rtl_formulas())
 
     def all_rtl_formulas(self) -> List[Formula]:
         """RTL properties and assumptions as a flat list (order preserved)."""

@@ -161,16 +161,11 @@ def amba_rtl_properties() -> List[Formula]:
     return properties
 
 
-def build_amba_problem(
-    name: str = "ARM AMBA AHB",
-    *,
-    include_starvation_property: bool = True,
-) -> CoverageProblem:
+def build_amba_problem(name: str = "ARM AMBA AHB") -> CoverageProblem:
     """The AMBA coverage problem: arbiter as RTL, master/slave as properties."""
     problem = CoverageProblem(name)
     problem.add_architectural_property(architectural_granted_master1())
-    if include_starvation_property:
-        problem.add_architectural_property(architectural_granted_master2())
+    problem.add_architectural_property(architectural_granted_master2())
     for formula in amba_rtl_properties():
         problem.add_rtl_property(formula)
     problem.add_concrete_module(build_arbiter())

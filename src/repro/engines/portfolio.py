@@ -19,9 +19,12 @@ holds up to the bound); it is kept as a fallback and reported — with
 Losing members are stopped through cooperative cancellation
 (:mod:`repro.engines.cancel`): the winner trips the shared token and the
 search loops of the losers (Kripke enumeration, product construction, CDCL
-decisions, BMC bounds, symbolic images) unwind at their next poll.  When a
-member's thread cannot be started, the members run as a **serial ladder**
-in order, first decisive verdict wins.
+decisions, BMC bounds, symbolic images) unwind at their next poll.  Each
+member thread runs in a copy of the caller's context, so its cache lookups
+(:func:`~repro.runner.cache.counting_lookups`) and phases
+(:class:`~repro.obs.PhaseAggregator`) count toward the caller's job.  When a
+member's thread cannot be started, the members run as a **serial ladder** in
+order, first decisive verdict wins.
 
 The winning member is recorded on the result (``winner``) and flows into
 :class:`~repro.engines.coverage.EngineVerdict`, suite shard rows and cached
@@ -30,12 +33,12 @@ entries.
 
 from __future__ import annotations
 
+import contextvars
 import threading
 from dataclasses import replace
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from ..obs import active_aggregators, aggregating, metrics, span
-from ..runner.cache import active_lookup_counter, counting_lookups
+from ..obs import metrics, span
 from .cancel import CancelToken, Cancelled, check_cancelled, using_cancel_token
 from .coverage import CoverageEngine, RunResult, get_engine, register_engine
 
@@ -98,17 +101,10 @@ class PortfolioEngine(CoverageEngine):
         lock = threading.Lock()
         finished: List[Tuple[str, RunResult]] = []
         errors: Dict[str, str] = {}
-        # Members count their cache lookups and phases toward the caller's job.
-        lookups = active_lookup_counter()
-        aggregators = active_aggregators()
 
         def work(engine: CoverageEngine) -> None:
             try:
-                with (
-                    using_cancel_token(token),
-                    counting_lookups(lookups),
-                    aggregating(aggregators),
-                ):
+                with using_cancel_token(token):
                     # Members run their own find_run, so the shared result
                     # cache is consulted — and populated — under each
                     # member's own key.
@@ -128,8 +124,14 @@ class PortfolioEngine(CoverageEngine):
                 if token.cancelled or len(finished) + len(errors) == len(engines):
                     decided.set()
 
+        # One context copy per member: a context runs in one thread at a time.
         threads = [
-            threading.Thread(target=work, args=(engine,), daemon=True, name=f"portfolio-{engine.name}")
+            threading.Thread(
+                target=contextvars.copy_context().run,
+                args=(work, engine),
+                daemon=True,
+                name=f"portfolio-{engine.name}",
+            )
             for engine in engines
         ]
         started: List[threading.Thread] = []
@@ -147,10 +149,9 @@ class PortfolioEngine(CoverageEngine):
                 for thread in started:
                     thread.join(timeout=5.0)
                 raise _ThreadsUnavailable(str(exc)) from exc
-            # Interruptible wait (a suite shard watchdog may fire here) that
-            # also polls the caller's own token (a job timeout): the members
-            # only see the race token, so this wait is where a cancelled
-            # caller stops them.
+            # Wait in short slices, polling the caller's own token (a job
+            # deadline): the members only see the race token, so this wait is
+            # where a cancelled caller stops them.
             while not decided.wait(timeout=0.05):
                 check_cancelled()
         finally:

@@ -469,20 +469,20 @@ class BDD:
         return sum(1 for _ in self.satisfying_assignments(names))
 
     # -- conversions --------------------------------------------------------------------
-    def to_cover(self, minimize: bool = True) -> Cover:
-        """Return a cube cover of the function (optionally QM-minimised)."""
+    def to_cover(self) -> Cover:
+        """Return a QM-minimised cube cover of the function."""
         cover = Cover(list(self.satisfying_cubes()))
-        if not minimize or cover.is_false() or cover.is_true():
+        if cover.is_false() or cover.is_true():
             return cover
         from .cube import minimize_cover
 
         names = sorted(self.support())
         return minimize_cover(cover, names)
 
-    def to_expr(self, minimize: bool = True) -> BoolExpr:
+    def to_expr(self) -> BoolExpr:
         """Convert back to a boolean expression (sum of cubes)."""
         if self.is_true():
             return and_()
         if self.is_false():
             return or_()
-        return self.to_cover(minimize=minimize).to_expr()
+        return self.to_cover().to_expr()

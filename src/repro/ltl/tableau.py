@@ -37,17 +37,7 @@ from .ast import (
 from .buchi import GeneralizedBuchi, Literal
 from .rewrite import nnf, simplify
 
-__all__ = ["ltl_to_gba", "ltl_to_gba_with_stats", "TableauStatistics"]
-
-
-@dataclass
-class TableauStatistics:
-    """Size statistics of a tableau construction (used by ablation benches)."""
-
-    node_count: int = 0
-    transition_count: int = 0
-    acceptance_sets: int = 0
-    expansions: int = 0
+__all__ = ["ltl_to_gba"]
 
 
 @dataclass
@@ -78,7 +68,6 @@ class _Builder:
 
     def __init__(self) -> None:
         self.counter = 0
-        self.expansions = 0
         self._keys: Dict[Formula, str] = {}
 
     def fresh_name(self) -> int:
@@ -103,7 +92,6 @@ class _Builder:
         worklist: List[_Node] = [start]
         while worklist:
             node = worklist.pop()
-            self.expansions += 1
 
             if not node.new:
                 signature = (frozenset(node.old), frozenset(node.next))
@@ -199,38 +187,23 @@ def _new2(eta: Formula) -> Set[Formula]:
     return {eta.right}  # Or
 
 
-def ltl_to_gba(formula: Formula, *, pre_simplify: bool = True) -> GeneralizedBuchi:
+def ltl_to_gba(formula: Formula) -> GeneralizedBuchi:
     """Translate an LTL formula into a state-labelled generalized Büchi automaton.
 
     The automaton accepts exactly the infinite words (over total assignments of
     the formula's atoms) that satisfy the formula.
     """
-    automaton, _ = ltl_to_gba_with_stats(formula, pre_simplify=pre_simplify)
-    return automaton
-
-
-def ltl_to_gba_with_stats(
-    formula: Formula, *, pre_simplify: bool = True
-) -> Tuple[GeneralizedBuchi, TableauStatistics]:
-    """As :func:`ltl_to_gba` but also return construction statistics."""
-    stats = TableauStatistics()
-    if pre_simplify:
-        formula = simplify(formula)
-    normal = nnf(formula)
+    normal = nnf(simplify(formula))
 
     if isinstance(normal, FalseFormula):
-        return GeneralizedBuchi(), stats
+        return GeneralizedBuchi()
     if isinstance(normal, TrueFormula):
         automaton = GeneralizedBuchi()
         automaton.add_state(0, (), initial=True)
         automaton.add_transition(0, 0)
-        stats.node_count = 1
-        stats.transition_count = 1
-        return automaton, stats
+        return automaton
 
-    builder = _Builder()
-    nodes = builder.build(normal)
-    stats.expansions = builder.expansions
+    nodes = _Builder().build(normal)
 
     automaton = GeneralizedBuchi()
     names = {node.name for node in nodes}
@@ -252,11 +225,7 @@ def ltl_to_gba_with_stats(
             node.name for node in nodes if until not in node.old or until.right in node.old
         )
         automaton.acceptance.append(accept_set)
-
-    stats.node_count = automaton.state_count()
-    stats.transition_count = automaton.transition_count()
-    stats.acceptance_sets = len(automaton.acceptance)
-    return automaton, stats
+    return automaton
 
 
 def _literal_label(old: Set[Formula]) -> FrozenSet[Literal]:

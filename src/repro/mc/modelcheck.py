@@ -132,16 +132,10 @@ def check(
     assumptions: Sequence[Formula] = (),
     extra_free: Sequence[str] = (),
 ) -> ModelCheckResult:
-    """Check that every run of the model satisfying the assumptions satisfies the property."""
-    start = time.perf_counter()
-    formulas = [Not(property_formula)] + list(assumptions)
-    kripke = build_kripke(model, list(formulas) + [property_formula], extra_free)
-    automata = list(compiled_automata(formulas))
-    statistics = ProductStatistics()
-    product = kripke_automata_product(kripke, automata, statistics=statistics)
-    lasso = product.accepting_lasso()
-    elapsed = time.perf_counter() - start
-    if lasso is None:
-        return ModelCheckResult(True, None, statistics, elapsed)
-    counterexample = lasso_to_signal_trace(product, lasso, kripke)
-    return ModelCheckResult(False, counterexample, statistics, elapsed)
+    """Check that every run of the model satisfying the assumptions satisfies the property.
+
+    The universal query is the existential one on ``!property``: a run that
+    satisfies the assumptions and violates the property is a counterexample.
+    """
+    run = find_run(model, [Not(property_formula)] + list(assumptions), extra_free=extra_free)
+    return ModelCheckResult(not run.satisfiable, run.witness, run.statistics, run.elapsed_seconds)

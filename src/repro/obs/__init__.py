@@ -24,7 +24,6 @@ from .trace import (
     SpanRecord,
     active_aggregators,
     add_sink,
-    aggregating,
     remove_sink,
     span,
     tracing_active,
@@ -39,7 +38,6 @@ __all__ = [
     "SpanRecord",
     "active_aggregators",
     "add_sink",
-    "aggregating",
     "remove_sink",
     "span",
     "tracing_active",

@@ -16,13 +16,15 @@ phase (a losing race member waiting on the GIL) is distinguishable from a
 computing one.
 
 Recording is **sink-based and off by default**: when no sink is installed
-and the thread has entered no aggregator, :func:`span` returns a shared no-op
-object — the hot paths stay untraced-speed.  There are two kinds of sink:
+and the current context has entered no aggregator, :func:`span` returns a
+shared no-op object — the hot paths stay untraced-speed.  There are two kinds
+of sink:
 
-* :class:`PhaseAggregator` (here) folds the spans of the thread that entered
-  it, and of helper threads that join it with :func:`aggregating` (portfolio
-  race members), into a ``name -> seconds`` table — the ``timings`` record of
-  a job, a suite shard or a cached engine run;
+* :class:`PhaseAggregator` (here) folds the spans closed in the context that
+  entered it — a context variable holds the entered aggregators, so helper
+  threads started in a copy of that context (portfolio race members) count
+  too — into a ``name -> seconds`` table: the ``timings`` record of a job or
+  a suite shard;
 * ``JsonlExporter`` (:mod:`repro.obs.export`) is installed process-wide
   (:func:`add_sink`) and streams every thread's spans as JSON lines — the CLI
   installs it for ``--trace <file>``.
@@ -33,9 +35,9 @@ from __future__ import annotations
 import os
 import threading
 import time
-from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 __all__ = [
     "SpanRecord",
@@ -45,7 +47,6 @@ __all__ = [
     "remove_sink",
     "PhaseAggregator",
     "active_aggregators",
-    "aggregating",
 ]
 
 
@@ -66,9 +67,12 @@ class SpanRecord:
 # Installed sinks (process-wide).  Mutated rarely; read on every span close.
 _SINKS: List[object] = []
 _SINKS_LOCK = threading.Lock()
+# The open span names of this thread: a list each thread mutates on its own.
 _STACK = threading.local()
-# The PhaseAggregators this thread's spans also go to (``.entered``).
-_AGGREGATORS = threading.local()
+# The PhaseAggregators this context's spans also go to (innermost last).
+_AGGREGATORS: ContextVar[Tuple["PhaseAggregator", ...]] = ContextVar(
+    "phase_aggregators", default=()
+)
 
 
 def add_sink(sink: object) -> None:
@@ -88,28 +92,13 @@ def remove_sink(sink: object) -> None:
 
 
 def tracing_active() -> bool:
-    """True when this thread's spans are being recorded by some sink."""
+    """True when this context's spans are being recorded by some sink."""
     return bool(_SINKS) or bool(active_aggregators())
 
 
 def active_aggregators() -> Tuple["PhaseAggregator", ...]:
-    """The aggregators this thread's spans also go to (innermost last)."""
-    return getattr(_AGGREGATORS, "entered", ())
-
-
-@contextmanager
-def aggregating(aggregators: Sequence["PhaseAggregator"]) -> Iterator[None]:
-    """Also fold this thread's spans into ``aggregators`` inside the block.
-
-    A helper thread working for a job passes the job thread's
-    :func:`active_aggregators`, so the job's ``timings`` include its phases.
-    """
-    previous = active_aggregators()
-    _AGGREGATORS.entered = previous + tuple(aggregators)
-    try:
-        yield
-    finally:
-        _AGGREGATORS.entered = previous
+    """The aggregators this context's spans also go to (innermost last)."""
+    return _AGGREGATORS.get()
 
 
 class _NullSpan:
@@ -191,12 +180,12 @@ class _LiveSpan:
 def span(name: str, **attrs):
     """Open a span named ``name`` (context manager).
 
-    Free when tracing is off: without an installed sink or an aggregator on
-    this thread this returns a shared no-op object immediately.  ``attrs``
+    Free when tracing is off: without an installed sink or an aggregator in
+    this context this returns a shared no-op object immediately.  ``attrs``
     become the span's attributes; more can be attached with ``.set(...)``
     while the span is open.
     """
-    if not _SINKS and not getattr(_AGGREGATORS, "entered", None):
+    if not _SINKS and not _AGGREGATORS.get():
         return _NULL_SPAN
     return _LiveSpan(name, attrs)
 
@@ -204,10 +193,10 @@ def span(name: str, **attrs):
 class PhaseAggregator:
     """A sink folding spans into per-phase totals (wall / CPU / count).
 
-    Used as a context manager: from entry to exit it receives the spans the
-    entering thread closes, and those of helper threads that join it with
-    :func:`aggregating` (a racing portfolio's members, so their phases land
-    in the job's table).  Aggregation is by span *name*.
+    Used as a context manager: from entry to exit it receives the spans
+    closed in the entering context, which includes helper threads started in
+    a copy of it (a racing portfolio's members, so their phases land in the
+    job's table).  Aggregation is by span *name*.
     """
 
     def __init__(self) -> None:
@@ -228,11 +217,11 @@ class PhaseAggregator:
                 entry[1] += record.cpu_seconds
                 entry[2] += 1
 
-    def timings(self, precision: int = 6) -> Dict[str, float]:
+    def timings(self) -> Dict[str, float]:
         """Phase name → total wall seconds (rounded), the shard-row record."""
         with self._lock:
             return {
-                name: round(entry[0], precision)
+                name: round(entry[0], 6)
                 for name, entry in sorted(self._phases.items())
             }
 
@@ -249,9 +238,9 @@ class PhaseAggregator:
             }
 
     def __enter__(self) -> "PhaseAggregator":
-        _AGGREGATORS.entered = active_aggregators() + (self,)
+        _AGGREGATORS.set(_AGGREGATORS.get() + (self,))
         return self
 
     def __exit__(self, *exc) -> bool:
-        _AGGREGATORS.entered = tuple(a for a in active_aggregators() if a is not self)
+        _AGGREGATORS.set(tuple(a for a in _AGGREGATORS.get() if a is not self))
         return False

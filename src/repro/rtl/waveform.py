@@ -31,9 +31,8 @@ def render_waveform(
     signals: Optional[Sequence[str]] = None,
     *,
     ascii_only: bool = False,
-    clock: bool = True,
 ) -> str:
-    """Render a timing diagram for the given signals.
+    """Render a timing diagram for the given signals, under a clock row.
 
     Parameters
     ----------
@@ -44,8 +43,6 @@ def render_waveform(
         Signals to display (default: all, sorted).
     ascii_only:
         Use ``----``/``____`` instead of unicode overline characters.
-    clock:
-        Prepend a clock row.
     """
     table = (
         trace_or_table.as_table(signals)
@@ -62,9 +59,7 @@ def render_waveform(
     lines: List[str] = []
     header = " " * width + "".join(f"{cycle:<4d}" for cycle in range(cycles))
     lines.append(header)
-    if clock:
-        clk_row = "clk".ljust(width) + ("|‾|_" if not ascii_only else "|-|_") * cycles
-        lines.append(clk_row)
+    lines.append("clk".ljust(width) + ("|‾|_" if not ascii_only else "|-|_") * cycles)
     for name in signals:
         values = table.get(name, [])
         segments = []

@@ -46,6 +46,7 @@ import tempfile
 import threading
 from collections import OrderedDict
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -80,7 +81,6 @@ __all__ = [
     "CacheStats",
     "ResultCache",
     "counting_lookups",
-    "active_lookup_counter",
     "cache_for_dir",
     "cache_dir_stats",
     "clear_cache_dir",
@@ -388,31 +388,26 @@ class ResultCache:
 #
 # The ``result_cache.*`` metrics count every thread's lookups, so around one
 # job they also count whatever other jobs of a daemon did meanwhile.  A job
-# (or a suite shard) installs its own counter here as well; helper threads
-# working for it (portfolio members) install the same counter.
+# (or a suite shard) installs its own counter here as well, in a context
+# variable, so helper threads started in a copy of the job's context
+# (portfolio members) count into the same counter.
 
-_LOOKUPS = threading.local()
+_LOOKUPS: ContextVar[Optional[CacheStats]] = ContextVar("lookup_counter", default=None)
 _LOOKUPS_LOCK = threading.Lock()
-
-
-def active_lookup_counter() -> Optional[CacheStats]:
-    """The counter this thread's lookups and stores also go to (or ``None``)."""
-    return getattr(_LOOKUPS, "stats", None)
 
 
 @contextmanager
 def counting_lookups(stats: Optional[CacheStats]) -> Iterator[Optional[CacheStats]]:
-    """Also count this thread's cache hits, misses, stores and evictions into ``stats``."""
-    previous = getattr(_LOOKUPS, "stats", None)
-    _LOOKUPS.stats = stats
+    """Also count this context's cache hits, misses, stores and evictions into ``stats``."""
+    previous = _LOOKUPS.set(stats)
     try:
         yield stats
     finally:
-        _LOOKUPS.stats = previous
+        _LOOKUPS.reset(previous)
 
 
 def _count_lookup(field: str) -> None:
-    stats = getattr(_LOOKUPS, "stats", None)
+    stats = _LOOKUPS.get()
     if stats is not None:
         # Several threads may share one counter.
         with _LOOKUPS_LOCK:

@@ -14,9 +14,9 @@ with
   order (timings and per-shard cache counters naturally vary between runs —
   compare ``SuiteResult.verdicts()``, not raw reports);
 * **per-shard timeouts**: each shard runs under a cancel-token deadline
-  (:func:`~repro.engines.cancel.cancel_after`) that every engine search loop
-  polls, in any thread or worker, so one pathological query cannot stall
-  the suite;
+  (:func:`~repro.engines.cancel.cancel_after`, no timer thread) that every
+  engine search loop polls, its portfolio members' included, so one
+  pathological query cannot stall the suite;
 * **result caching**: every worker installs the shared persistent
   :class:`~repro.runner.cache.ResultCache`, so overlapping shards and repeated
   suite runs replay decided queries (each shard reports its own hits and

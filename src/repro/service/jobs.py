@@ -16,8 +16,8 @@ the CI service lane asserts.
 Per-request timeouts reuse the portfolio's cooperative cancellation tokens
 (:mod:`repro.engines.cancel`): the job runs under
 :func:`~repro.engines.cancel.cancel_after`, a fresh
-:class:`~repro.engines.cancel.CancelToken` armed by a ``threading.Timer``;
-every engine search loop already polls it, and a fired timer surfaces as
+:class:`~repro.engines.cancel.CancelToken` carrying the job's deadline;
+every engine search loop already polls it, and a passed deadline surfaces as
 :class:`JobTimeout` (the HTTP layer's 504).  ``SIGALRM`` is useless here —
 handler threads are never the main thread — which is exactly why the tokens
 exist.

@@ -59,18 +59,20 @@ class TokenBucket:
 class QuotaRegistry:
     """One token bucket per client id, created lazily.
 
-    The registry is bounded: when more than ``max_clients`` distinct ids
+    The registry is bounded: when more than :attr:`MAX_CLIENTS` distinct ids
     accumulate, the least-recently-seen buckets are dropped (a dropped
     client simply starts over with a full bucket — quotas are a fairness
     mechanism, not an accounting ledger).
     """
 
-    def __init__(self, rate: float, burst: int, *, max_clients: int = 4096):
+    #: Caps the daemon's memory for buckets, whatever ids clients send.
+    MAX_CLIENTS = 4096
+
+    def __init__(self, rate: float, burst: int):
         #: ``rate <= 0`` turns the registry into a no-op (everything granted).
         self.enabled = rate > 0
         self.rate = float(rate)
         self.burst = int(burst)
-        self.max_clients = max_clients
         self._buckets: Dict[str, TokenBucket] = {}
         self._order: Dict[str, float] = {}
         self._lock = threading.Lock()
@@ -82,7 +84,7 @@ class QuotaRegistry:
         with self._lock:
             bucket = self._buckets.get(client)
             if bucket is None:
-                if len(self._buckets) >= self.max_clients:
+                if len(self._buckets) >= self.MAX_CLIENTS:
                     stalest = min(self._order, key=self._order.get)
                     del self._buckets[stalest]
                     del self._order[stalest]

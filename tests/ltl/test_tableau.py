@@ -7,7 +7,6 @@ from repro.ltl import (
     evaluate,
     lasso_to_trace,
     ltl_to_gba,
-    ltl_to_gba_with_stats,
     parse,
 )
 from repro.ltl.ast import atoms_of
@@ -29,19 +28,10 @@ class TestTableau:
         assert all(("p", True) in automaton.labels[state] for state in automaton.initial)
 
     def test_until_has_acceptance_set(self):
-        automaton, stats = ltl_to_gba_with_stats(parse("p U q"))
-        assert stats.acceptance_sets == 1
-        assert automaton.acceptance
+        assert len(ltl_to_gba(parse("p U q")).acceptance) == 1
 
     def test_globally_has_no_until_acceptance(self):
-        _, stats = ltl_to_gba_with_stats(parse("G p"))
-        assert stats.acceptance_sets == 0
-
-    def test_stats_populated(self):
-        automaton, stats = ltl_to_gba_with_stats(parse("G(a -> X b)"))
-        assert stats.node_count == automaton.state_count()
-        assert stats.transition_count == automaton.transition_count()
-        assert stats.expansions > 0
+        assert len(ltl_to_gba(parse("G p")).acceptance) == 0
 
     def test_witness_word_satisfies_formula(self):
         formula = parse("(!p U q) & G(q -> X p)")

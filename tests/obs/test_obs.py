@@ -1,5 +1,6 @@
 """Unit tests of the observability layer (repro.obs): spans, metrics, export."""
 
+import contextvars
 import json
 import os
 import threading
@@ -14,7 +15,6 @@ from repro.obs import (
     PhaseAggregator,
     active_aggregators,
     add_sink,
-    aggregating,
     install_trace_exporter,
     metrics,
     remove_sink,
@@ -184,17 +184,16 @@ class TestPhaseAggregator:
         assert "other_request_phase" not in timings
         assert {"engine_run", "explicit_product"} <= set(timings)
 
-    def test_aggregating_joins_a_helper_thread(self):
+    def test_a_helper_thread_in_a_copied_context_joins_the_aggregator(self):
+        def helper():
+            with span("helper_phase"):
+                pass
+
         with PhaseAggregator() as phases:
-            joined = active_aggregators()
-
-            def helper():
-                with aggregating(joined), span("helper_phase"):
-                    pass
-
-            thread = threading.Thread(target=helper)
+            thread = threading.Thread(target=contextvars.copy_context().run, args=(helper,))
             thread.start()
-            thread.join()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
         assert active_aggregators() == ()
         assert "helper_phase" in phases.timings()
 

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import contextvars
 import json
 import os
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -150,6 +152,34 @@ class TestResultCache:
         for field in ("hits", "misses", "stores"):
             name = f"result_cache.{field}"
             assert after[name] - before.get(name, 0) == 1, name
+
+    def test_threads_in_copied_contexts_count_into_the_jobs_counter(self):
+        """Helper threads started in a copy of the job's context (as portfolio
+        members are) share its counter, which counts every thread's lookups."""
+        cache = ResultCache()
+        together = threading.Barrier(8)
+
+        def look_up():
+            together.wait(timeout=30)
+            for _ in range(200):
+                cache.get("k")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with counting_lookups(CacheStats()) as lookups:
+                threads = [
+                    threading.Thread(target=contextvars.copy_context().run, args=(look_up,))
+                    for _ in range(8)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert lookups == CacheStats(misses=8 * 200)
 
     def test_disk_persistence_across_instances(self, tmp_path):
         first = ResultCache(str(tmp_path / "cache"))

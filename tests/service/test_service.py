@@ -325,6 +325,17 @@ def test_slow_job_times_out_with_504(monkeypatch):
         assert svc.drain(timeout=30.0)
 
 
+def test_a_timed_job_starts_no_timer_thread(client, monkeypatch):
+    """A job's timeout is a deadline its cancel token carries, not a timer."""
+
+    def no_timer(*args, **kwargs):
+        raise RuntimeError("a job deadline started a threading.Timer")
+
+    monkeypatch.setattr(threading, "Timer", no_timer)
+    payload = client.check("mal_fig2", engine="explicit", timeout=30)
+    assert payload["verdict"]["covered"] is True
+
+
 # -- graceful drain ------------------------------------------------------------
 
 
